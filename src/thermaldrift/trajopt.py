@@ -6,21 +6,29 @@ pose, actuator positions, tread temperature, traveled distance), slew-rate
 inputs, a free uniform step duration, slew and transition-distance costs,
 terminal curvature/sideslip conditions, and actuator box bounds.
 
-The solve has two stages: an augmented-Lagrangian pass over the multiple
-shooting variables (bound-constrained inner problems solved by L-BFGS-B with
-a finite-difference constraint Jacobian, batched over all shooting intervals)
-and a single-shooting Gauss-Newton polish that drives the terminal residual
-to machine level.  The returned states are an exact re-integration of the
+The solve is a primal-dual interior-point method on the multiple-shooting
+variables, in two phases: a Gauss-Newton feasibility phase that walks the
+initial guess onto the dynamics and terminal constraints, then an optimality
+phase whose Newton matrix holds the exact cost Hessian plus a
+finite-difference Hessian of the constraints (stage blocks projected onto
+the positive semidefinite cone where the curvature along a step is
+negative).  Steps are accepted by a filter line search.  Each Newton step is
+one banded LU factorization (LAPACK ``dgbtrf``) of the KKT system ordered
+stage by stage; the free step duration, the only variable coupling all
+stages, is a border that costs one extra back-substitution.  A
+single-shooting Gauss-Newton polish then drives the terminal residual to
+machine level.  The returned states are an exact re-integration of the
 returned inputs, so the dynamics defects are zero by construction.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.optimize
+import scipy.linalg
 import scipy.sparse
 
 from .errors import ConvergenceError, InfeasibleError
@@ -41,6 +49,8 @@ __all__ = [
     "load_planner_config",
 ]
 
+_log = logging.getLogger(__name__)
+
 
 class IX:
     """Index map of the extended dynamic state vector."""
@@ -54,6 +64,11 @@ _X_SCALE = np.array([10.0, 10.0, 1.0, 1.0, 30.0, 1e4,
                      10.0, 10.0, 1.0, 1000.0, 100.0, 10.0])
 _U_SCALE = np.array([1.0, 1000.0])
 _H_SCALE = 0.1
+
+#: extended-state components the RK4 step depends on nonlinearly; X, Y and s
+#: are integrated outputs that no rate depends on
+_CURVED = np.array([IX.Vx, IX.Vy, IX.r, IX.psi, IX.omega, IX.dFz,
+                    IX.delta, IX.tau, IX.theta])
 
 #: weight of the constraint violation in the accepted-iterate merit
 MERIT_PENALTY = 1e7
@@ -437,14 +452,14 @@ class _Transcription:
         g[self.nx - IX.n + IX.s] = 2.0 * self.p.k_s * dist * _X_SCALE[IX.s]
         return g
 
-    def cost_hess(self, z):
-        """Exact (diagonal, constant) Hessian of the quadratic cost."""
+    def cost_hess(self):
+        """Diagonal of the exact (constant) Hessian of the quadratic cost."""
         d = np.zeros(self.nz)
-        u_diag = np.tile([2.0 * self.p.k_ddelta * _U_SCALE[0] ** 2,
-                          2.0 * self.p.k_dtau * _U_SCALE[1] ** 2], self.N)
-        d[self.nx:self.nx + self.nu] = u_diag
+        d[self.nx:self.nx + self.nu] = np.tile(
+            [2.0 * self.p.k_ddelta * _U_SCALE[0] ** 2,
+             2.0 * self.p.k_dtau * _U_SCALE[1] ** 2], self.N)
         d[self.nx - IX.n + IX.s] = 2.0 * self.p.k_s * _X_SCALE[IX.s] ** 2
-        return scipy.sparse.diags(d)
+        return d
 
     # -- constraints ------------------------------------------------------
     def constraints(self, z):
@@ -503,9 +518,9 @@ class _Transcription:
                        - _terminal_residual(self.p, xm)) / (2.0 * eps)
         return D, E, Fh, G
 
-    def jac_sparse(self, z):
-        """Assembled scipy.sparse constraint Jacobian in scaled coordinates."""
-        D, E, Fh, G = self.jacobian(z)
+    def jac_pattern(self):
+        """(rows, cols) of the constraint Jacobian entries, in the order of
+        :meth:`jac_data`: the D, identity, E, Fh and G blocks."""
         N = self.N
         if self._sparse_idx is None:
             kk, ii, jj = np.indices((N, IX.n, IX.n))
@@ -523,11 +538,75 @@ class _Transcription:
             self._sparse_idx = (
                 np.concatenate([rows_D, rows_I, rows_E, rows_h, rows_G]),
                 np.concatenate([cols_D, cols_I, cols_E, cols_h, cols_G]))
-        data = np.concatenate([D.ravel(), np.ones(N * IX.n), E.ravel(),
+        return self._sparse_idx
+
+    def jac_data(self, jac):
+        """Values of the Jacobian entries listed by :meth:`jac_pattern`."""
+        D, E, Fh, G = jac
+        return np.concatenate([D.ravel(), np.ones(self.N * IX.n), E.ravel(),
                                Fh.ravel(), G.ravel()])
-        rows, cols = self._sparse_idx
-        return scipy.sparse.csr_matrix((data, (rows, cols)),
-                                       shape=(self.nc, self.nz))
+
+    def jac_sparse(self, z):
+        """Assembled scipy.sparse constraint Jacobian in scaled coordinates
+        (the reference the banded Newton solve is tested against)."""
+        rows, cols = self.jac_pattern()
+        return scipy.sparse.csr_matrix(
+            (self.jac_data(self.jacobian(z)), (rows, cols)),
+            shape=(self.nc, self.nz))
+
+    def hessian_pattern(self):
+        """z indices of the Lagrangian Hessian blocks: (N, 12) per stage
+        (the curved states of x_k, then u_k, then h) and (12,) for x_N."""
+        k = np.arange(self.N)[:, None]
+        stage = np.concatenate([k * IX.n + _CURVED,
+                                self.nx + 2 * k + np.arange(2),
+                                np.full((self.N, 1), self.nz - 1)], axis=1)
+        return stage, self.nx - IX.n + np.arange(IX.n)
+
+    def lagrangian_hessian(self, z, lam, eps=1e-4):
+        """Finite-difference Hessian blocks of lam . constraints(z).
+
+        Returns the (N, 12, 12) stage blocks over the variables listed by
+        :meth:`hessian_pattern` and the (12, 12) terminal block over x_N,
+        all in scaled coordinates.  X, Y and s enter the RK4 step linearly,
+        so they have no stage block rows.  Diagonal entries use central
+        second differences, off-diagonal ones forward differences.
+        """
+        X, U, h = self.unpack(z)
+        N = self.N
+        nv = _CURVED.size + 3
+        iu, ju = np.triu_indices(nv, 1)
+        E = np.eye(nv) * eps
+        # stencil: centre, +e_i, -e_i, e_i + e_j (i < j)
+        O = np.concatenate([np.zeros((1, nv)), E, -E, E[iu] + E[ju]])
+        xb = np.repeat(X[:-1, None, :], O.shape[0], axis=1)
+        xb[..., _CURVED] += O[None, :, :_CURVED.size] * _X_SCALE[_CURVED]
+        ub = U[:, None, :] + O[None, :, _CURVED.size:-1] * _U_SCALE
+        hb = h + O[None, :, -1] * _H_SCALE
+        phi = _rk4_batch(self.p.params, xb, ub, hb) / _X_SCALE
+        psi = -np.einsum("kmi,ki->km", phi, lam[:N * IX.n].reshape(N, IX.n))
+        c0 = psi[:, :1]
+        plus, minus = psi[:, 1:1 + nv], psi[:, 1 + nv:1 + 2 * nv]
+        H = np.empty((N, nv, nv))
+        H[:, np.arange(nv), np.arange(nv)] = (plus - 2.0 * c0 + minus) / eps ** 2
+        off = (psi[:, 1 + 2 * nv:] - plus[:, iu] - plus[:, ju] + c0) / eps ** 2
+        H[:, iu, ju] = off
+        H[:, ju, iu] = off
+
+        xN = X[-1]
+        nu_g = lam[N * IX.n:]
+        def g(d):
+            return nu_g @ _terminal_residual(self.p, xN + d * _X_SCALE)
+        Et = np.eye(IX.n) * eps
+        Ht = np.empty((IX.n, IX.n))
+        g0 = g(0.0)
+        gp = [g(Et[i]) for i in range(IX.n)]
+        for i in range(IX.n):
+            Ht[i, i] = (gp[i] - 2.0 * g0 + g(-Et[i])) / eps ** 2
+            for j in range(i):
+                Ht[i, j] = Ht[j, i] = (g(Et[i] + Et[j]) - gp[i] - gp[j]
+                                       + g0) / eps ** 2
+        return H, Ht
 
     def jac_t_vec(self, jac, v):
         """J^T v without forming J; v has one entry per scaled constraint."""
@@ -545,8 +624,389 @@ class _Transcription:
         return out
 
 
-def solve_transition(problem: TransitionProblem, guess=None,
-                     max_outer: int = 40, verbose: bool = False) -> DynamicTrajectory:
+# ---------------------------------------------------------------------------
+# Newton equations: one banded LU per step
+# ---------------------------------------------------------------------------
+
+class _BandedKKT:
+    """The Newton (KKT) equations of a transcription as one banded matrix.
+
+        [ W  J^T ] [ dz  ]   [ r_z ]
+        [ J   0  ] [ lam ] = [ r_c ]
+
+    J is the scaled constraint Jacobian; W is a diagonal plus the stage
+    blocks of :meth:`_Transcription.lagrangian_hessian`.  The unknowns are
+    ordered stage by stage, [x_k, u_k, lam_k] for k < N and then
+    [x_N, lam_terminal], so every entry lies within a few dozen places of the
+    diagonal.  The pinned variables (x_0 and u_{N-1}, whose steps are zero)
+    are left out, and the step length h, the one variable that couples every
+    stage, is a border: the band factorization is reused for one extra
+    back-solve with its column and a scalar Schur complement.
+    """
+
+    def __init__(self, tr: "_Transcription"):
+        N, n, nz = tr.N, IX.n, tr.nz
+        lb, ub = tr.bounds()
+        self.nz, self.h = nz, nz - 1
+        # sort key of every unknown of [z, lam]: x_k, u_k and lam_k get
+        # 3k, 3k+1 and 3k+2 (h, key 0, is the border and not in the band)
+        key = np.concatenate([
+            3 * np.repeat(np.arange(N + 1), n),
+            3 * np.repeat(np.arange(N), 2) + 1,
+            [0],
+            3 * np.repeat(np.arange(N), n) + 2,
+            np.full(tr.ng, 3 * N + 1)])
+        inband = np.concatenate([lb < ub, np.ones(tr.nc, dtype=bool)])
+        inband[self.h] = False
+        idx = np.flatnonzero(inband)
+        self.order = idx[np.argsort(key[idx], kind="stable")]
+        pos = np.full(inband.size, -1)
+        pos[self.order] = np.arange(self.order.size)
+        pos[self.h] = -2
+        self.size = self.order.size
+        self._jac_data = tr.jac_data
+
+        # (row, col) of every matrix entry, in the order factor() lists their
+        # values; repeated positions add up
+        jr, jc = tr.jac_pattern()
+        jr = jr + nz
+        stage_idx, term_idx = tr.hessian_pattern()
+        self._hess_shapes = (stage_idx.shape + stage_idx.shape[1:],
+                             (term_idx.size, term_idx.size))
+        sr = np.repeat(stage_idx, stage_idx.shape[1], axis=1).ravel()
+        sc = np.tile(stage_idx, (1, stage_idx.shape[1])).ravel()
+        rows = np.concatenate([jr, jc, np.arange(nz), sr,
+                               np.repeat(term_idx, term_idx.size)])
+        cols = np.concatenate([jc, jr, np.arange(nz), sc,
+                               np.tile(term_idx, term_idx.size)])
+        pr, pc = pos[rows], pos[cols]
+        self._band = (pr >= 0) & (pc >= 0)
+        r, c = pr[self._band], pc[self._band]
+        self.kl = self.ku = int(np.max(np.abs(r - c)))
+        self._ldab = 3 * self.kl + 1
+        # LAPACK band storage (kl extra rows for the pivoting fill), column-major
+        self._flat = (2 * self.kl + r - c) + c * self._ldab
+        self._border = (pc == -2) & (pr >= 0)   # the h column
+        self._border_rows = pr[self._border]
+        self._corner = (pr == -2) & (pc == -2)
+
+    def factor(self, jac, w: np.ndarray, hess=None) -> None:
+        """Factor the KKT matrix for the Jacobian blocks ``jac``, the diagonal
+        ``w`` (one entry per decision variable) and the optional Hessian
+        blocks ``hess`` = (stage blocks, terminal block)."""
+        jd = self._jac_data(jac)
+        if hess is None:
+            hess = tuple(np.zeros(shape) for shape in self._hess_shapes)
+        data = np.concatenate([jd, jd, w, hess[0].ravel(), hess[1].ravel()])
+        ab = np.bincount(self._flat, data[self._band],
+                         minlength=self._ldab * self.size)
+        ab = ab.reshape(self._ldab, self.size, order="F")
+        self._lu, self._piv, info = scipy.linalg.lapack.dgbtrf(
+            ab, self.kl, self.ku, overwrite_ab=1)
+        if info != 0:
+            raise np.linalg.LinAlgError("singular KKT matrix")
+        self._b = np.bincount(self._border_rows, data[self._border],
+                              minlength=self.size)
+        self._yb = self._band_solve(self._b)
+        self._schur = data[self._corner].sum() - self._b @ self._yb
+
+    def _band_solve(self, rhs):
+        x, _ = scipy.linalg.lapack.dgbtrs(self._lu, self.kl, self.ku, rhs,
+                                          self._piv)
+        return x
+
+    def solve(self, r_z: np.ndarray, r_c: np.ndarray):
+        """Return (dz, lam) for the right-hand sides of the last factor."""
+        rhs = np.concatenate([r_z, r_c])
+        y = self._band_solve(rhs[self.order])
+        dh = (r_z[self.h] - self._b @ y) / self._schur
+        out = np.zeros(rhs.size)
+        out[self.order] = y - dh * self._yb
+        out[self.h] = dh
+        return out[:self.nz], out[self.nz:]
+
+
+# ---------------------------------------------------------------------------
+# primal-dual interior-point method
+# ---------------------------------------------------------------------------
+
+# Solver settings.  The decision variables are the scaled ones of
+# _Transcription; the cost is scaled per solve (see _GRAD_MAX).
+_IPM_MAX_ITER = 200     # iteration cap of the optimality phase
+_IPM_TOL = 1e-6         # scaled KKT error that ends it; the finite-difference
+                        # derivatives put the attainable floor near 2e-7
+_FEAS_MAX_ITER = 15     # iteration cap of the feasibility phase
+_FEAS_TOL = 1e-6        # max scaled violation that ends it
+_FEAS_MU = 1e-3         # its (fixed) barrier parameter
+_MU_INIT = 0.01         # barrier parameter of the optimality phase ...
+_MU_MIN = 1e-9          # ... falling as mu <- min(_MU_LINEAR mu, mu^_MU_POWER)
+_MU_LINEAR = 0.2
+_MU_POWER = 1.5
+_KAPPA_EPS = 10.0       # ... once the barrier problem's error is below this * mu
+_TAU_MIN = 0.99         # fraction-to-the-boundary rule
+_BOUND_PUSH = 1e-2      # relative distance of the starting point from a bound
+_DUAL_CAP = 1e10        # bound duals stay within [mu/s, mu s] scaled by this
+_S_MAX = 100.0          # multiplier size above which the errors are scaled
+_GRAD_MAX = 100.0       # largest cost-gradient entry at the start, after scaling
+_LAM_MAX = 1e3          # larger least-squares multiplier estimates start at zero
+_CURV_MIN = 1e-8        # least curvature along a step, relative to |dz|^2
+_DELTA_MIN = 1e-6       # first primal regularization tried ...
+_DELTA_MAX = 1e20       # ... and the largest
+# filter line search (Waechter & Biegler 2006, with their constants)
+_GAMMA_THETA = 1e-5
+_GAMMA_PHI = 1e-5
+_ETA_PHI = 1e-4
+_DELTA_SW = 1.0
+_S_THETA = 1.1
+_S_PHI = 2.3
+_GAMMA_ALPHA = 0.05
+_SOC_MAX = 4
+_KAPPA_SOC = 0.99
+
+
+@dataclass
+class _IpmResult:
+    z: np.ndarray
+    lam: np.ndarray         # multipliers of the scaled constraints
+    zl: np.ndarray          # duals of the finite lower bounds of free variables
+    zu: np.ndarray          # duals of the finite upper bounds
+    iterations: int
+    converged: bool
+
+
+def _project_psd(B):
+    """Nearest positive semidefinite matrices of a stack of symmetric ones."""
+    vals, vecs = np.linalg.eigh(B)
+    return np.einsum("...ij,...j,...kj->...ik", vecs, np.maximum(vals, 0.0),
+                     vecs)
+
+
+def _max_step(v, dv, tau):
+    """Largest alpha in (0, 1] with v + alpha dv >= (1 - tau) v (v > 0)."""
+    neg = dv < 0.0
+    if not np.any(neg):
+        return 1.0
+    return float(min(1.0, np.min(-tau * v[neg] / dv[neg])))
+
+
+def _interior_point(tr: "_Transcription", z: np.ndarray,
+                    feasibility: bool = False,
+                    max_iter: int | None = None) -> _IpmResult:
+    """Primal-dual interior-point method on the transcription.
+
+    With ``feasibility`` the cost is dropped, the barrier parameter stays at
+    ``_FEAS_MU`` and the Newton matrix has no constraint curvature
+    (Gauss-Newton): the iterates move onto the constraints while keeping
+    off the bounds, until the violation is below ``_FEAS_TOL`` or for
+    ``_FEAS_MAX_ITER`` iterations.  Otherwise
+    the Newton matrix carries the finite-difference Lagrangian Hessian;
+    where that gives negative curvature along the step, its stage blocks are
+    projected onto the positive semidefinite cone, and then a multiple of
+    the identity is added until the curvature is positive.  Steps are
+    accepted by a filter line search with second-order corrections.
+    """
+    if max_iter is None:
+        max_iter = _FEAS_MAX_ITER if feasibility else _IPM_MAX_ITER
+    lb, ub = tr.bounds()
+    free = lb < ub
+    il = np.flatnonzero(free & np.isfinite(lb))
+    iu = np.flatnonzero(free & np.isfinite(ub))
+    z = np.where(free, z, lb)
+    z[il] = np.maximum(z[il], lb[il] + np.minimum(
+        _BOUND_PUSH * np.maximum(1.0, np.abs(lb[il])),
+        _BOUND_PUSH * (ub[il] - lb[il])))
+    z[iu] = np.minimum(z[iu], ub[iu] - np.minimum(
+        _BOUND_PUSH * np.maximum(1.0, np.abs(ub[iu])),
+        _BOUND_PUSH * (ub[iu] - lb[iu])))
+
+    kkt = _BandedKKT(tr)
+    stage_idx, term_idx = tr.hessian_pattern()
+    if feasibility:
+        cs = 0.0
+        mu = _FEAS_MU
+    else:
+        cs = min(1.0, _GRAD_MAX / max(1e-300, np.max(np.abs(tr.cost_grad(z)))))
+        mu = _MU_INIT
+    hess = cs * tr.cost_hess()
+
+    def slacks(zz):
+        return zz[il] - lb[il], ub[iu] - zz[iu]
+
+    def barrier(zz):
+        s_l, s_u = slacks(zz)
+        if np.any(s_l <= 0.0) or np.any(s_u <= 0.0):
+            return np.inf
+        return cs * tr.cost(zz) - mu * (np.log(s_l).sum() + np.log(s_u).sum())
+
+    sl, su = slacks(z)
+    zl, zu = mu / sl, mu / su
+    c = tr.constraints(z)
+    jac = tr.jacobian(z)
+    lam = np.zeros(tr.nc)
+    if not feasibility:
+        # least-squares multiplier estimate
+        kkt.factor(jac, free.astype(float))
+        r0 = -cs * tr.cost_grad(z)
+        r0[il] += zl
+        r0[iu] -= zu
+        lam_ls = kkt.solve(r0, np.zeros(tr.nc))[1]
+        if np.max(np.abs(lam_ls)) <= _LAM_MAX:
+            lam = lam_ls
+
+    theta = np.abs(c).sum()
+    theta_max = 1e4 * max(1.0, theta)
+    theta_min = 1e-4 * max(1.0, theta)
+    filt = []
+    delta_last = 0.0
+    converged = False
+    it = 0
+    for it in range(max_iter + 1):
+        if it > 0:
+            jac = tr.jacobian(z)
+        g = cs * tr.cost_grad(z)
+        rd = g + tr.jac_t_vec(jac, lam)
+        rd[il] -= zl
+        rd[iu] += zu
+        s_d = max(_S_MAX, (np.abs(lam).sum() + zl.sum() + zu.sum())
+                  / (lam.size + zl.size + zu.size)) / _S_MAX
+        s_c = max(_S_MAX, (zl.sum() + zu.sum())
+                  / max(1, zl.size + zu.size)) / _S_MAX
+        viol = np.max(np.abs(c))
+        err_pd = max(np.max(np.abs(rd[free])) / s_d, viol)
+
+        def kkt_error(m):
+            return max(err_pd, np.max(np.abs(sl * zl - m)) / s_c,
+                       np.max(np.abs(su * zu - m)) / s_c)
+
+        if (viol <= _FEAS_TOL) if feasibility else (kkt_error(0.0) <= _IPM_TOL):
+            converged = True
+            break
+        if it == max_iter:
+            break
+        while not feasibility and mu > _MU_MIN and \
+                kkt_error(mu) <= _KAPPA_EPS * mu:
+            mu = max(_MU_MIN, min(_MU_LINEAR * mu, mu ** _MU_POWER))
+            filt = []
+
+        # Newton step of the barrier problem, with curvature control
+        w = hess.copy()
+        w[il] += zl / sl
+        w[iu] += zu / su
+        r_z = -g
+        r_z[il] += mu / sl
+        r_z[iu] -= mu / su
+
+        def newton(delta, hl):
+            """(dz, lam_plus), or None without enough curvature along dz."""
+            w_reg = w + delta * free
+            try:
+                kkt.factor(jac, w_reg, hl)
+            except np.linalg.LinAlgError:
+                return None
+            dz, lam_plus = kkt.solve(r_z, -c)
+            curv = dz @ (w_reg * dz)
+            if hl is not None:
+                v = dz[stage_idx]
+                curv += np.einsum("ki,kij,kj->", v, hl[0], v)
+                v = dz[term_idx]
+                curv += v @ hl[1] @ v
+            return (dz, lam_plus) if curv >= _CURV_MIN * (dz @ dz) else None
+
+        hl = None if feasibility else tr.lagrangian_hessian(z, lam)
+        step = newton(0.0, hl)
+        if step is None and hl is not None:
+            hl = tuple(_project_psd(b) for b in hl)
+            step = newton(0.0, hl)
+        delta = max(_DELTA_MIN, delta_last / 3.0)
+        while step is None:
+            if delta > _DELTA_MAX:
+                raise ConvergenceError("interior-point Newton matrix stays "
+                                       "singular under regularization")
+            step = newton(delta, hl)
+            delta_last = delta
+            delta *= 8.0
+        dz, lam_plus = step
+        dzl = mu / sl - zl - zl / sl * dz[il]
+        dzu = mu / su - zu + zu / su * dz[iu]
+        tau = max(_TAU_MIN, 1.0 - mu)
+        s_all = np.concatenate([sl, su])
+        a_max = _max_step(s_all, np.concatenate([dz[il], -dz[iu]]), tau)
+        a_dual = _max_step(np.concatenate([zl, zu]),
+                           np.concatenate([dzl, dzu]), tau)
+
+        # filter line search
+        phi = barrier(z)
+        gphi = -(r_z @ dz)          # directional derivative of the barrier
+        if gphi < 0.0:
+            a_min = _GAMMA_ALPHA * min(
+                _GAMMA_THETA, _GAMMA_PHI * theta / -gphi,
+                _DELTA_SW * theta ** _S_THETA / (-gphi) ** _S_PHI)
+        else:
+            a_min = _GAMMA_ALPHA * _GAMMA_THETA
+
+        def acceptable(z_t, c_t, alpha):
+            """None, or whether the accepted trial point is an f-step."""
+            th_t = np.abs(c_t).sum()
+            ph_t = barrier(z_t)
+            if not np.isfinite(ph_t) or th_t > theta_max or any(
+                    th_t >= th_f and ph_t >= ph_f for th_f, ph_f in filt):
+                return None
+            if gphi < 0.0 and theta <= theta_min and \
+                    alpha * (-gphi) ** _S_PHI > _DELTA_SW * theta ** _S_THETA:
+                return True if ph_t <= phi + _ETA_PHI * alpha * gphi else None
+            if th_t <= (1.0 - _GAMMA_THETA) * theta or \
+                    ph_t <= phi - _GAMMA_PHI * theta:
+                return False
+            return None
+
+        alpha = a_max
+        z_t = z + alpha * dz
+        c_t = tr.constraints(z_t)
+        f_step = acceptable(z_t, c_t, alpha)
+        if f_step is None and np.abs(c_t).sum() >= theta:
+            # second-order corrections against the constraint curvature
+            c_soc, th_old = alpha * c + c_t, theta
+            for _ in range(_SOC_MAX):
+                d_soc = kkt.solve(r_z, -c_soc)[0]
+                a_soc = _max_step(s_all, np.concatenate([d_soc[il],
+                                                         -d_soc[iu]]), tau)
+                z_s = z + a_soc * d_soc
+                c_s = tr.constraints(z_s)
+                f_step = acceptable(z_s, c_s, alpha)
+                th_s = np.abs(c_s).sum()
+                if f_step is not None:
+                    z_t, c_t = z_s, c_s
+                    break
+                if th_s > _KAPPA_SOC * th_old:
+                    break
+                c_soc, th_old = a_soc * c_soc + c_s, th_s
+        while f_step is None and alpha >= a_min:
+            alpha *= 0.5
+            z_t = z + alpha * dz
+            c_t = tr.constraints(z_t)
+            f_step = acceptable(z_t, c_t, alpha)
+        if f_step is None:
+            # nothing acceptable: take the shortest step, start a new filter
+            filt = []
+        elif not f_step:
+            filt.append(((1.0 - _GAMMA_THETA) * theta,
+                         phi - _GAMMA_PHI * theta))
+        _log.debug("ipm %3d  cost %.6e  viol %.2e  err %.2e  mu %.1e  "
+                   "alpha %.2e", it, tr.cost(z), viol, err_pd, mu, alpha)
+
+        z, c = z_t, c_t
+        theta = np.abs(c).sum()
+        lam = lam + alpha * (lam_plus - lam)
+        sl, su = slacks(z)
+        zl = np.clip(zl + a_dual * dzl, mu / (_DUAL_CAP * sl),
+                     _DUAL_CAP * mu / sl)
+        zu = np.clip(zu + a_dual * dzu, mu / (_DUAL_CAP * su),
+                     _DUAL_CAP * mu / su)
+    return _IpmResult(z=z, lam=lam, zl=zl, zu=zu, iterations=it,
+                      converged=converged)
+
+
+def solve_transition(problem: TransitionProblem, guess=None) -> DynamicTrajectory:
     """Solve the transition problem; see the module docstring for the method."""
     tr = _Transcription(problem)
     if guess is None:
@@ -557,52 +1017,23 @@ def solve_transition(problem: TransitionProblem, guess=None,
     lb, ub = tr.bounds()
     z = np.clip(z, lb, ub)
 
-    # accepted-iterate log; the exact-penalty merit (cost + MERIT_PENALTY *
-    # violation) does not increase across these points
+    # log of [cost, max scaled violation] at the guess, the interior-point
+    # result and the polished result; the exact-penalty merit
+    # cost + MERIT_PENALTY * violation does not increase along it
     merit_history = [[tr.cost(z),
                       float(np.max(np.abs(tr.constraints(z))))]]
-
-    # Exact diagonal cost Hessian; constraint curvature dropped (Gauss-Newton
-    # style) so every trust-region subproblem is a convex QP.  The solve runs
-    # in two phases: pure feasibility first (the lerp guess has large
-    # defects), then the cost from the feasible point, scaled down so the
-    # optimizer's internal tolerances see O(1) numbers.
-    zero_hess = scipy.sparse.csr_matrix((tr.nz, tr.nz))
-    nlc = scipy.optimize.NonlinearConstraint(
-        tr.constraints, 0.0, 0.0, jac=tr.jac_sparse,
-        hess=lambda x, v: zero_hess)
-    bounds = scipy.optimize.Bounds(lb, ub)
-    opts = {"gtol": 1e-8, "xtol": 1e-14, "verbose": 2 if verbose else 0}
-    res1 = scipy.optimize.minimize(
-        lambda zz: 0.0, z, jac=lambda zz: np.zeros(tr.nz),
-        hess=lambda zz: zero_hess, method="trust-constr",
-        constraints=[nlc], bounds=bounds,
-        options={**opts, "maxiter": max_outer * 13})
-    merit_history.append([tr.cost(res1.x),
-                          float(np.max(np.abs(tr.constraints(res1.x))))])
-    cs = 1e-3
-    res = scipy.optimize.minimize(
-        lambda zz: tr.cost(zz) * cs, res1.x,
-        jac=lambda zz: tr.cost_grad(zz) * cs,
-        hess=lambda zz: tr.cost_hess(zz) * cs,
-        method="trust-constr", constraints=[nlc], bounds=bounds,
-        options={**opts, "maxiter": max_outer * 18,
-                 "initial_constr_penalty": 1e4})
-    z = res.x
-    c = tr.constraints(z)
-    viol = float(np.max(np.abs(c)))
-    if merit_history[-1][0] + MERIT_PENALTY * merit_history[-1][1] < \
-            tr.cost(z) + MERIT_PENALTY * viol:
-        # keep the better of the two accepted points
-        z = res1.x
-        c = tr.constraints(z)
-        viol = float(np.max(np.abs(c)))
+    feasible = _interior_point(tr, z, feasibility=True)
+    res = _interior_point(tr, feasible.z)
+    if not res.converged:
+        _log.warning("transition solve stopped at the %d-iteration cap",
+                     _IPM_MAX_ITER)
+    z = res.z
+    viol = float(np.max(np.abs(tr.constraints(z))))
     merit_history.append([tr.cost(z), viol])
-    n_outer = int(res1.niter + res.niter)
     if viol > 2e-3:
         raise ConvergenceError(
             f"transition solve stalled with constraint violation {viol:.2e} "
-            f"({res.message})")
+            f"after {res.iterations} interior-point iterations")
 
     X, U, h = tr.unpack(z)
     X, U, h = _polish(problem, X, U, h)
@@ -635,7 +1066,7 @@ def solve_transition(problem: TransitionProblem, guess=None,
         input_cost=input_cost, distance_cost=distance_cost,
         terminal_residual=float(np.max(np.abs(term))),
         max_defect=float(defect),
-        n_outer=n_outer,
+        n_outer=feasible.iterations + res.iterations,
         merit_history=np.array(merit_history))
 
 

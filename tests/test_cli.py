@@ -4,6 +4,7 @@ import pytest
 from thermaldrift import csvio
 from thermaldrift.cli import main
 from thermaldrift.params import default_params, save_params
+from thermaldrift.trajopt import _IPM_MAX_ITER
 
 
 def test_plan_steady_writes_outputs(tmp_path):
@@ -83,9 +84,10 @@ def test_infeasible_plan_is_planner_failure(tmp_path, capsys):
 
 
 @pytest.mark.slow
-def test_plan_figure8(tmp_path):
+@pytest.mark.parametrize("arc", [["--arc", "10"], []], ids=["arc10", "default"])
+def test_plan_figure8(tmp_path, arc):
     out = tmp_path / "out"
-    rc = main(["plan-figure8", "--out", str(out), "--arc", "10"])
+    rc = main(["plan-figure8", "--out", str(out), *arc])
     assert rc == 0
     for name in ("trajectory_steady1.csv", "trajectory_transition.csv",
                  "trajectory_steady2.csv", "gains.csv", "summary.txt"):
@@ -96,3 +98,5 @@ def test_plan_figure8(tmp_path):
     assert float(summary["beta_initial_deg"]) * \
         float(summary["beta_final_deg"]) < 0.0
     assert float(summary["terminal_residual"]) < 1e-6
+    transition = csvio.load_dynamic(out / "trajectory_transition.csv")
+    assert transition.n_outer < _IPM_MAX_ITER

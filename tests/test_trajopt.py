@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
+from thermaldrift import trajopt
 from thermaldrift.equilibrium import thermal_fixed_point
 from thermaldrift.errors import ConfigError
 from thermaldrift.integrate import rk4
@@ -162,6 +165,13 @@ def test_transition_cost_breakdown(transition):
     assert np.all(np.diff(merit) <= 1e-6 * np.maximum(1.0, merit[:-1]))
 
 
+def test_transition_converges_before_cap(transition):
+    """n_outer counts the iterations of both solver phases, so an
+    optimality phase stopped by its cap would make it at least the cap."""
+    _, traj, _ = transition
+    assert traj.n_outer < trajopt._IPM_MAX_ITER
+
+
 def test_transition_sample_interpolates(transition):
     _, traj, _ = transition
     lo, hi = traj.s_span()
@@ -186,6 +196,7 @@ def test_no_transition_case(params):
                                 kappa_final=1.0 / RADIUS, beta_final=BETA,
                                 k_s=0.0)
     traj = solve_transition(problem, guess=initial_guess(problem, x0))
+    assert traj.n_outer < trajopt._IPM_MAX_ITER
     assert traj.terminal_residual < 1e-6
     assert traj.distance_cost == 0.0
     assert traj.J < 1e4
@@ -201,4 +212,108 @@ def test_larger_ks_does_not_lengthen(params, transition):
     problem, x_target = make_transition_problem(params, k_s=2000.0)
     aggressive = solve_transition(problem,
                                   guess=initial_guess(problem, x_target))
+    assert aggressive.n_outer < trajopt._IPM_MAX_ITER
     assert aggressive.transition_length <= base.transition_length + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Newton equations: banded LU against sparse references
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def iterates(params):
+    """The criterion-6 transcription at its initial guess and at an iterate
+    five steps into the optimality phase: (transcription, {name: (z, lam,
+    Newton diagonal)})."""
+    problem, x_target = make_transition_problem(params)
+    tr = trajopt._Transcription(problem)
+    lb, ub = tr.bounds()
+    z0 = np.clip(tr.pack(*initial_guess(problem, x_target)), lb, ub)
+    feasible = trajopt._interior_point(tr, z0, feasibility=True)
+    mid = trajopt._interior_point(tr, feasible.z, max_iter=5)
+    assert not mid.converged
+    free = lb < ub
+    il = np.flatnonzero(free & np.isfinite(lb))
+    iu = np.flatnonzero(free & np.isfinite(ub))
+    w = 1e-3 * tr.cost_hess()
+    w[il] += mid.zl / (mid.z[il] - lb[il])
+    w[iu] += mid.zu / (ub[iu] - mid.z[iu])
+    w0 = 1e-3 * tr.cost_hess() + np.where(np.isfinite(lb) | np.isfinite(ub),
+                                          1.0, 0.0)
+    return tr, {"guess": (z0, np.zeros(tr.nc), w0),
+                "mid-solve": (mid.z, mid.lam, w)}
+
+
+def _sparse_kkt(tr, z, w, hess):
+    """The Newton matrix over the free variables, assembled with scipy."""
+    lb, ub = tr.bounds()
+    free = lb < ub
+    stage, term = tr.hessian_pattern()
+    rows = [np.arange(tr.nz), np.repeat(stage, stage.shape[1], axis=1).ravel(),
+            np.repeat(term, term.size)]
+    cols = [np.arange(tr.nz), np.tile(stage, (1, stage.shape[1])).ravel(),
+            np.tile(term, term.size)]
+    vals = [w, hess[0].ravel(), hess[1].ravel()]
+    W = scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(tr.nz, tr.nz)).tocsr()[free][:, free]
+    J = tr.jac_sparse(z)[:, free]
+    return scipy.sparse.bmat([[W, J.T], [J, None]]).tocsc(), free
+
+
+@pytest.mark.parametrize("point", ["guess", "mid-solve"])
+def test_banded_kkt_matches_spsolve(iterates, point):
+    """The banded LU with its h border solves the same Newton equations as
+    scipy's sparse LU on the matrix assembled from ``jac_sparse``."""
+    tr, points = iterates
+    z, lam, w = points[point]
+    hess = tr.lagrangian_hessian(z, lam)
+    rng = np.random.default_rng(7)
+    r_z = rng.standard_normal(tr.nz)
+    r_c = rng.standard_normal(tr.nc)
+
+    kkt = trajopt._BandedKKT(tr)
+    kkt.factor(tr.jacobian(z), w, hess)
+    dz, lam_new = kkt.solve(r_z, r_c)
+
+    K, free = _sparse_kkt(tr, z, w, hess)
+    ref = scipy.sparse.linalg.spsolve(K, np.concatenate([r_z[free], r_c]))
+    got = np.concatenate([dz[free], lam_new])
+    assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
+    assert np.all(dz[~free] == 0.0)   # pinned x_0 and u_{N-1}
+
+
+@pytest.mark.parametrize("point", ["guess", "mid-solve"])
+def test_jacobian_matches_constraint_differences(iterates, point):
+    """J v from the finite-difference blocks against a central difference of
+    the constraints themselves along random directions."""
+    tr, points = iterates
+    z = points[point][0]
+    J = tr.jac_sparse(z)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        v = rng.standard_normal(tr.nz)
+        t = 1e-6
+        fd = (tr.constraints(z + t * v) - tr.constraints(z - t * v)) / (2 * t)
+        assert np.max(np.abs(J @ v - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_lagrangian_hessian_matches_second_differences(iterates):
+    """v^T H v from the Hessian blocks against a second difference of
+    lam . constraints along random directions (within 1 %: the tire model
+    is only piecewise smooth)."""
+    tr, points = iterates
+    z, lam, _ = points["mid-solve"]
+    H, Ht = tr.lagrangian_hessian(z, lam)
+    stage, term = tr.hessian_pattern()
+    lb, ub = tr.bounds()
+    free = lb < ub
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        v = np.where(free, rng.standard_normal(tr.nz), 0.0)
+        quad = (np.einsum("ki,kij,kj->", v[stage], H, v[stage])
+                + v[term] @ Ht @ v[term])
+        t = 1e-3
+        fd = (lam @ tr.constraints(z + t * v) - 2.0 * lam @ tr.constraints(z)
+              + lam @ tr.constraints(z - t * v)) / t ** 2
+        assert quad == pytest.approx(fd, rel=1e-2)
