@@ -230,7 +230,9 @@ def iterates(params):
     lb, ub = tr.bounds()
     z0 = np.clip(tr.pack(*initial_guess(problem, x_target)), lb, ub)
     feasible = trajopt._interior_point(tr, z0, feasibility=True)
-    mid = trajopt._interior_point(tr, feasible.z, max_iter=5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trajopt, "_IPM_MAX_ITER", 5)
+        mid = trajopt._interior_point(tr, feasible.z)
     assert not mid.converged
     free = lb < ub
     il = np.flatnonzero(free & np.isfinite(lb))
