@@ -15,7 +15,7 @@ from thermaldrift import csvio
 from thermaldrift.control import LqrWeights
 from thermaldrift.figure8 import plan_figure8
 from thermaldrift.params import default_params
-from thermaldrift.sim import Scenario, run
+from thermaldrift.sim import run
 
 
 def main() -> int:
@@ -43,11 +43,7 @@ def main() -> int:
           f"{math.degrees(math.atan2(xN[1], xN[0])):+.1f} deg, "
           f"tread {args.theta0:.1f} -> {xN[10]:.1f} degC")
 
-    scenario = Scenario(
-        name="figure8", schedule=plan.schedule, path=plan.path(),
-        plant=params, initial_state=plan.initial_state(args.theta0),
-        s_final=plan.total_arc - 0.5)
-    res = run(scenario)
+    res = run(plan.scenario(params, args.theta0))
     s = res.column("s")
     e = res.column("e")
     for label, lo, hi in (("circle 1", 0.0, plan.s_break1),

@@ -5,19 +5,16 @@ Plans the R = 15 m, beta = -40 deg circle three ways (thermal friction map,
 constant mu = 0.73, constant mu = 0.8), tracks each plan on the same thermal
 plant starting at 30 degC, and prints the tracking-error table plus the
 closed-loop pole-cloud diameters evaluated at the thermal plan's operating
-points.
+points.  The study is ``thermaldrift plan-steady`` followed by
+``thermaldrift simulate --scenario steady-compare``; the thermal plan's run
+is the one named ``matched``.
 """
 
 import argparse
-import math
+import tempfile
 from pathlib import Path
 
-from thermaldrift import csvio
-from thermaldrift.control import LqrWeights, build_schedule
-from thermaldrift.equilibrium import quasi_steady_sweep
-from thermaldrift.params import default_params
-from thermaldrift.paths import CirclePath
-from thermaldrift.sim import Scenario, compare, comparison_table, pole_trace
+from thermaldrift import cli, csvio
 
 
 def main() -> int:
@@ -30,45 +27,25 @@ def main() -> int:
                     help="optional directory for CSV series")
     args = ap.parse_args()
 
-    params = default_params()
-    beta = math.radians(args.beta)
-    weights = LqrWeights.tracking()
-    path = CirclePath(args.radius)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = args.out or Path(tmp)
+        common = ["--out", str(out), "--theta0", str(args.theta0)]
+        code = cli.main(["plan-steady", "--arc", str(args.arc),
+                         "--radius", str(args.radius),
+                         "--beta", str(args.beta), *common])
+        if code == 0:
+            code = cli.main(["simulate", "--scenario", "steady-compare",
+                             *common])
+        if code != 0:
+            return code
 
-    plans = {
-        "thermal": quasi_steady_sweep(params, args.radius, beta, args.theta0,
-                                      args.arc),
-        "mu0.73": quasi_steady_sweep(params, args.radius, beta, args.theta0,
-                                     args.arc, mu_const=0.73),
-        "mu0.8": quasi_steady_sweep(params, args.radius, beta, args.theta0,
-                                    args.arc, mu_const=0.8),
-    }
-    scenarios = []
-    schedules = {}
-    for name, traj in plans.items():
-        schedules[name] = build_schedule(params, traj, weights=weights)
-        scenarios.append(Scenario(
-            name=name, schedule=schedules[name], path=path, plant=params,
-            initial_state=traj.node_state(0).replace(theta_r=args.theta0),
-            s_final=args.arc))
-
-    results = compare(scenarios)
-    print(comparison_table(results))
-
-    print("\npole-cloud diameters at the thermal plan's operating points:")
-    for name, sched in schedules.items():
-        trace = pole_trace(sched, params, plant_ref=plans["thermal"])
-        print(f"  {name:<8} diameter {trace.cloud_diameter:8.3f}  "
-              f"spectral abscissa {trace.spectral_abscissa:+.3f}")
-
+        print("\npole-cloud diameters at the thermal plan's operating points:")
+        for path in sorted(out.glob("poles_*.csv")):
+            trace = csvio.load_poles(path)
+            name = path.stem.removeprefix("poles_")
+            print(f"  {name:<8} diameter {trace.cloud_diameter:8.3f}  "
+                  f"spectral abscissa {trace.spectral_abscissa:+.3f}")
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        for name, res in results.items():
-            if not isinstance(res, Exception):
-                csvio.save_sim(res, args.out / f"sim_{name}.csv")
-        for name, sched in schedules.items():
-            trace = pole_trace(sched, params, plant_ref=plans["thermal"])
-            csvio.save_poles(trace, args.out / f"poles_{name}.csv")
         print(f"\nseries written to {args.out}")
     return 0
 

@@ -28,7 +28,7 @@ _QS_COLUMNS = ("s", "t", "theta", "Q", "r", "omega", "dFz", "delta", "tau",
 
 _DYN_STATE_COLUMNS = ("Vx", "Vy", "r", "psi", "omega", "dFz", "X", "Y",
                       "delta", "tau", "theta", "s")
-_DYN_COLUMNS = ("t",) + _DYN_STATE_COLUMNS + ("ddelta", "dFxf", "dtau")
+_DYN_COLUMNS = ("t",) + _DYN_STATE_COLUMNS + ("ddelta", "dtau")
 
 _GAIN_COLUMNS = (("s",)
                  + tuple(f"K{i}{j}" for i in range(3) for j in range(6))
@@ -152,13 +152,11 @@ def save_dynamic(traj: DynamicTrajectory, path) -> None:
         "terminal_residual": _fmt(traj.terminal_residual),
         "max_defect": _fmt(traj.max_defect),
         "n_outer": int(traj.n_outer),
-        "merit_history": ";".join(
-            f"{_fmt(c)}:{_fmt(v)}" for c, v in traj.merit_history),
     }
     N = traj.inputs.shape[0]
     rows = []
     for k in range(N + 1):
-        u = traj.inputs[k] if k < N else np.zeros(3)
+        u = traj.inputs[k] if k < N else np.zeros(2)
         rows.append([traj.t[k], *traj.states[k], *u])
     _write(path, _DYN_COLUMNS, rows, meta)
 
@@ -167,21 +165,17 @@ def load_dynamic(path) -> DynamicTrajectory:
     meta, data = _read(path, _DYN_COLUMNS)
     if meta.get("kind") != "dynamic":
         raise ConfigError(f"{path}: not a dynamic trajectory file")
-    merit = np.array([[float(c) for c in pair.split(":")]
-                      for pair in meta.get("merit_history", "").split(";")
-                      if pair])
     return DynamicTrajectory(
         t=data[:, 0].copy(),
         states=data[:, 1:1 + IX.n].copy(),
-        inputs=data[:-1, 1 + IX.n:1 + IX.n + 3].copy(),
+        inputs=data[:-1, 1 + IX.n:].copy(),
         h=_meta_float(meta, "h", path),
         J=_meta_float(meta, "J", path),
         input_cost=_meta_float(meta, "input_cost", path),
         distance_cost=_meta_float(meta, "distance_cost", path),
         terminal_residual=_meta_float(meta, "terminal_residual", path),
         max_defect=_meta_float(meta, "max_defect", path),
-        n_outer=int(_meta_float(meta, "n_outer", path)),
-        merit_history=merit)
+        n_outer=int(_meta_float(meta, "n_outer", path)))
 
 
 # ---------------------------------------------------------------------------

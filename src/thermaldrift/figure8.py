@@ -21,6 +21,7 @@ from .limits import ActuatorLimits, default_limits
 from .model import VehicleState
 from .paths import CirclePath, CompositePath, PolylinePath
 from .params import ParamSet
+from .sim import Scenario
 from .trajopt import (
     IX,
     DynamicTrajectory,
@@ -75,6 +76,14 @@ class Figure8Plan:
         if theta0 is not None:
             state = state.replace(theta_r=theta0)
         return state
+
+    def scenario(self, plant: ParamSet, theta0: float) -> Scenario:
+        """Closed-loop run of the whole course on ``plant``, starting from a
+        tread at ``theta0`` and stopping 0.5 m before the course ends."""
+        return Scenario(name="figure8", schedule=self.schedule,
+                        path=self.path(), plant=plant,
+                        initial_state=self.initial_state(theta0),
+                        s_final=self.total_arc - 0.5)
 
 
 class _CompositeReference:

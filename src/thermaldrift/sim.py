@@ -17,6 +17,7 @@ import numpy as np
 
 from .control import GainSchedule, OperatingPoint, closed_loop_poles, linearize, lookup
 from .errors import ModelDomainError, SimulationError
+from .integrate import rk4
 from .limits import ActuatorLimits, default_limits
 from .model import (
     ControlInput,
@@ -78,7 +79,7 @@ class SimResult:
         return self.series[:, SIM_COLUMNS.index(name)]
 
 
-def _plant_rates(params: ParamSet, y: np.ndarray, inp: ControlInput) -> np.ndarray:
+def _plant_rates(y: np.ndarray, params: ParamSet, inp: ControlInput) -> np.ndarray:
     """Rates of the 9-vector [Vx, Vy, r, psi, omega, dFz, X, Y, theta]."""
     state = VehicleState(Vx=y[0], Vy=y[1], r=y[2], omega=y[4], dFz=y[5],
                          theta_r=y[8], psi=y[3], X=y[6], Y=y[7])
@@ -145,14 +146,10 @@ def run(scenario: Scenario) -> SimResult:
         if s >= scenario.s_final:
             break
         try:
-            k1 = _plant_rates(plant, y, inp)
-            k2 = _plant_rates(plant, y + 0.5 * h * k1, inp)
-            k3 = _plant_rates(plant, y + 0.5 * h * k2, inp)
-            k4 = _plant_rates(plant, y + h * k3, inp)
+            y = rk4(_plant_rates, y, h, plant, inp)
         except ModelDomainError as exc:
             status, detail = "domain_error", f"at t={t:.3f} s, s={s:.2f} m: {exc}"
             break
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
     else:
         status, detail = "domain_error", (

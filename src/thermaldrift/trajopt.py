@@ -70,11 +70,8 @@ _H_SCALE = 0.1
 _CURVED = np.array([IX.Vx, IX.Vy, IX.r, IX.psi, IX.omega, IX.dFz,
                     IX.delta, IX.tau, IX.theta])
 
-#: weight of the constraint violation in the accepted-iterate merit
-MERIT_PENALTY = 1e7
 
-
-def extended_rates(params: ParamSet, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+def extended_rates(x: np.ndarray, params: ParamSet, u: np.ndarray) -> np.ndarray:
     """Time derivative of the extended state (scalar, strict model)."""
     state = VehicleState(Vx=x[IX.Vx], Vy=x[IX.Vy], r=x[IX.r], omega=x[IX.omega],
                          dFz=x[IX.dFz], theta_r=x[IX.theta],
@@ -101,20 +98,22 @@ def rk4_step(params: ParamSet, x: np.ndarray, u: np.ndarray, h: float) -> np.nda
     """One RK4 step of the extended dynamics under a held slew-rate input."""
     if h <= 0.0:
         raise ValueError("step size must be positive")
-    return rk4(lambda y: extended_rates(params, y, u), np.asarray(x, dtype=float), h)
+    return rk4(extended_rates, np.asarray(x, dtype=float), h, params, u)
 
 
 # ---------------------------------------------------------------------------
 # batched (vectorized) dynamics used only inside the optimizer
 # ---------------------------------------------------------------------------
 
-def _rates_batch(params: ParamSet, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _rates_batch(x: np.ndarray, params: ParamSet, u: np.ndarray) -> np.ndarray:
     """Vectorized twin of :func:`extended_rates` over leading axes.
 
     Mildly guarded (speed floor, load clipping) so that intermediate
     optimizer iterates cannot leave the model's domain; the guards are
     inactive at any physically sensible solution, which the final scalar
-    re-integration verifies.
+    re-integration verifies.  It stays separate from the scalar model
+    because on a single row it costs several times what the simulator's
+    scalar path does; it pays off only over the transcription's many rows.
     """
     vp, tp, thp = params.vehicle, params.tire, params.thermal
     Vx = np.maximum(x[..., IX.Vx], 1.0)
@@ -186,12 +185,7 @@ def _rates_batch(params: ParamSet, x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _rk4_batch(params, x, u, h):
     """Batched RK4 step; ``h`` broadcasts over the leading axes."""
-    h = np.asarray(h)[..., None]
-    k1 = _rates_batch(params, x, u)
-    k2 = _rates_batch(params, x + 0.5 * h * k1, u)
-    k3 = _rates_batch(params, x + 0.5 * h * k2, u)
-    k4 = _rates_batch(params, x + h * k3, u)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rk4(_rates_batch, x, np.asarray(h)[..., None], params, u)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +258,6 @@ class TransitionProblem:
     kappa_final: float          # 1/m, signed curvature of the next circle
     beta_final: float           # rad
     k_ddelta: float = 1e4       # (rad/s)^-2
-    k_dFxf: float = 0.0         # front braking unused; kept for the record
     k_dtau: float = 1e-4        # (N m/s)^-2
     k_s: float = 200.0          # m^-2, transition-distance weight
     N: int = 100
@@ -278,7 +271,7 @@ class TransitionProblem:
             raise ValueError("N must be at least 2")
         if not (self.h_min > 0.0 and self.h_min < self.h_max):
             raise ValueError("step-duration bounds out of order")
-        for w in (self.k_ddelta, self.k_dFxf, self.k_dtau, self.k_s):
+        for w in (self.k_ddelta, self.k_dtau, self.k_s):
             if w < 0.0:
                 raise ValueError("cost weights must be non-negative")
         object.__setattr__(self, "x_initial",
@@ -293,7 +286,7 @@ class DynamicTrajectory:
 
     t: np.ndarray          # (N+1,)
     states: np.ndarray     # (N+1, 12)
-    inputs: np.ndarray     # (N, 3): [ddelta, dFxf, dtau]; dFxf is zero
+    inputs: np.ndarray     # (N, 2): [ddelta, dtau]
     h: float               # uniform step duration, s
     J: float               # total cost
     input_cost: float
@@ -301,7 +294,6 @@ class DynamicTrajectory:
     terminal_residual: float   # max abs scaled terminal-constraint violation
     max_defect: float          # max abs scaled dynamics defect of the states
     n_outer: int
-    merit_history: np.ndarray  # (n_outer, 2): [cost, max scaled violation]
 
     @property
     def s(self) -> np.ndarray:
@@ -1008,11 +1000,6 @@ def solve_transition(problem: TransitionProblem, guess=None) -> DynamicTrajector
     lb, ub = tr.bounds()
     z = np.clip(z, lb, ub)
 
-    # log of [cost, max scaled violation] at the guess, the interior-point
-    # result and the polished result; the exact-penalty merit
-    # cost + MERIT_PENALTY * violation does not increase along it
-    merit_history = [[tr.cost(z),
-                      float(np.max(np.abs(tr.constraints(z))))]]
     feasible = _interior_point(tr, z, feasibility=True)
     res = _interior_point(tr, feasible.z)
     if not res.converged:
@@ -1020,7 +1007,6 @@ def solve_transition(problem: TransitionProblem, guess=None) -> DynamicTrajector
                      _IPM_MAX_ITER)
     z = res.z
     viol = float(np.max(np.abs(tr.constraints(z))))
-    merit_history.append([tr.cost(z), viol])
     if viol > 2e-3:
         raise ConvergenceError(
             f"transition solve stalled with constraint violation {viol:.2e} "
@@ -1044,21 +1030,17 @@ def solve_transition(problem: TransitionProblem, guess=None) -> DynamicTrajector
                        + problem.k_dtau * (U[:, 1] ** 2).sum())
     dist = states[-1, IX.s] - states[0, IX.s]
     distance_cost = float(problem.k_s * dist ** 2)
-    inputs3 = np.column_stack([U[:, 0], np.zeros(problem.N), U[:, 1]])
     if float(np.max(np.abs(term))) > 1e-6:
         raise ConvergenceError(
             f"terminal conditions not met: residual {np.max(np.abs(term)):.2e}")
-    merit_history.append([input_cost + distance_cost,
-                          float(np.max(np.abs(term)))])
     return DynamicTrajectory(
         t=h * np.arange(problem.N + 1),
-        states=states, inputs=inputs3, h=h,
+        states=states, inputs=U, h=h,
         J=input_cost + distance_cost,
         input_cost=input_cost, distance_cost=distance_cost,
         terminal_residual=float(np.max(np.abs(term))),
         max_defect=float(defect),
-        n_outer=feasible.iterations + res.iterations,
-        merit_history=np.array(merit_history))
+        n_outer=feasible.iterations + res.iterations)
 
 
 def _check_limits(problem, states, U):

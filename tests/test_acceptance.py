@@ -22,7 +22,6 @@ from thermaldrift.control import (
 )
 from thermaldrift.equilibrium import quasi_steady_sweep
 from thermaldrift.integrate import rk4
-from thermaldrift.limits import default_limits
 from thermaldrift.model import (
     ControlInput,
     VehicleState,
@@ -160,11 +159,11 @@ def test_criterion_6_transition(transition):
     # exact replay with the package integrator
     x = traj.states[0].copy()
     for k in range(problem.N):
-        x = rk4_step(problem.params, x, traj.inputs[k][[0, 2]], traj.h)
+        x = rk4_step(problem.params, x, traj.inputs[k], traj.h)
         assert np.max(np.abs(x - traj.states[k + 1])) < 1e-6
 
     # actuator bounds on magnitudes and slew rates
-    lim = problem.limits if hasattr(problem, "limits") else default_limits()
+    lim = problem.limits
     delta = traj.states[:, IX.delta]
     tau = traj.states[:, IX.tau]
     tol = 1e-8
@@ -173,7 +172,7 @@ def test_criterion_6_transition(transition):
     assert np.all(tau >= lim.tau_min - tol)
     assert np.all(tau <= lim.tau_max + tol)
     ddelta = traj.inputs[:, 0]
-    dtau = traj.inputs[:, 2]
+    dtau = traj.inputs[:, 1]
     assert np.all(ddelta >= lim.ddelta_min - tol)
     assert np.all(ddelta <= lim.ddelta_max + tol)
     assert np.all(dtau >= lim.dtau_min - tol)

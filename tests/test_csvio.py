@@ -34,10 +34,9 @@ def synthetic_dynamic():
     return DynamicTrajectory(
         t=0.05 * np.arange(N + 1),
         states=rng.normal(size=(N + 1, 12)),
-        inputs=rng.normal(size=(N, 3)),
+        inputs=rng.normal(size=(N, 2)),
         h=0.05, J=12.5, input_cost=10.0, distance_cost=2.5,
-        terminal_residual=1e-9, max_defect=1e-8, n_outer=42,
-        merit_history=np.array([[100.0, 1.0], [12.5, 1e-9]]))
+        terminal_residual=1e-9, max_defect=1e-8, n_outer=42)
 
 
 def test_dynamic_round_trip(tmp_path):
@@ -47,13 +46,10 @@ def test_dynamic_round_trip(tmp_path):
     loaded = csvio.load_dynamic(path)
     assert np.array_equal(loaded.t, traj.t)
     assert np.array_equal(loaded.states, traj.states)
-    # dFxf is identically zero in real trajectories; the file keeps columns
-    np.testing.assert_array_equal(loaded.inputs[:, [0, 2]],
-                                  traj.inputs[:, [0, 2]])
+    assert np.array_equal(loaded.inputs, traj.inputs)
     assert loaded.h == traj.h
     assert loaded.J == traj.J
     assert loaded.n_outer == traj.n_outer
-    assert np.array_equal(loaded.merit_history, traj.merit_history)
 
 
 def test_gains_round_trip(tmp_path, params, small_sweep):

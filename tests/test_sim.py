@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from thermaldrift.control import LqrWeights
+from thermaldrift.figure8 import plan_figure8
 from thermaldrift.model import ControlInput, VehicleState, heat_generation, tire_forces
 from thermaldrift.paths import CirclePath
 from thermaldrift.sim import (
@@ -133,3 +135,13 @@ def test_pole_trace_plant_ref_matches_matched_case(steady_schedules, params,
     b = pole_trace(steady_schedules["thermal"], params,
                    plant_ref=steady_plans["thermal"])
     assert np.allclose(a.poles, b.poles, atol=1e-9)
+
+
+@pytest.mark.slow
+def test_figure8_closed_loop_tracks(params):
+    """The README's figure-8 plan, tracked on the thermal plant as
+    ``scripts/run_figure8.py`` does, reaches the end of the course."""
+    plan = plan_figure8(params, theta0=THETA0, weights=LqrWeights.tracking())
+    res = run(plan.scenario(params, THETA0))
+    assert res.status == "finished", res.detail
+    assert res.max_abs_e < 0.05

@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermaldrift import trajopt
-from thermaldrift.equilibrium import thermal_fixed_point
+from thermaldrift.equilibrium import find_equilibrium, thermal_fixed_point
 from thermaldrift.errors import ConfigError
 from thermaldrift.integrate import rk4
 from thermaldrift.limits import default_limits
+from thermaldrift.params import default_params
 from thermaldrift.trajopt import (
     IX,
     PlannerConfig,
     TransitionProblem,
+    extended_rates,
     initial_guess,
     load_planner_config,
     rk4_step,
@@ -60,24 +64,48 @@ def test_rk4_scalar_order():
     assert math.log2(errs[1] / errs[2]) >= 3.9
 
 
-def test_rk4_circular_motion_oracle():
-    """Pose integration with Vy = 0 and constant r is a circle of radius
-    Vx/r; the endpoint error shrinks at fourth order."""
-    Vx, r, T = 10.0, 0.5, 2.0
+# ---------------------------------------------------------------------------
+# batched model against the scalar model
+# ---------------------------------------------------------------------------
 
-    def f(y):
-        return np.array([r, Vx * math.cos(y[0]), Vx * math.sin(y[0])])
+P = default_params()
+LIM = default_limits()
+#: drift equilibria on both R = 15 m circles across the friction map's range
+EQUILIBRIA = [find_equilibrium(P, sign * RADIUS, sign * BETA, theta)
+              for sign in (1.0, -1.0)
+              for theta in (0.0, 30.0, 60.0, 90.0, 120.0)]
 
-    R = Vx / r
-    exact = np.array([r * T, R * math.sin(r * T), R * (1.0 - math.cos(r * T))])
-    errs = []
-    for h in (0.1, 0.05, 0.025):
-        y = np.zeros(3)
-        for _ in range(int(round(T / h))):
-            y = rk4(f, y, h)
-        errs.append(np.linalg.norm(y - exact))
-    assert math.log2(errs[0] / errs[1]) >= 3.9
-    assert math.log2(errs[1] / errs[2]) >= 3.9
+_near = st.floats(0.8, 1.2)
+_row = st.tuples(
+    st.sampled_from(EQUILIBRIA), st.tuples(*[_near] * 6),
+    st.floats(-math.pi, math.pi), st.floats(-50.0, 50.0),
+    st.floats(-50.0, 50.0), st.floats(LIM.tau_min, LIM.tau_max),
+    st.floats(0.0, 120.0), st.floats(0.0, 100.0),
+    st.floats(LIM.ddelta_min, LIM.ddelta_max),
+    st.floats(LIM.dtau_min, LIM.dtau_max))
+
+
+@given(st.lists(_row, min_size=1, max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_batched_rates_match_scalar_model(rows):
+    """``_rates_batch`` over a stacked batch of in-domain extended states
+    and slews equals ``extended_rates`` row by row.  The batch kernel's
+    domain guards must be inactive here, so any difference is arithmetic."""
+    X = np.empty((len(rows), IX.n))
+    U = np.empty((len(rows), 2))
+    for k, (eq, f, psi, px, py, tau, theta, s, ddelta, dtau) in \
+            enumerate(rows):
+        st0 = eq.state()
+        delta = min(max(eq.delta * f[5], LIM.delta_min), LIM.delta_max)
+        X[k] = [st0.Vx * f[0], st0.Vy * f[1], st0.r * f[2], psi,
+                st0.omega * f[3], st0.dFz * f[4], px, py, delta, tau, theta,
+                s]
+        U[k] = [ddelta, dtau]
+    batch = trajopt._rates_batch(X, P, U)
+    for k in range(len(rows)):
+        ref = extended_rates(X[k], P, U[k])
+        assert np.all(np.abs(batch[k] - ref)
+                      <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 # ---------------------------------------------------------------------------
@@ -137,15 +165,6 @@ def test_transition_flips_direction(transition):
     assert betaN == pytest.approx(-BETA, abs=1e-6)
 
 
-def test_transition_replay(transition):
-    problem, traj, _ = transition
-    x = traj.states[0].copy()
-    for k in range(problem.N):
-        x = rk4_step(problem.params, x, traj.inputs[k][[0, 2]], traj.h)
-        assert np.max(np.abs(x - traj.states[k + 1])) < 1e-6
-    assert traj.max_defect < 1e-6
-
-
 def test_transition_thermal_coupling(transition):
     """Temperature is integrated inside the same RK4 defects: it rises
     through the transition and stays within the map's validity range."""
@@ -159,10 +178,6 @@ def test_transition_cost_breakdown(transition):
     _, traj, _ = transition
     assert traj.J == pytest.approx(traj.input_cost + traj.distance_cost)
     assert traj.J >= 0.0
-    # accepted-iterate merit (cost + penalty * violation) never increases
-    from thermaldrift.trajopt import MERIT_PENALTY
-    merit = traj.merit_history[:, 0] + MERIT_PENALTY * traj.merit_history[:, 1]
-    assert np.all(np.diff(merit) <= 1e-6 * np.maximum(1.0, merit[:-1]))
 
 
 def test_transition_converges_before_cap(transition):
@@ -187,7 +202,6 @@ def test_no_transition_case(params):
     torque slews are needed to keep meeting the boundary conditions — but it
     stays an order of magnitude below a real direction-flipping transition,
     and the yaw rate never changes sign."""
-    from thermaldrift.equilibrium import find_equilibrium
     eq = find_equilibrium(params, RADIUS, BETA, 30.0)
     st = eq.state(psi=-eq.beta, X=0.0, Y=0.0, s=0.0)
     x0 = np.array([st.Vx, st.Vy, st.r, st.psi, st.omega, st.dFz, st.X, st.Y,
