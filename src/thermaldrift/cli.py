@@ -11,8 +11,15 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import csvio
-from .control import LqrWeights, build_schedule
+from .control import (
+    LqrWeights,
+    build_schedule,
+    linearize_stack,
+    operating_points,
+)
 from .equilibrium import quasi_steady_sweep
 from .errors import ConfigError, SimulationError, SolverError, ThermalDriftError
 from .figure8 import plan_figure8
@@ -37,15 +44,18 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="planner settings file (Table-style keys)")
         p.add_argument("--out", type=Path, default=Path("out"),
                        help="output directory")
+        p.add_argument("--theta0", type=float, default=30.0,
+                       help="initial tread temperature, degC")
+
+    def geometry(p):
         p.add_argument("--radius", type=float, default=15.0,
                        help="turn radius of the first circle, m (signed)")
         p.add_argument("--beta", type=float, default=-40.0,
                        help="target sideslip angle, deg")
-        p.add_argument("--theta0", type=float, default=30.0,
-                       help="initial tread temperature, degC")
 
     p = sub.add_parser("plan-steady", help="quasi-steady circular reference")
     common(p)
+    geometry(p)
     p.add_argument("--arc", type=float, default=300.0,
                    help="total arc length, m")
     p.add_argument("--mu-const", type=float, default=None,
@@ -55,16 +65,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan-figure8", help="figure-8 reference with a "
                                             "dynamic transition")
     common(p)
+    geometry(p)
     p.add_argument("--arc", type=float, default=70.0,
                    help="steady arc length per circle, m")
     p.add_argument("--k-s", type=float, default=None,
                    help="override the transition-distance weight, m^-2")
 
+    # the arc, radius and sideslip come from the planned trajectory.csv
     p = sub.add_parser("simulate", help="closed-loop simulation of planned "
                                         "files in the output directory")
     common(p)
-    p.add_argument("--arc", type=float, default=300.0,
-                   help="arc length for generated comparison plans, m")
     p.add_argument("--scenario", default="steady",
                    choices=("steady", "steady-compare"),
                    help="matched run, or the three-way friction comparison")
@@ -186,10 +196,16 @@ def cmd_simulate(args) -> int:
         if isinstance(res, Exception):
             continue
         csvio.save_sim(res, out / f"sim_{name}.csv")
+    # all schedules are judged against the operating points the plant
+    # actually visits on the planned (thermal) trajectory; schedules on the
+    # same knots share one linearization of the plant there
+    lin_knots = plant_lin = None
     for sc in scenarios:
-        # all schedules are judged against the operating points the plant
-        # actually visits on the planned (thermal) trajectory
-        trace = pole_trace(sc.schedule, params, plant_ref=traj)
+        knots = sc.schedule.s_knots
+        if plant_lin is None or not np.array_equal(knots, lin_knots):
+            lin_knots = knots
+            plant_lin = linearize_stack(params, operating_points(traj, knots))
+        trace = pole_trace(sc.schedule, params, plant_lin=plant_lin)
         csvio.save_poles(trace, out / f"poles_{sc.name}.csv")
     report = comparison_table(results)
     (out / "report.txt").write_text(report + "\n")

@@ -9,6 +9,7 @@ the node; the two path rows are analytic.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -23,15 +24,24 @@ __all__ = [
     "OperatingPoint",
     "LinearizedSystem",
     "LqrWeights",
+    "LqrStack",
     "GainSchedule",
     "linearize",
+    "linearize_stack",
+    "operating_points",
     "lqr_gain",
+    "lqr_gains",
     "build_schedule",
     "lookup",
     "closed_loop_poles",
     "spectral_abscissa",
     "REF_STATE_FIELDS",
 ]
+
+_log = logging.getLogger(__name__)
+
+#: largest accepted Riccati residual norm relative to max(1, |P|)
+_RESIDUAL_TOL = 1e-8
 
 #: column layout of a reference-state row in schedules and CSV files
 REF_STATE_FIELDS = ("Vx", "Vy", "r", "omega", "dFz", "theta_r",
@@ -106,6 +116,22 @@ def linearize(params: ParamSet, op: OperatingPoint) -> LinearizedSystem:
     return LinearizedSystem(A=A, B=B, op=op)
 
 
+def operating_points(ref, s_knots) -> list[OperatingPoint]:
+    """The reference ``ref`` (``sample(s)``) at every knot."""
+    return [OperatingPoint(*ref.sample(float(s))) for s in s_knots]
+
+
+def linearize_stack(params: ParamSet, ops) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`linearize` at every operating point, stacked into (n, 6, 6) A
+    and (n, 6, 3) B for batched linear algebra."""
+    A = np.empty((len(ops), 6, 6))
+    B = np.empty((len(ops), 6, 3))
+    for i, op in enumerate(ops):
+        sys = linearize(params, op)
+        A[i], B[i] = sys.A, sys.B
+    return A, B
+
+
 @dataclass(frozen=True)
 class LqrWeights:
     """Diagonal LQR cost matrices, parameterized as inverse-square scales."""
@@ -160,8 +186,8 @@ def closed_loop_poles(A: np.ndarray, B: np.ndarray, K: np.ndarray) -> np.ndarray
     return np.linalg.eigvals(A - B @ K)
 
 
-def lqr_gain(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
-             residual_tol: float = 1e-8) -> np.ndarray:
+def lqr_gain(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
+             R: np.ndarray) -> np.ndarray:
     """Continuous-time infinite-horizon LQR gain via the algebraic Riccati
     equation; the returned K strictly stabilizes (A, B)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -175,12 +201,63 @@ def lqr_gain(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
     K = np.linalg.solve(R, B.T @ P)
     residual = A.T @ P + P @ A - P @ B @ K + Q
     scale = max(1.0, float(np.linalg.norm(P)))
-    if np.linalg.norm(residual) / scale > residual_tol:
+    if np.linalg.norm(residual) / scale > _RESIDUAL_TOL:
         raise SolverError(
             f"Riccati residual {np.linalg.norm(residual):.2e} above tolerance")
     if spectral_abscissa(A - B @ K) >= 0.0:
         raise SolverError("LQR gain does not stabilize the linearization")
     return K
+
+
+@dataclass(frozen=True)
+class LqrStack:
+    """LQR solutions for a stack of linearizations, with lqr_gain's checks."""
+
+    K: np.ndarray         # (n, m, nx)
+    P: np.ndarray         # (n, nx, nx) Riccati solutions
+    residual: np.ndarray  # (n,) Riccati residual norm / max(1, |P|)
+    abscissa: np.ndarray  # (n,) spectral abscissa of A - B K
+    ok: np.ndarray        # (n,) bool: both checks pass
+
+
+def lqr_gains(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
+              R: np.ndarray) -> LqrStack:
+    """:func:`lqr_gain` for stacked (n, nx, nx) ``A`` and (n, nx, m) ``B``.
+
+    Each knot's Riccati solution spans the stable invariant subspace of its
+    Hamiltonian [[A, -B R^-1 B^T], [-Q, -A^T]] (Laub 1979): with [U1; U2] the
+    eigenvectors of its nx stable eigenvalues, P = Re(U2 U1^-1).  One
+    ``eig`` call covers the whole stack.  Nothing is raised for a bad knot;
+    ``ok`` is False where lqr_gain's residual or stability check fails, and
+    those knots need the scalar solver.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    R = np.asarray(R, dtype=float)
+    nx = A.shape[-1]
+    AT, BT = np.swapaxes(A, 1, 2), np.swapaxes(B, 1, 2)
+    H = np.block([[A, -B @ np.linalg.solve(R, BT)],
+                  [np.broadcast_to(-Q, A.shape), -AT]])
+    w, V = np.linalg.eig(H)
+    stable = np.argsort(w.real, axis=1)[:, None, :nx]
+    U = np.take_along_axis(V, stable, axis=2)
+    U1, U2 = U[:, :nx], U[:, nx:]
+    # the scalar solver's singularity test on U1 (scipy's 1/cond < eps)
+    bad = ~(np.linalg.cond(U1) < 1.0 / np.finfo(float).eps)
+    U1[bad] = np.eye(nx)
+    # P = U2 U1^-1, solved as U1^T P^T = U2^T
+    P = np.swapaxes(np.linalg.solve(np.swapaxes(U1, 1, 2),
+                                    np.swapaxes(U2, 1, 2)), 1, 2).real
+    P = 0.5 * (P + np.swapaxes(P, 1, 2))
+    K = np.linalg.solve(R, BT @ P)
+    resid = AT @ P + P @ A - P @ B @ K + Q
+    residual = (np.linalg.norm(resid, axis=(1, 2))
+                / np.maximum(1.0, np.linalg.norm(P, axis=(1, 2))))
+    residual[bad] = np.inf
+    abscissa = np.max(np.linalg.eigvals(A - B @ K).real, axis=1)
+    ok = (residual <= _RESIDUAL_TOL) & (abscissa < 0.0)
+    return LqrStack(K=K, P=P, residual=residual, abscissa=abscissa, ok=ok)
 
 
 @dataclass(frozen=True)
@@ -226,30 +303,36 @@ def build_schedule(params: ParamSet, traj, weights: LqrWeights | None = None,
     """Linearize and solve the LQR problem at every ``spacing`` meters.
 
     ``traj`` must provide ``s_span()`` and ``sample(s)`` (both reference
-    trajectory types do).
+    trajectory types do).  All knots are solved in one :func:`lqr_gains`
+    call; a knot that fails its checks there is solved again by
+    :func:`lqr_gain`.
     """
     weights = weights or LqrWeights()
     s_lo, s_hi = traj.s_span()
     n = max(int(math.floor((s_hi - s_lo) / spacing + 1e-9)) + 1, 1)
     knots = s_lo + spacing * np.arange(n)
 
-    K_all = np.zeros((n, 3, 6))
-    refs = np.zeros((n, 12))
-    ref_u = np.zeros((n, 3))
-    kap = np.zeros(n)
-    theta = np.zeros(n)
-    for i, s in enumerate(knots):
-        state, inp, kappa = traj.sample(float(s))
-        op = OperatingPoint(state=state, input=inp, kappa=kappa)
-        sys = linearize(params, op)
+    ops = operating_points(traj, knots)
+    A, B = linearize_stack(params, ops)
+    sol = lqr_gains(A, B, weights.Q, weights.R)
+    K_all = sol.K
+    fallback = np.flatnonzero(~sol.ok)
+    for i in fallback:
         try:
-            K = lqr_gain(sys.A, sys.B, weights.Q, weights.R)
+            K_all[i] = lqr_gain(A[i], B[i], weights.Q, weights.R)
         except SolverError as exc:
-            raise ScheduleError(f"gain design failed at s={s:.2f} m: {exc}") from exc
-        K_all[i] = K
-        refs[i] = op.ref_state_row()
-        ref_u[i] = op.ref_input_row()
-        kap[i] = kappa
-        theta[i] = state.theta_r
-    return GainSchedule(s_knots=knots, K=K_all, ref_states=refs,
-                        ref_inputs=ref_u, kappa=kap, theta=theta)
+            raise ScheduleError(
+                f"gain design failed at s={knots[i]:.2f} m: {exc}") from exc
+    # maxima over the batch-solved knots; the fallback knots passed the same
+    # checks inside lqr_gain
+    _log.debug("gain schedule: %d knots, max Riccati residual %.3e, "
+               "max closed-loop spectral abscissa %.4f, %d scipy fallbacks",
+               n, np.max(sol.residual, where=sol.ok, initial=0.0),
+               np.max(sol.abscissa, where=sol.ok, initial=-np.inf),
+               len(fallback))
+    return GainSchedule(
+        s_knots=knots, K=K_all,
+        ref_states=np.array([op.ref_state_row() for op in ops], dtype=float),
+        ref_inputs=np.array([op.ref_input_row() for op in ops], dtype=float),
+        kappa=np.array([op.kappa for op in ops], dtype=float),
+        theta=np.array([op.state.theta_r for op in ops], dtype=float))

@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import GainSchedule, OperatingPoint, closed_loop_poles, linearize, lookup
+from .control import (
+    GainSchedule,
+    OperatingPoint,
+    linearize,  # noqa: F401  kept: perfbench/layers.py wraps sim.linearize
+    linearize_stack,
+    lookup,
+)
 from .errors import ModelDomainError, SimulationError
 from .integrate import rk4
 from .limits import ActuatorLimits, default_limits
@@ -203,46 +209,56 @@ class PoleTrace:
 
 
 def pole_trace(schedule: GainSchedule, plant: ParamSet,
-               plant_theta=None, plant_ref=None) -> PoleTrace:
+               plant_theta=None, plant_lin=None) -> PoleTrace:
     """Closed-loop spectra of the schedule's gains against the plant model.
 
     By default the linearization point is the schedule's own reference
     (matched design and plant).  ``plant_theta`` swaps in the plant's tread
     temperature at each knot (array or scalar) while keeping the schedule's
-    reference states.  ``plant_ref`` goes further: it is a reference
-    trajectory (``s_span()``/``sample(s)``) giving the operating points the
-    plant actually visits, so two schedules can be compared against the
-    identical set of linearizations — the mismatch a constant-friction
-    design experiences when the plant follows the thermal trajectory.
+    reference states.  ``plant_lin`` goes further: it is the plant already
+    linearized at the operating points it actually visits, the ``(A, B)``
+    stacks of :func:`~thermaldrift.control.linearize_stack` at the
+    schedule's knots, so two schedules can be compared against the identical
+    set of linearizations — the mismatch a constant-friction design
+    experiences when the plant follows the thermal trajectory.
     """
     knots = schedule.s_knots
+    if plant_lin is None:
+        plant_lin = linearize_stack(plant,
+                                    _schedule_points(schedule, plant_theta))
+    elif plant_theta is not None:
+        raise ValueError("pass plant_theta or plant_lin, not both")
+    A, B = plant_lin
+    if A.shape[0] != len(knots) or B.shape[0] != len(knots):
+        raise ValueError(f"{A.shape[0]} plant A and {B.shape[0]} B matrices "
+                         f"for {len(knots)} schedule knots")
+    eig = np.linalg.eigvals(A - B @ schedule.K)
+    poles = np.empty((len(knots), 6), dtype=complex)
+    poles[0] = eig[0]
+    for i in range(1, len(knots)):
+        poles[i] = _match(poles[i - 1], eig[i])
+    return PoleTrace(s_knots=knots.copy(), poles=poles)
+
+
+def _schedule_points(schedule: GainSchedule,
+                     plant_theta) -> list[OperatingPoint]:
+    """The schedule's own reference at each knot, at the plant's tread
+    temperature ``plant_theta`` (default: the schedule's)."""
     if plant_theta is None:
         theta = schedule.theta
     else:
         theta = np.broadcast_to(np.asarray(plant_theta, dtype=float),
-                                knots.shape).copy()
-    poles = np.empty((len(knots), 6), dtype=complex)
-    prev = None
-    for i in range(len(knots)):
-        if plant_ref is not None:
-            state, ref_inp, kappa = plant_ref.sample(float(knots[i]))
-            op = OperatingPoint(state=state, input=ref_inp, kappa=kappa)
-        else:
-            ref = schedule.ref_states[i]
-            state = VehicleState(Vx=ref[0], Vy=ref[1], r=ref[2], omega=ref[3],
-                                 dFz=ref[4], theta_r=float(theta[i]), e=ref[6],
-                                 s=ref[7], dpsi=ref[8], X=ref[9], Y=ref[10],
-                                 psi=ref[11])
-            inp = ControlInput(delta=schedule.ref_inputs[i][0],
-                               Fxf=schedule.ref_inputs[i][1],
-                               tau=schedule.ref_inputs[i][2])
-            op = OperatingPoint(state=state, input=inp,
-                                kappa=float(schedule.kappa[i]))
-        sys = linearize(plant, op)
-        eig = closed_loop_poles(sys.A, sys.B, schedule.K[i])
-        poles[i] = eig if prev is None else _match(prev, eig)
-        prev = poles[i]
-    return PoleTrace(s_knots=knots.copy(), poles=poles)
+                                schedule.s_knots.shape)
+    ops = []
+    for ref, u, kappa, th in zip(schedule.ref_states, schedule.ref_inputs,
+                                 schedule.kappa, theta):
+        state = VehicleState(Vx=ref[0], Vy=ref[1], r=ref[2], omega=ref[3],
+                             dFz=ref[4], theta_r=float(th), e=ref[6],
+                             s=ref[7], dpsi=ref[8], X=ref[9], Y=ref[10],
+                             psi=ref[11])
+        inp = ControlInput(delta=u[0], Fxf=u[1], tau=u[2])
+        ops.append(OperatingPoint(state=state, input=inp, kappa=float(kappa)))
+    return ops
 
 
 def _match(prev: np.ndarray, eig: np.ndarray) -> np.ndarray:

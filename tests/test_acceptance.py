@@ -17,7 +17,9 @@ from thermaldrift.control import (
     LqrWeights,
     OperatingPoint,
     linearize,
+    linearize_stack,
     lqr_gain,
+    operating_points,
     spectral_abscissa,
 )
 from thermaldrift.equilibrium import quasi_steady_sweep
@@ -236,9 +238,14 @@ def test_criterion_8_steady_comparison(steady_results):
 # ---------------------------------------------------------------------------
 
 def test_criterion_9_pole_clouds(params, steady_schedules, steady_plans):
-    ref = steady_plans["thermal"]
-    thermal = pole_trace(steady_schedules["thermal"], params, plant_ref=ref)
-    const = pole_trace(steady_schedules["mu0.8"], params, plant_ref=ref)
+    # both schedules share the 300 m knots: one linearization of the plant
+    # at the operating points it visits on the thermal plan
+    knots = steady_schedules["thermal"].s_knots
+    plant_lin = linearize_stack(
+        params, operating_points(steady_plans["thermal"], knots))
+    thermal = pole_trace(steady_schedules["thermal"], params,
+                         plant_lin=plant_lin)
+    const = pole_trace(steady_schedules["mu0.8"], params, plant_lin=plant_lin)
     assert thermal.cloud_diameter < const.cloud_diameter
 
 

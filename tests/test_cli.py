@@ -46,6 +46,24 @@ def test_simulate_matched(tmp_path, capsys):
     assert "matched" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("option", [["--arc", "3"], ["--radius", "10"],
+                                    ["--beta", "-30"]],
+                         ids=["arc", "radius", "beta"])
+def test_simulate_rejects_plan_options(tmp_path, option):
+    """simulate takes the arc, radius and sideslip from trajectory.csv."""
+    with pytest.raises(SystemExit):
+        main(["simulate", "--out", str(tmp_path / "out"), *option])
+
+
+def test_simulate_runs_planned_arc(tmp_path):
+    out = tmp_path / "out"
+    assert main(["plan-steady", "--out", str(out), "--arc", "10"]) == 0
+    assert main(["simulate", "--out", str(out)]) == 0
+    res = csvio.load_sim(out / "sim_matched.csv")
+    assert res.status == "finished"
+    assert res.column("s")[-1] == pytest.approx(10.0, abs=0.05)
+
+
 def test_simulate_without_plan_is_config_error(tmp_path, capsys):
     rc = main(["simulate", "--out", str(tmp_path / "empty")])
     assert rc == 1

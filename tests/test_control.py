@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -6,13 +7,17 @@ import scipy.linalg
 
 from thermaldrift.control import (
     GainSchedule,
+    LinearizedSystem,
     LqrWeights,
     OperatingPoint,
     build_schedule,
     closed_loop_poles,
     linearize,
+    linearize_stack,
     lookup,
     lqr_gain,
+    lqr_gains,
+    operating_points,
     spectral_abscissa,
 )
 from thermaldrift.errors import ScheduleError, SolverError
@@ -59,6 +64,94 @@ def test_full_gain_stabilizes(params, eq_nominal):
     for _ in range(2000):
         x = x + 0.005 * (Acl @ x)
     assert np.linalg.norm(x) < 0.05
+
+
+@pytest.mark.parametrize("name", ["thermal", "mu0.73", "mu0.8"])
+def test_batched_gains_match_scipy(params, steady_plans, steady_schedules,
+                                   name):
+    """The batched Hamiltonian solve against scipy's CARE solver, knot by
+    knot, on the 300 m schedules (1201 knots each)."""
+    sched = steady_schedules[name]
+    w = LqrWeights.tracking()
+    A, B = linearize_stack(params,
+                           operating_points(steady_plans[name], sched.s_knots))
+    sol = lqr_gains(A, B, w.Q, w.R)
+    assert sol.ok.all()
+    np.testing.assert_array_equal(sched.K, sol.K)  # no scipy fallback
+    K_err = np.empty(len(sched))
+    resid = np.empty(len(sched))
+    for i in range(len(sched)):
+        P_ref = scipy.linalg.solve_continuous_are(A[i], B[i], w.Q, w.R)
+        K_ref = np.linalg.solve(w.R, B[i].T @ P_ref)
+        K_err[i] = np.linalg.norm(sol.K[i] - K_ref) / np.linalg.norm(K_ref)
+        P = sol.P[i]
+        r = A[i].T @ P + P @ A[i] - P @ B[i] @ sol.K[i] + w.Q
+        resid[i] = np.linalg.norm(r) / max(1.0, np.linalg.norm(P))
+    assert K_err.max() <= 1e-9
+    assert resid.max() <= 1e-8
+
+
+def test_schedule_failure_names_knot(params, monkeypatch):
+    """A knot with no actuation (B = 0) on the open-loop unstable drift
+    equilibrium fails the batched solve and the scipy fallback."""
+    from thermaldrift import control
+    from thermaldrift.equilibrium import quasi_steady_sweep
+    traj = quasi_steady_sweep(params, RADIUS, BETA, THETA0, 5.0)
+    real = control.linearize
+    bad_s = 2.0
+
+    def linearize_unactuated_at(params, op):
+        sys = real(params, op)
+        if op.state.s == bad_s:
+            assert spectral_abscissa(sys.A) > 0.0
+            return LinearizedSystem(A=sys.A, B=np.zeros_like(sys.B), op=op)
+        return sys
+
+    monkeypatch.setattr(control, "linearize", linearize_unactuated_at)
+    with pytest.raises(ScheduleError,
+                       match=r"gain design failed at s=2\.00 m"):
+        build_schedule(params, traj)
+
+
+def test_schedule_logs_diagnostics(params, caplog):
+    from thermaldrift.equilibrium import quasi_steady_sweep
+    traj = quasi_steady_sweep(params, RADIUS, BETA, THETA0, 5.0)
+    with caplog.at_level(logging.DEBUG, logger="thermaldrift.control"):
+        build_schedule(params, traj)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "thermaldrift.control"]
+    assert len(lines) == 1
+    assert "21 knots" in lines[0] and "0 scipy fallbacks" in lines[0]
+
+
+def test_schedule_falls_back_to_scipy(params, monkeypatch, caplog):
+    """A knot the batched solve rejects gets lqr_gain's K, and is counted."""
+    from thermaldrift import control
+    from thermaldrift.equilibrium import quasi_steady_sweep
+    traj = quasi_steady_sweep(params, RADIUS, BETA, THETA0, 5.0)
+    real = control.lqr_gains
+    bad = 7
+
+    def lqr_gains_rejecting_one(A, B, Q, R):
+        sol = real(A, B, Q, R)
+        ok = sol.ok.copy()
+        ok[bad] = False
+        K = sol.K.copy()
+        K[bad] = np.nan
+        return control.LqrStack(K=K, P=sol.P, residual=sol.residual,
+                                abscissa=sol.abscissa, ok=ok)
+
+    monkeypatch.setattr(control, "lqr_gains", lqr_gains_rejecting_one)
+    w = LqrWeights()
+    with caplog.at_level(logging.DEBUG, logger="thermaldrift.control"):
+        sched = build_schedule(params, traj, weights=w)
+    A, B = linearize_stack(params, operating_points(traj, sched.s_knots))
+    np.testing.assert_array_equal(sched.K[bad],
+                                  lqr_gain(A[bad], B[bad], w.Q, w.R))
+    assert np.isfinite(sched.K).all()
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "thermaldrift.control"]
+    assert len(lines) == 1 and "1 scipy fallbacks" in lines[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from thermaldrift.control import LqrWeights
+from thermaldrift.control import (
+    LqrWeights,
+    OperatingPoint,
+    closed_loop_poles,
+    linearize,
+    linearize_stack,
+    operating_points,
+)
 from thermaldrift.figure8 import plan_figure8
 from thermaldrift.model import ControlInput, VehicleState, heat_generation, tire_forces
 from thermaldrift.paths import CirclePath
 from thermaldrift.sim import (
     SIM_COLUMNS,
     Scenario,
+    _match,
     compare,
     comparison_table,
     pole_trace,
@@ -131,10 +139,70 @@ def test_pole_trace_plant_ref_matches_matched_case(steady_schedules, params,
                                                    steady_plans):
     """For the thermal schedule, evaluating at the thermal plan's operating
     points is the matched case, so both call forms agree."""
-    a = pole_trace(steady_schedules["thermal"], params)
-    b = pole_trace(steady_schedules["thermal"], params,
-                   plant_ref=steady_plans["thermal"])
+    sched = steady_schedules["thermal"]
+    a = pole_trace(sched, params)
+    plant_lin = linearize_stack(
+        params, operating_points(steady_plans["thermal"], sched.s_knots))
+    b = pole_trace(sched, params, plant_lin=plant_lin)
     assert np.allclose(a.poles, b.poles, atol=1e-9)
+
+
+def _pole_trace_per_knot(schedule, plant, plant_theta=None, plant_ref=None):
+    """pole_trace as one linearize/eigvals/_match step per knot: the oracle
+    for the stacked version."""
+    knots = schedule.s_knots
+    theta = (schedule.theta if plant_theta is None else np.broadcast_to(
+        np.asarray(plant_theta, dtype=float), knots.shape))
+    poles = np.empty((len(knots), 6), dtype=complex)
+    prev = None
+    for i in range(len(knots)):
+        if plant_ref is not None:
+            state, inp, kappa = plant_ref.sample(float(knots[i]))
+        else:
+            ref = schedule.ref_states[i]
+            state = VehicleState(Vx=ref[0], Vy=ref[1], r=ref[2], omega=ref[3],
+                                 dFz=ref[4], theta_r=float(theta[i]), e=ref[6],
+                                 s=ref[7], dpsi=ref[8], X=ref[9], Y=ref[10],
+                                 psi=ref[11])
+            u = schedule.ref_inputs[i]
+            inp = ControlInput(delta=u[0], Fxf=u[1], tau=u[2])
+            kappa = float(schedule.kappa[i])
+        sys = linearize(plant, OperatingPoint(state=state, input=inp,
+                                              kappa=kappa))
+        eig = closed_loop_poles(sys.A, sys.B, schedule.K[i])
+        poles[i] = eig if prev is None else _match(prev, eig)
+        prev = poles[i]
+    return poles
+
+
+@pytest.mark.parametrize("form", ["matched", "plant_theta", "plant_lin"])
+def test_pole_trace_matches_per_knot_loop(steady_schedules, steady_plans,
+                                          params, form):
+    sched = steady_schedules["mu0.8"]
+    plan = steady_plans["thermal"]
+    if form == "matched":
+        kwargs = oracle_kwargs = {}
+    elif form == "plant_theta":
+        kwargs = oracle_kwargs = {
+            "plant_theta": np.linspace(30.0, 90.0, len(sched))}
+    else:
+        # the CLI's form: the thermal plan, linearized once for all schedules
+        kwargs = {"plant_lin": linearize_stack(
+            params, operating_points(plan, sched.s_knots))}
+        oracle_kwargs = {"plant_ref": plan}
+    trace = pole_trace(sched, params, **kwargs)
+    oracle = _pole_trace_per_knot(sched, params, **oracle_kwargs)
+    np.testing.assert_allclose(trace.poles, oracle, rtol=0.0, atol=1e-10)
+
+
+def test_pole_trace_rejects_wrong_stack(steady_schedules, params, eq_nominal):
+    sched = steady_schedules["thermal"]
+    A, B = linearize_stack(params, [OperatingPoint(
+        eq_nominal.state(), eq_nominal.input(), 1.0 / RADIUS)])
+    with pytest.raises(ValueError, match="1 plant A and 1 B matrices"):
+        pole_trace(sched, params, plant_lin=(A, B))
+    with pytest.raises(ValueError, match="not both"):
+        pole_trace(sched, params, plant_theta=60.0, plant_lin=(A, B))
 
 
 @pytest.mark.slow
