@@ -24,7 +24,6 @@ from .equilibrium import quasi_steady_sweep
 from .errors import ConfigError, SimulationError, SolverError, ThermalDriftError
 from .figure8 import plan_figure8
 from .params import default_params, load_params
-from .paths import CirclePath
 from .sim import Scenario, compare, comparison_table, pole_trace
 from .trajopt import IX, PlannerConfig, load_planner_config
 
@@ -172,12 +171,12 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"missing input file {path}; run plan-steady first")
     traj = csvio.load_quasi_steady(traj_path)
     schedule = csvio.load_gains(gains_path)
-    path = CirclePath(traj.radius)
+    path = traj.circle
     arc = float(traj.s[-1])
 
     scenarios = [Scenario(
         name="matched", schedule=schedule, path=path, plant=params,
-        initial_state=traj.node_state(0).replace(theta_r=args.theta0),
+        initial_state=traj.sample(0.0)[0].replace(theta_r=args.theta0),
         s_final=arc, limits=planner.limits)]
     if args.scenario == "steady-compare":
         beta = traj.beta_target
@@ -188,7 +187,7 @@ def cmd_simulate(args) -> int:
                                     weights=LqrWeights.tracking())
             scenarios.append(Scenario(
                 name=f"mu{mu:g}", schedule=msched, path=path, plant=params,
-                initial_state=mtraj.node_state(0).replace(theta_r=args.theta0),
+                initial_state=mtraj.sample(0.0)[0].replace(theta_r=args.theta0),
                 s_final=arc, limits=planner.limits))
 
     results = compare(scenarios)

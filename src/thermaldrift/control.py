@@ -302,8 +302,9 @@ def build_schedule(params: ParamSet, traj, weights: LqrWeights | None = None,
                    spacing: float = 0.25) -> GainSchedule:
     """Linearize and solve the LQR problem at every ``spacing`` meters.
 
-    ``traj`` must provide ``s_span()`` and ``sample(s)`` (both reference
-    trajectory types do).  All knots are solved in one :func:`lqr_gains`
+    ``traj`` must provide ``s_span()`` and ``sample(s)`` (the three
+    reference types ``QuasiSteadyTrajectory``, ``DynamicTrajectory`` and
+    ``Figure8Plan`` do).  All knots are solved in one :func:`lqr_gains`
     call; a knot that fails its checks there is solved again by
     :func:`lqr_gain`.
     """

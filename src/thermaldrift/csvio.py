@@ -12,6 +12,7 @@ import numpy as np
 from .control import REF_STATE_FIELDS, GainSchedule
 from .equilibrium import DriftEquilibrium, QuasiSteadyTrajectory
 from .errors import ConfigError
+from .paths import CirclePath
 from .sim import SIM_COLUMNS, PoleTrace, SimResult
 from .trajopt import IX, DynamicTrajectory
 
@@ -132,7 +133,8 @@ def load_quasi_steady(path) -> QuasiSteadyTrajectory:
         for k in range(data.shape[0])
     ]
     return QuasiSteadyTrajectory(
-        radius=radius, beta_target=beta, ds=_meta_float(meta, "ds", path),
+        circle=CirclePath(radius), beta_target=beta,
+        ds=_meta_float(meta, "ds", path),
         thermal=bool(int(_meta_float(meta, "thermal", path))),
         s=cols["s"], t=cols["t"], theta=cols["theta"], Q=cols["Q"],
         equilibria=equilibria)

@@ -32,6 +32,7 @@ from .model import (
     vehicle_derivatives,
 )
 from .params import ParamSet
+from .paths import CirclePath
 
 __all__ = ["DriftEquilibrium", "QuasiSteadyTrajectory",
            "find_equilibrium", "quasi_steady_sweep", "dynamic_residual",
@@ -243,9 +244,10 @@ def thermal_fixed_point(params: ParamSet, radius: float, beta_target: float,
 
 @dataclass(frozen=True)
 class QuasiSteadyTrajectory:
-    """Arc-length grid of drifting equilibria with an evolving temperature."""
+    """Arc-length grid of drifting equilibria with an evolving temperature,
+    driven on ``circle``."""
 
-    radius: float
+    circle: CirclePath
     beta_target: float
     ds: float
     thermal: bool                    # False = friction frozen at theta[0]
@@ -256,21 +258,13 @@ class QuasiSteadyTrajectory:
     equilibria: list = field(repr=False)
 
     @property
+    def radius(self) -> float:
+        """Signed radius of the circle (positive = counter-clockwise)."""
+        return self.circle.radius
+
+    @property
     def n_nodes(self) -> int:
         return len(self.equilibria)
-
-    def kappa(self, k: int) -> float:
-        return 1.0 / self.radius
-
-    def node_state(self, k: int) -> VehicleState:
-        """Reference state at node k, posed on the canonical circle."""
-        from .paths import CirclePath
-        eq = self.equilibria[k]
-        x, y, phi = CirclePath(self.radius).pose(float(self.s[k]))
-        return eq.state(s=float(self.s[k]), psi=phi - eq.beta, X=x, Y=y)
-
-    def node_input(self, k: int) -> ControlInput:
-        return self.equilibria[k].input()
 
     def s_span(self) -> tuple[float, float]:
         return float(self.s[0]), float(self.s[-1])
@@ -279,12 +273,12 @@ class QuasiSteadyTrajectory:
         """Reference (state, input, curvature) at arc length s.
 
         Equilibria are taken from the nearest node (they are not safely
-        interpolable); the pose is placed at the exact requested s.
+        interpolable); the pose is placed on ``circle`` at the exact
+        requested s.
         """
-        from .paths import CirclePath
         k = int(np.clip(np.round((s - self.s[0]) / self.ds), 0, self.n_nodes - 1))
         eq = self.equilibria[k]
-        x, y, phi = CirclePath(self.radius).pose(s)
+        x, y, phi = self.circle.pose(s)
         state = eq.state(s=s, psi=phi - eq.beta, X=x, Y=y)
         return state, eq.input(), 1.0 / self.radius
 
@@ -340,5 +334,5 @@ def quasi_steady_sweep(params: ParamSet, radius: float, beta_target: float,
         z_guess = eq.unknowns()
 
     return QuasiSteadyTrajectory(
-        radius=radius, beta_target=beta_target, ds=ds, thermal=thermal,
-        s=s, t=t, theta=theta, Q=Q, equilibria=equilibria)
+        circle=CirclePath(radius), beta_target=beta_target, ds=ds,
+        thermal=thermal, s=s, t=t, theta=theta, Q=Q, equilibria=equilibria)

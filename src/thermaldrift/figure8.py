@@ -4,14 +4,17 @@ The first circle is driven quasi-steadily, the transition is solved as an
 optimal-control problem whose terminal conditions place the vehicle on the
 mirrored circle (opposite turn direction, opposite sideslip, lateral circle
 centers aligned), and the second circle continues quasi-steadily from the
-transition's terminal temperature.  The composite carries one continuous
-arc-length coordinate for the gain schedule and the simulator path.
+transition's terminal temperature, on a circle placed at the transition's
+terminal pose.  Each steady arc carries the circle it is driven on, so the
+plan samples its three segments on one continuous arc length: the plan is
+the reference its gain schedule is designed along, and ``path`` is the
+simulator's centerline over the same arc length.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,14 +38,18 @@ __all__ = ["Figure8Plan", "plan_figure8"]
 
 @dataclass(frozen=True)
 class Figure8Plan:
-    radius: float                   # signed radius of the first circle
-    beta: float                     # sideslip on the first circle
+    """The figure-8 reference: circle 1, the transition, and circle 2 placed
+    at the transition's terminal pose, on one arc-length coordinate.
+
+    The plan is itself the s-indexed reference (``s_span``/``sample``) its
+    gain ``schedule`` is designed along; ``schedule`` is None only while
+    :func:`plan_figure8` builds it.
+    """
+
     steady1: QuasiSteadyTrajectory
     transition: DynamicTrajectory
     steady2: QuasiSteadyTrajectory
-    circle1: CirclePath
-    circle2: CirclePath
-    schedule: GainSchedule = field(repr=False)
+    schedule: GainSchedule | None = field(default=None, repr=False)
 
     @property
     def s_break1(self) -> float:
@@ -62,17 +69,29 @@ class Figure8Plan:
     def transition_length(self) -> float:
         return self.s_break2 - self.s_break1
 
+    def s_span(self) -> tuple[float, float]:
+        return 0.0, self.total_arc
+
+    def sample(self, s: float):
+        """Reference (state, input, curvature) at course arc length s."""
+        if s < self.s_break1:
+            return self.steady1.sample(s)
+        if s <= self.s_break2:
+            return self.transition.sample(s)
+        state, inp, kappa = self.steady2.sample(s - self.s_break2)
+        return state.replace(s=s), inp, kappa
+
     def path(self) -> CompositePath:
         """Simulator centerline: arc 1, planned transition, arc 2."""
         pts = self.transition.states[:, [IX.X, IX.Y]]
         return CompositePath([
-            (self.circle1, self.s_break1),
+            (self.steady1.circle, self.s_break1),
             (PolylinePath(pts), self.transition_length),
-            (self.circle2, float(self.steady2.s[-1])),
+            (self.steady2.circle, float(self.steady2.s[-1])),
         ])
 
     def initial_state(self, theta0: float | None = None) -> VehicleState:
-        state = _steady_sample(self.steady1, self.circle1, 0.0, 0.0)[0]
+        state = self.steady1.sample(0.0)[0]
         if theta0 is not None:
             state = state.replace(theta_r=theta0)
         return state
@@ -86,34 +105,6 @@ class Figure8Plan:
                         s_final=self.total_arc - 0.5)
 
 
-class _CompositeReference:
-    """s-indexed reference over the three segments, for build_schedule."""
-
-    def __init__(self, plan_parts):
-        (self.steady1, self.transition, self.steady2,
-         self.circle1, self.circle2, self.s1, self.s2) = plan_parts
-
-    def s_span(self):
-        return 0.0, self.s2 + float(self.steady2.s[-1])
-
-    def sample(self, s: float):
-        if s < self.s1:
-            return _steady_sample(self.steady1, self.circle1, s, 0.0)
-        if s <= self.s2:
-            return self.transition.sample(s)
-        return _steady_sample(self.steady2, self.circle2, s - self.s2, self.s2)
-
-
-def _steady_sample(traj: QuasiSteadyTrajectory, circle: CirclePath,
-                   s_local: float, s_offset: float):
-    """Quasi-steady reference posed on the actual (placed) circle."""
-    k = int(np.clip(np.round(s_local / traj.ds), 0, traj.n_nodes - 1))
-    eq = traj.equilibria[k]
-    x, y, phi = circle.pose(s_local)
-    state = eq.state(s=s_local + s_offset, psi=phi - eq.beta, X=x, Y=y)
-    return state, eq.input(), 1.0 / traj.radius
-
-
 def plan_figure8(params: ParamSet, radius: float = 15.0,
                  beta: float = math.radians(-40.0), theta0: float = 30.0,
                  arc1: float = 70.0, arc2: float = 70.0, *,
@@ -125,17 +116,11 @@ def plan_figure8(params: ParamSet, radius: float = 15.0,
                  spacing: float = 0.25) -> Figure8Plan:
     """Plan the full figure-8 reference and its gain schedule."""
     limits = limits or default_limits()
-    circle1 = CirclePath(radius)
-
     steady1 = quasi_steady_sweep(params, radius, beta, theta0, arc1,
                                  limits=limits)
-    eq_end = steady1.equilibria[-1]
-    theta_end = float(steady1.theta[-1])
-    x0, y0, phi0 = circle1.pose(arc1)
-    st = eq_end.state(s=arc1, psi=phi0 - eq_end.beta, X=x0, Y=y0)
+    st, inp, _ = steady1.sample(arc1)
     x_initial = np.array([st.Vx, st.Vy, st.r, st.psi, st.omega, st.dFz,
-                          st.X, st.Y, eq_end.delta, eq_end.tau,
-                          theta_end, arc1])
+                          st.X, st.Y, inp.delta, inp.tau, st.theta_r, st.s])
 
     beta2 = -beta
     radius2 = -radius
@@ -143,8 +128,8 @@ def plan_figure8(params: ParamSet, radius: float = 15.0,
         params=params, x_initial=x_initial, kappa_final=1.0 / radius2,
         beta_final=beta2, k_ddelta=k_ddelta, k_dtau=k_dtau, k_s=k_s,
         N=n_steps, h_min=h_bounds[0], h_max=h_bounds[1], limits=limits,
-        y_center_target=circle1.center[1])
-    eq_target = find_equilibrium(params, radius2, beta2, theta_end,
+        y_center_target=steady1.circle.center[1])
+    eq_target = find_equilibrium(params, radius2, beta2, st.theta_r,
                                  limits=limits)
     x_target = x_initial.copy()
     x_target[IX.Vx] = eq_target.V * math.cos(beta2)
@@ -167,10 +152,6 @@ def plan_figure8(params: ParamSet, radius: float = 15.0,
     steady2 = quasi_steady_sweep(params, radius2, beta2, theta2, arc2,
                                  limits=limits)
 
-    parts = (steady1, transition, steady2, circle1, circle2,
-             float(steady1.s[-1]), float(transition.s[-1]))
-    schedule = build_schedule(params, _CompositeReference(parts),
-                              weights=weights, spacing=spacing)
-    return Figure8Plan(radius=radius, beta=beta, steady1=steady1,
-                       transition=transition, steady2=steady2,
-                       circle1=circle1, circle2=circle2, schedule=schedule)
+    plan = Figure8Plan(steady1, transition, replace(steady2, circle=circle2))
+    return replace(plan, schedule=build_schedule(
+        params, plan, weights=weights, spacing=spacing))

@@ -41,9 +41,6 @@ class CirclePath:
         return (self.start[0] - self.radius * math.sin(self.phi0),
                 self.start[1] + self.radius * math.cos(self.phi0))
 
-    def curvature(self, s: float) -> float:
-        return 1.0 / self.radius
-
     def pose(self, s: float) -> tuple[float, float, float]:
         """Return (X, Y, tangent angle) at arc length s."""
         phi = self.phi0 + s / self.radius
@@ -93,18 +90,6 @@ class PolylinePath:
     def length(self) -> float:
         return float(self._cum[-1])
 
-    def curvature(self, s: float) -> float:
-        # discrete turn rate between adjacent segments
-        i = int(np.clip(np.searchsorted(self._cum, s) - 1, 0, len(self._len) - 1))
-        if i == 0:
-            j = 1
-        else:
-            j = i
-            i = i - 1
-        dphi = wrap_angle(float(self._tangent[j] - self._tangent[i]))
-        ds = 0.5 * float(self._len[i] + self._len[j])
-        return dphi / ds
-
     def pose(self, s: float) -> tuple[float, float, float]:
         s_cl = float(np.clip(s, 0.0, self.length))
         i = int(np.clip(np.searchsorted(self._cum, s_cl) - 1, 0, len(self._len) - 1))
@@ -130,8 +115,8 @@ class CompositePath:
     """Concatenation of path segments into one continuous arc length."""
 
     def __init__(self, segments):
-        """``segments``: iterable of objects with pose/project/curvature and a
-        known length, given as (segment, length) pairs."""
+        """``segments``: iterable of (segment, length) pairs; each segment
+        has ``pose`` and ``project``."""
         self.segments = []
         s0 = 0.0
         for seg, length in segments:
@@ -146,10 +131,6 @@ class CompositePath:
             if s < hi or i == len(self.segments) - 1:
                 return i
         return len(self.segments) - 1
-
-    def curvature(self, s: float) -> float:
-        seg, lo, _ = self.segments[self._locate(s)]
-        return seg.curvature(s - lo)
 
     def pose(self, s: float) -> tuple[float, float, float]:
         seg, lo, _ = self.segments[self._locate(s)]

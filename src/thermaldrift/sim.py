@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import (
+    REF_STATE_FIELDS,
     GainSchedule,
     OperatingPoint,
     linearize,  # noqa: F401  kept: perfbench/layers.py wraps sim.linearize
@@ -252,10 +253,8 @@ def _schedule_points(schedule: GainSchedule,
     ops = []
     for ref, u, kappa, th in zip(schedule.ref_states, schedule.ref_inputs,
                                  schedule.kappa, theta):
-        state = VehicleState(Vx=ref[0], Vy=ref[1], r=ref[2], omega=ref[3],
-                             dFz=ref[4], theta_r=float(th), e=ref[6],
-                             s=ref[7], dpsi=ref[8], X=ref[9], Y=ref[10],
-                             psi=ref[11])
+        state = VehicleState(**dict(zip(REF_STATE_FIELDS, ref),
+                                    theta_r=float(th)))
         inp = ControlInput(delta=u[0], Fxf=u[1], tau=u[2])
         ops.append(OperatingPoint(state=state, input=inp, kappa=float(kappa)))
     return ops

@@ -91,7 +91,7 @@ def steady_scenarios(params, steady_plans, steady_schedules):
     return [
         Scenario(name=name, schedule=steady_schedules[name], path=path,
                  plant=params,
-                 initial_state=steady_plans[name].node_state(0)
+                 initial_state=steady_plans[name].sample(0.0)[0]
                  .replace(theta_r=THETA0),
                  s_final=ARC)
         for name in steady_plans

@@ -70,9 +70,3 @@ def test_composite_dispatch():
     s, e, _ = path.project(x, y, s_hint=11.5)
     assert s == pytest.approx(12.0, abs=1e-6)
     assert e == pytest.approx(0.0, abs=1e-6)
-
-
-def test_composite_curvature():
-    path = CompositePath([(CirclePath(15.0), 10.0), (CirclePath(-15.0), 10.0)])
-    assert path.curvature(5.0) == pytest.approx(1.0 / 15.0)
-    assert path.curvature(15.0) == pytest.approx(-1.0 / 15.0)

@@ -32,7 +32,7 @@ def short_scenario(params, steady_plans, steady_schedules, **kwargs):
     defaults = dict(
         name="short", schedule=steady_schedules["thermal"],
         path=CirclePath(RADIUS), plant=params,
-        initial_state=traj.node_state(0).replace(theta_r=THETA0),
+        initial_state=traj.sample(0.0)[0].replace(theta_r=THETA0),
         s_final=30.0)
     defaults.update(kwargs)
     return Scenario(**defaults)
@@ -92,7 +92,7 @@ def test_open_loop_unstable(params, steady_plans, steady_schedules):
     """The drift equilibrium is unstable: feedforward only, a 1 cm lateral
     perturbation grows until the spin-out guard fires."""
     traj = steady_plans["thermal"]
-    st = traj.node_state(0).replace(theta_r=THETA0, Y=0.01)
+    st = traj.sample(0.0)[0].replace(theta_r=THETA0, Y=0.01)
     sc = Scenario(name="openloop", schedule=steady_schedules["thermal"],
                   path=CirclePath(RADIUS), plant=params, initial_state=st,
                   s_final=ARC, gains_enabled=False)
