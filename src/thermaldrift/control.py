@@ -17,7 +17,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ScheduleError, SolverError
-from .model import ControlInput, VehicleState, vehicle_derivatives
+from .model import (
+    ControlInput,
+    VehicleState,
+    scalar_rates,
+    vehicle_derivatives,  # noqa: F401  kept: perfbench/layers.py wraps control.vehicle_derivatives
+)
 from .params import ParamSet
 
 __all__ = [
@@ -78,15 +83,16 @@ def linearize(params: ParamSet, op: OperatingPoint) -> LinearizedSystem:
 
     Temperature and weight transfer are frozen parameters here (the tracking
     state excludes them); their variation enters through gain scheduling.
+    The body rows read only the body rates of :func:`scalar_rates`, so the
+    path rates and their singularity check at 1 - kappa*e = 0 are never
+    evaluated (every reference rides its path at e = 0).
     """
     st, u = op.state, op.input
 
     def body_rates(Vx, Vy, r, omega, delta, Fxf, tau):
-        state = st.replace(Vx=Vx, Vy=Vy, r=r, omega=omega)
-        rates = vehicle_derivatives(params, state,
-                                    ControlInput(delta=delta, Fxf=Fxf, tau=tau),
-                                    kappa=op.kappa)
-        return np.array([rates.Vx, rates.Vy, rates.r, rates.omega])
+        rates = scalar_rates(params, Vx, Vy, r, st.psi, omega, st.dFz,
+                             st.theta_r, delta, Fxf, tau)
+        return np.array(rates[:4])
 
     x0 = [st.Vx, st.Vy, st.r, st.omega]
     u0 = [u.delta, u.Fxf, u.tau]
@@ -298,14 +304,24 @@ def lookup(schedule: GainSchedule, s: float) -> tuple[np.ndarray, np.ndarray, np
     return schedule.K[idx], schedule.ref_states[idx], schedule.ref_inputs[idx], idx
 
 
+def _linearization_key(op: OperatingPoint) -> bytes:
+    """The bits of every value :func:`linearize` reads; the pose (e, s, psi,
+    X, Y) enters neither A nor B."""
+    st, u = op.state, op.input
+    return np.array([st.Vx, st.Vy, st.r, st.omega, st.dFz, st.theta_r,
+                     st.dpsi, op.kappa, u.delta, u.Fxf, u.tau]).tobytes()
+
+
 def build_schedule(params: ParamSet, traj, weights: LqrWeights | None = None,
                    spacing: float = 0.25) -> GainSchedule:
     """Linearize and solve the LQR problem at every ``spacing`` meters.
 
     ``traj`` must provide ``s_span()`` and ``sample(s)`` (the three
     reference types ``QuasiSteadyTrajectory``, ``DynamicTrajectory`` and
-    ``Figure8Plan`` do).  All knots are solved in one :func:`lqr_gains`
-    call; a knot that fails its checks there is solved again by
+    ``Figure8Plan`` do).  Knots at the same operating point share one
+    linearization and one gain (a constant-friction circle has a single
+    point).  All distinct points are solved in one :func:`lqr_gains` call;
+    a point that fails its checks there is solved again by
     :func:`lqr_gain`.
     """
     weights = weights or LqrWeights()
@@ -314,25 +330,35 @@ def build_schedule(params: ParamSet, traj, weights: LqrWeights | None = None,
     knots = s_lo + spacing * np.arange(n)
 
     ops = operating_points(traj, knots)
-    A, B = linearize_stack(params, ops)
+    point_of = {}                       # linearization key -> point index
+    first = []                          # first knot at each distinct point
+    which = np.empty(n, dtype=np.intp)  # point index of every knot
+    for i, op in enumerate(ops):
+        j = point_of.setdefault(_linearization_key(op), len(first))
+        if j == len(first):
+            first.append(i)
+        which[i] = j
+    A, B = linearize_stack(params, [ops[i] for i in first])
     sol = lqr_gains(A, B, weights.Q, weights.R)
-    K_all = sol.K
+    K = sol.K
     fallback = np.flatnonzero(~sol.ok)
-    for i in fallback:
+    for j in fallback:
         try:
-            K_all[i] = lqr_gain(A[i], B[i], weights.Q, weights.R)
+            K[j] = lqr_gain(A[j], B[j], weights.Q, weights.R)
         except SolverError as exc:
             raise ScheduleError(
-                f"gain design failed at s={knots[i]:.2f} m: {exc}") from exc
-    # maxima over the batch-solved knots; the fallback knots passed the same
-    # checks inside lqr_gain
-    _log.debug("gain schedule: %d knots, max Riccati residual %.3e, "
-               "max closed-loop spectral abscissa %.4f, %d scipy fallbacks",
-               n, np.max(sol.residual, where=sol.ok, initial=0.0),
+                f"gain design failed at s={knots[first[j]]:.2f} m: {exc}"
+            ) from exc
+    # maxima over the batch-solved points; the fallback points passed the
+    # same checks inside lqr_gain
+    _log.debug("gain schedule: %d knots at %d distinct points, max Riccati "
+               "residual %.3e, max closed-loop spectral abscissa %.4f, "
+               "%d scipy fallbacks",
+               n, len(first), np.max(sol.residual, where=sol.ok, initial=0.0),
                np.max(sol.abscissa, where=sol.ok, initial=-np.inf),
                len(fallback))
     return GainSchedule(
-        s_knots=knots, K=K_all,
+        s_knots=knots, K=K[which],
         ref_states=np.array([op.ref_state_row() for op in ops], dtype=float),
         ref_inputs=np.array([op.ref_input_row() for op in ops], dtype=float),
         kappa=np.array([op.kappa for op in ops], dtype=float),

@@ -27,9 +27,10 @@ from .model import (
     VehicleState,
     friction_coefficient,
     heat_generation,
+    scalar_rates,
     thermal_derivative,
     tire_forces,
-    vehicle_derivatives,
+    vehicle_derivatives,  # noqa: F401  kept: perfbench/layers.py wraps equilibrium.vehicle_derivatives
 )
 from .params import ParamSet
 from .paths import CirclePath
@@ -80,11 +81,14 @@ class DriftEquilibrium:
 def dynamic_residual(params: ParamSet, state: VehicleState,
                      inp: ControlInput) -> np.ndarray:
     """Derivatives of (r, V, beta, omega, dFz) at a state; zero at equilibrium."""
-    rates = vehicle_derivatives(params, state, inp, kappa=0.0)
+    Vx, Vy = state.Vx, state.Vy
+    dVx, dVy, dr, domega, ddFz, *_ = scalar_rates(
+        params, Vx, Vy, state.r, state.psi, state.omega, state.dFz,
+        state.theta_r, inp.delta, inp.Fxf, inp.tau)
     V = state.V
-    dV = (state.Vx * rates.Vx + state.Vy * rates.Vy) / V
-    dbeta = (state.Vx * rates.Vy - state.Vy * rates.Vx) / (V * V)
-    return np.array([rates.r, dV, dbeta, rates.omega, rates.dFz])
+    dV = (Vx * dVx + Vy * dVy) / V
+    dbeta = (Vx * dVy - Vy * dVx) / (V * V)
+    return np.array([dr, dV, dbeta, domega, ddFz])
 
 
 def _default_guess(radius: float, params: ParamSet) -> np.ndarray:

@@ -53,8 +53,9 @@ class Figure8Plan:
 
     @property
     def s_break1(self) -> float:
-        """Arc length where the transition takes over from circle 1."""
-        return float(self.steady1.s[-1])
+        """Arc length where the transition takes over from circle 1 (the
+        hand-over at ``arc1``, which need not be a sweep node)."""
+        return float(self.transition.s[0])
 
     @property
     def s_break2(self) -> float:

@@ -6,6 +6,15 @@ whose friction coefficient is an affine function of the tread temperature,
 and a lumped-parameter tread energy balance.  All functions here are pure;
 state and parameters are immutable values.
 
+:func:`scalar_rates` is the single-point path: one float-only function for
+the body and pose rates that the simulator, the equilibrium Newton solve,
+the linearization and the transition's scalar re-integration call.
+:func:`vehicle_derivatives` is its adapter for :class:`VehicleState` values;
+it adds the path rates and returns :class:`StateRates`.  The per-quantity
+helpers (:func:`vertical_loads`, :func:`fiala_lateral_force`, ...) and
+:func:`tire_forces` compute the same quantities one at a time; they serve
+the heat report of the equilibrium sweep and are the tests' oracle.
+
 Sign conventions: x forward, y left, yaw positive counter-clockwise.  A
 positive slip quantity produces a tire force through the brush law such that
 the force always opposes the sliding velocity of the tread over the road
@@ -42,6 +51,7 @@ __all__ = [
     "heat_generation",
     "thermal_derivative",
     "tire_forces",
+    "scalar_rates",
     "vehicle_derivatives",
 ]
 
@@ -285,30 +295,100 @@ def tire_forces(params: ParamSet, state: VehicleState, inp: ControlInput) -> Tir
     )
 
 
+def scalar_rates(params: ParamSet, Vx: float, Vy: float, r: float, psi: float,
+                 omega: float, dFz: float, theta_r: float,
+                 delta: float, Fxf: float, tau: float) -> tuple:
+    """Body and pose rates ``(dVx, dVy, dr, domega, ddFz, dtheta, dX, dY)``.
+
+    The same arithmetic as the helper chain of :func:`tire_forces` and
+    :func:`vehicle_derivatives`, operand for operand, on plain floats; it
+    builds no dataclass.  Each distinct domain check runs once, in the
+    helpers' order and with their exceptions: the axle loads, the velocity
+    floor, the front cornering stiffness, kappa_r > -1 and mu_r > 0.
+    """
+    vp, tp, thp = params.vehicle, params.tire, params.thermal
+    m, a, b = vp.m, vp.a, vp.b
+    L = vp.L
+
+    # vertical_loads
+    F_zf = b * m * vp.g / L - dFz
+    F_zr = a * m * vp.g / L + dFz
+    if F_zf <= 0.0 or F_zr <= 0.0:
+        raise DegenerateLoadError(
+            f"axle load non-positive (F_zf={F_zf:.1f} N, F_zr={F_zr:.1f} N)"
+        )
+    # front_slip_angle, front_cornering_stiffness, fiala_lateral_force
+    _check_floor(Vx)
+    alpha_f = math.atan((Vy + a * r) / Vx) - delta
+    C_alpha = tp.C_alpha1 * F_zf + tp.C_alpha0
+    if C_alpha <= 0.0:
+        raise ModelDomainError(
+            f"front cornering stiffness {C_alpha:.1f} N/rad non-positive "
+            f"at F_zf={F_zf:.1f} N"
+        )
+    F_ymax = tp.mu_f * F_zf
+    tan_a = math.tan(alpha_f)
+    if abs(tan_a) > 3.0 * F_ymax / C_alpha:
+        F_yf = -F_ymax * math.copysign(1.0, alpha_f)
+    else:
+        F_yf = (-C_alpha * tan_a
+                + C_alpha * C_alpha / (3.0 * F_ymax) * abs(tan_a) * tan_a
+                - C_alpha ** 3 / (27.0 * F_ymax * F_ymax) * tan_a ** 3)
+    # rear_slip_quantities, friction_coefficient, rear_combined_forces
+    alpha_r = math.atan((Vy - b * r) / Vx)
+    kappa_r = math.atan((vp.Re * omega - Vx) / Vx)
+    if kappa_r <= -1.0:
+        raise ModelDomainError(f"rear slip ratio {kappa_r:.3f} <= -1")
+    mu_r = thp.mu_r1 * theta_r + thp.mu_r0
+    if mu_r <= 0.0:
+        raise ModelDomainError(
+            f"friction map gives mu_r={mu_r:.4f} at theta={theta_r:.1f} degC"
+        )
+    tan_ar = math.tan(alpha_r)
+    gx = tp.Cx * kappa_r / (kappa_r + 1.0)
+    gy = tp.Cy * tan_ar / (kappa_r + 1.0)
+    f = math.hypot(gx, gy)
+    if f == 0.0:
+        F_xr = F_yr = 0.0
+    else:
+        limit = mu_r * F_zr
+        if f <= 3.0 * limit:
+            F = f - f * f / (3.0 * limit) + f ** 3 / (27.0 * limit * limit)
+        else:
+            F = limit
+        F_xr = F * gx / f
+        F_yr = -F * gy / f
+
+    sin_d, cos_d = math.sin(delta), math.cos(delta)
+    dVx = (-F_yf * sin_d + Fxf * cos_d + F_xr) / m + r * Vy
+    dVy = (F_yf * cos_d + Fxf * sin_d + F_yr) / m - r * Vx
+    dr = (a * F_yf * cos_d + a * Fxf * sin_d - b * F_yr) / vp.Iz
+    domega = (tau - vp.Re * F_xr) / vp.J
+    # weight_transfer_derivative
+    ddFz = -vp.Kz * (dFz - (vp.h_cg / L) * (F_xr - F_yf * sin_d))
+    # heat_generation, thermal_derivative
+    V_sx = Vx * kappa_r
+    V_sy = -Vx * tan_ar
+    Q = thp.alpha_tire * (V_sx * F_xr + V_sy * F_yr) + thp.eps_tire * F_zr * Vx
+    dtheta = (Q - thp.KA_tire * (theta_r - thp.theta_out)) / thp.C_tire
+
+    sin_psi, cos_psi = math.sin(psi), math.cos(psi)
+    return (dVx, dVy, dr, domega, ddFz, dtheta,
+            Vx * cos_psi - Vy * sin_psi, Vx * sin_psi + Vy * cos_psi)
+
+
 def vehicle_derivatives(params: ParamSet, state: VehicleState, inp: ControlInput,
                         kappa: float = 0.0) -> StateRates:
     """Full state derivative at one point (pure function of its arguments).
 
-    ``kappa`` is the reference path curvature at the vehicle's arc length; it
-    only affects the path states (e, s, dpsi).
+    An adapter over :func:`scalar_rates`, which gives the body and pose
+    rates; this adds the path rates (e, s, dpsi).  ``kappa`` is the
+    reference path curvature at the vehicle's arc length; it only affects
+    the path states.
     """
-    vp = params.vehicle
-    forces = tire_forces(params, state, inp)
-    sin_d, cos_d = math.sin(inp.delta), math.cos(inp.delta)
-
-    dVx = ((-forces.F_yf * sin_d + inp.Fxf * cos_d + forces.F_xr) / vp.m
-           + state.r * state.Vy)
-    dVy = ((forces.F_yf * cos_d + inp.Fxf * sin_d + forces.F_yr) / vp.m
-           - state.r * state.Vx)
-    dr = ((vp.a * forces.F_yf * cos_d + vp.a * inp.Fxf * sin_d
-           - vp.b * forces.F_yr) / vp.Iz)
-    domega = (inp.tau - vp.Re * forces.F_xr) / vp.J
-    ddFz = weight_transfer_derivative(vp, state.dFz, forces.F_xr,
-                                      forces.F_yf, inp.delta)
-    Q = heat_generation(params.thermal, state.Vx,
-                        forces.alpha_r, forces.kappa_r,
-                        forces.F_xr, forces.F_yr, forces.F_zr)
-    dtheta = thermal_derivative(params.thermal, state.theta_r, Q)
+    dVx, dVy, dr, domega, ddFz, dtheta, dX, dY = scalar_rates(
+        params, state.Vx, state.Vy, state.r, state.psi, state.omega,
+        state.dFz, state.theta_r, inp.delta, inp.Fxf, inp.tau)
 
     sin_p, cos_p = math.sin(state.dpsi), math.cos(state.dpsi)
     denom = 1.0 - kappa * state.e
@@ -320,10 +400,6 @@ def vehicle_derivatives(params: ParamSet, state: VehicleState, inp: ControlInput
     de = state.Vy * cos_p + state.Vx * sin_p
     ds = (state.Vx * cos_p - state.Vy * sin_p) / denom
     ddpsi = state.r - kappa * ds
-
-    sin_psi, cos_psi = math.sin(state.psi), math.cos(state.psi)
-    dX = state.Vx * cos_psi - state.Vy * sin_psi
-    dY = state.Vx * sin_psi + state.Vy * cos_psi
 
     return StateRates(Vx=dVx, Vy=dVy, r=dr, omega=domega, dFz=ddFz,
                       theta_r=dtheta, e=de, s=ds, dpsi=ddpsi,

@@ -30,7 +30,8 @@ from .model import (
     ControlInput,
     VehicleState,
     friction_coefficient,
-    vehicle_derivatives,
+    scalar_rates,
+    vehicle_derivatives,  # noqa: F401  kept: perfbench/layers.py wraps sim.vehicle_derivatives
 )
 from .params import ParamSet
 from .paths import wrap_angle
@@ -88,11 +89,10 @@ class SimResult:
 
 def _plant_rates(y: np.ndarray, params: ParamSet, inp: ControlInput) -> np.ndarray:
     """Rates of the 9-vector [Vx, Vy, r, psi, omega, dFz, X, Y, theta]."""
-    state = VehicleState(Vx=y[0], Vy=y[1], r=y[2], omega=y[4], dFz=y[5],
-                         theta_r=y[8], psi=y[3], X=y[6], Y=y[7])
-    rt = vehicle_derivatives(params, state, inp, kappa=0.0)
-    return np.array([rt.Vx, rt.Vy, rt.r, y[2], rt.omega, rt.dFz,
-                     rt.X, rt.Y, rt.theta_r])
+    Vx, Vy, r, psi, omega, dFz, _, _, theta = y.tolist()
+    dVx, dVy, dr, domega, ddFz, dtheta, dX, dY = scalar_rates(
+        params, Vx, Vy, r, psi, omega, dFz, theta, inp.delta, inp.Fxf, inp.tau)
+    return np.array([dVx, dVy, dr, r, domega, ddFz, dX, dY, dtheta])
 
 
 def _control(scenario: Scenario, y, e, s, dpsi):

@@ -34,7 +34,12 @@ import scipy.sparse
 from .errors import ConvergenceError, InfeasibleError
 from .integrate import rk4
 from .limits import ActuatorLimits, default_limits
-from .model import ControlInput, VehicleState, vehicle_derivatives
+from .model import (
+    ControlInput,
+    VehicleState,
+    scalar_rates,
+    vehicle_derivatives,  # noqa: F401  kept: perfbench/layers.py wraps trajopt.vehicle_derivatives
+)
 from .params import ParamSet
 
 __all__ = [
@@ -73,25 +78,12 @@ _CURVED = np.array([IX.Vx, IX.Vy, IX.r, IX.psi, IX.omega, IX.dFz,
 
 def extended_rates(x: np.ndarray, params: ParamSet, u: np.ndarray) -> np.ndarray:
     """Time derivative of the extended state (scalar, strict model)."""
-    state = VehicleState(Vx=x[IX.Vx], Vy=x[IX.Vy], r=x[IX.r], omega=x[IX.omega],
-                         dFz=x[IX.dFz], theta_r=x[IX.theta],
-                         psi=x[IX.psi], X=x[IX.X], Y=x[IX.Y])
-    inp = ControlInput(delta=x[IX.delta], Fxf=0.0, tau=x[IX.tau])
-    rates = vehicle_derivatives(params, state, inp, kappa=0.0)
-    out = np.empty(IX.n)
-    out[IX.Vx] = rates.Vx
-    out[IX.Vy] = rates.Vy
-    out[IX.r] = rates.r
-    out[IX.psi] = x[IX.r]
-    out[IX.omega] = rates.omega
-    out[IX.dFz] = rates.dFz
-    out[IX.X] = rates.X
-    out[IX.Y] = rates.Y
-    out[IX.delta] = u[0]
-    out[IX.tau] = u[1]
-    out[IX.theta] = rates.theta_r
-    out[IX.s] = state.V
-    return out
+    Vx, Vy, r, psi, omega, dFz, _, _, delta, tau, theta, _ = x.tolist()
+    dVx, dVy, dr, domega, ddFz, dtheta, dX, dY = scalar_rates(
+        params, Vx, Vy, r, psi, omega, dFz, theta, delta, 0.0, tau)
+    # the IX layout: Vx, Vy, r, psi, omega, dFz, X, Y, delta, tau, theta, s
+    return np.array([dVx, dVy, dr, r, domega, ddFz, dX, dY,
+                     u[0], u[1], dtheta, math.hypot(Vx, Vy)])
 
 
 def rk4_step(params: ParamSet, x: np.ndarray, u: np.ndarray, h: float) -> np.ndarray:

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermaldrift.errors import ModelDomainError, VelocityFloorError
+from thermaldrift import equilibrium, sim
+from thermaldrift.control import LqrWeights, build_schedule
+from thermaldrift.equilibrium import find_equilibrium, quasi_steady_sweep
+from thermaldrift.errors import (
+    DegenerateLoadError,
+    ModelDomainError,
+    VelocityFloorError,
+)
+from thermaldrift.limits import default_limits
 from thermaldrift.model import (
     ControlInput,
     VehicleState,
@@ -16,6 +24,7 @@ from thermaldrift.model import (
     heat_generation,
     rear_combined_forces,
     rear_slip_quantities,
+    scalar_rates,
     thermal_derivative,
     tire_forces,
     vehicle_derivatives,
@@ -23,6 +32,7 @@ from thermaldrift.model import (
     weight_transfer_derivative,
 )
 from thermaldrift.params import default_params
+from thermaldrift.paths import CirclePath
 
 P = default_params()
 VP, TP, THP = P.vehicle, P.tire, P.thermal
@@ -298,3 +308,159 @@ def test_speed_beta_parameterization():
                                       theta_r=STATE.theta_r)
     assert s2.Vx == pytest.approx(STATE.Vx)
     assert s2.Vy == pytest.approx(STATE.Vy)
+
+
+# ---------------------------------------------------------------------------
+# the flat kernel against the helper chain
+# ---------------------------------------------------------------------------
+
+def helper_chain_rates(params, state, inp):
+    """Body and pose rates assembled from :func:`tire_forces` and the
+    per-quantity helpers, in the order :func:`scalar_rates` inlines them:
+    the oracle the flat kernel is pinned to, bit for bit."""
+    vp, thp = params.vehicle, params.thermal
+    fc = tire_forces(params, state, inp)
+    sin_d, cos_d = math.sin(inp.delta), math.cos(inp.delta)
+    dVx = ((-fc.F_yf * sin_d + inp.Fxf * cos_d + fc.F_xr) / vp.m
+           + state.r * state.Vy)
+    dVy = ((fc.F_yf * cos_d + inp.Fxf * sin_d + fc.F_yr) / vp.m
+           - state.r * state.Vx)
+    dr = ((vp.a * fc.F_yf * cos_d + vp.a * inp.Fxf * sin_d
+           - vp.b * fc.F_yr) / vp.Iz)
+    domega = (inp.tau - vp.Re * fc.F_xr) / vp.J
+    ddFz = weight_transfer_derivative(vp, state.dFz, fc.F_xr, fc.F_yf,
+                                      inp.delta)
+    Q = heat_generation(thp, state.Vx, fc.alpha_r, fc.kappa_r,
+                        fc.F_xr, fc.F_yr, fc.F_zr)
+    dtheta = thermal_derivative(thp, state.theta_r, Q)
+    sin_psi, cos_psi = math.sin(state.psi), math.cos(state.psi)
+    return (dVx, dVy, dr, domega, ddFz, dtheta,
+            state.Vx * cos_psi - state.Vy * sin_psi,
+            state.Vx * sin_psi + state.Vy * cos_psi)
+
+
+def kernel_rates(params, state, inp):
+    return scalar_rates(params, state.Vx, state.Vy, state.r, state.psi,
+                        state.omega, state.dFz, state.theta_r,
+                        inp.delta, inp.Fxf, inp.tau)
+
+
+def adapter_rates(params, state, inp):
+    rt = vehicle_derivatives(params, state, inp)
+    return (rt.Vx, rt.Vy, rt.r, rt.omega, rt.dFz, rt.theta_r, rt.X, rt.Y)
+
+
+def outcome(fn, *args):
+    """The rates, or the type and message of the error raised."""
+    try:
+        return fn(*args)
+    except ModelDomainError as exc:
+        return type(exc), str(exc)
+
+
+def assert_pinned(params, state, inp):
+    """Kernel, adapter and helper chain agree exactly (no tolerance)."""
+    want = outcome(helper_chain_rates, params, state, inp)
+    assert outcome(kernel_rates, params, state, inp) == want
+    assert outcome(adapter_rates, params, state, inp) == want
+
+
+LIM = default_limits()
+#: drift equilibria on both R = 15 m circles across the friction map's range
+EQUILIBRIA = [find_equilibrium(P, sign * 15.0, sign * math.radians(-40.0),
+                               theta)
+              for sign in (1.0, -1.0)
+              for theta in (0.0, 30.0, 60.0, 90.0, 120.0)]
+
+
+@given(st.sampled_from(EQUILIBRIA), st.tuples(*[st.floats(0.8, 1.2)] * 6),
+       st.floats(-math.pi, math.pi), st.floats(0.0, 120.0),
+       st.floats(LIM.Fxf_min, LIM.Fxf_max),
+       st.floats(LIM.tau_min, LIM.tau_max))
+@settings(max_examples=300, deadline=None)
+def test_scalar_rates_match_helper_chain(eq, f, psi, theta, Fxf, tau):
+    """Around the R = +-15 m drift equilibria at 0-120 degC."""
+    st0 = eq.state()
+    state = VehicleState(Vx=st0.Vx * f[0], Vy=st0.Vy * f[1], r=st0.r * f[2],
+                         omega=st0.omega * f[3], dFz=st0.dFz * f[4],
+                         theta_r=theta, psi=psi)
+    assert_pinned(P, state, ControlInput(delta=eq.delta * f[5], Fxf=Fxf,
+                                         tau=tau))
+
+
+def test_scalar_rates_match_helper_chain_on_run_states(monkeypatch):
+    """Every point the simulator's RK4 stages and the sweep's Newton
+    Jacobians evaluate, in one short closed-loop run and one sweep."""
+    seen_sim, seen_eq = [], []
+    plant_rates, residual = sim._plant_rates, equilibrium.dynamic_residual
+
+    def recording_plant_rates(y, params, inp):
+        seen_sim.append((y.copy(), inp))
+        return plant_rates(y, params, inp)
+
+    def recording_residual(params, state, inp):
+        seen_eq.append((state, inp))
+        return residual(params, state, inp)
+
+    monkeypatch.setattr(sim, "_plant_rates", recording_plant_rates)
+    monkeypatch.setattr(equilibrium, "dynamic_residual", recording_residual)
+    traj = quasi_steady_sweep(P, 15.0, math.radians(-40.0), 30.0, 3.0)
+    res = sim.run(sim.Scenario(
+        name="pin", schedule=build_schedule(P, traj, LqrWeights.tracking()),
+        path=CirclePath(15.0), plant=P,
+        initial_state=traj.sample(0.0)[0].replace(theta_r=20.0, Vy=-5.5),
+        s_final=3.0))
+    assert res.status == "finished"
+    assert len(seen_sim) > 1000 and len(seen_eq) > 100
+
+    for y, inp in seen_sim:
+        state = VehicleState(Vx=y[0], Vy=y[1], r=y[2], omega=y[4], dFz=y[5],
+                             theta_r=y[8], psi=y[3], X=y[6], Y=y[7])
+        assert_pinned(P, state, inp)
+        dVx, dVy, dr, domega, ddFz, dtheta, dX, dY = \
+            helper_chain_rates(P, state, inp)
+        assert np.array_equal(
+            plant_rates(y, P, inp),
+            [dVx, dVy, dr, y[2], domega, ddFz, dX, dY, dtheta])
+    for state, inp in seen_eq:
+        assert_pinned(P, state, inp)
+
+
+_STATIC_FRONT = VP.b * VP.m * VP.g / VP.L
+_STATIC_REAR = VP.a * VP.m * VP.g / VP.L
+
+#: (case, params, state changes, error type, message pattern); the last two
+#: cases break two guards at once and expect the first in the helpers' order
+GUARDS = [
+    ("velocity floor", P, dict(Vx=0.3), VelocityFloorError,
+     r"Vx=0\.300 m/s below the 0\.5 m/s slip-model floor"),
+    ("F_zf <= 0", P, dict(dFz=_STATIC_FRONT + 1.0), DegenerateLoadError,
+     r"axle load non-positive \(F_zf=-1\.0 N"),
+    ("F_zr <= 0", P, dict(dFz=-_STATIC_REAR - 1.0), DegenerateLoadError,
+     r"axle load non-positive \(F_zf=\d+\.\d N, F_zr=-1\.0 N\)"),
+    ("kappa_r <= -1", P, dict(omega=-30.0), ModelDomainError,
+     r"rear slip ratio -1\.\d+ <= -1"),
+    ("mu_r <= 0", P, dict(theta_r=300.0), ModelDomainError,
+     r"friction map gives mu_r=-0\.\d+ at theta=300\.0 degC"),
+    ("C_alpha <= 0", P.with_tire(C_alpha0=-1e6), {}, ModelDomainError,
+     r"front cornering stiffness -\d+\.\d N/rad non-positive"),
+    ("loads before floor", P, dict(Vx=0.3, dFz=_STATIC_FRONT + 1.0),
+     DegenerateLoadError, r"axle load non-positive \(F_zf=-1\.0 N"),
+    ("floor before friction", P, dict(Vx=0.3, theta_r=300.0),
+     VelocityFloorError, r"Vx=0\.300 m/s below"),
+]
+
+
+@pytest.mark.parametrize("case, params, change, error, message", GUARDS,
+                         ids=[g[0] for g in GUARDS])
+def test_scalar_rates_guards(case, params, change, error, message):
+    """Each guard fires in the kernel, the adapter and the helper chain
+    with the same exception type and message."""
+    state = STATE.replace(**change)
+    raised = []
+    for fn in (kernel_rates, adapter_rates, helper_chain_rates):
+        with pytest.raises(error, match=message) as info:
+            fn(params, state, INPUT)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0][0] is error
+    assert raised[0] == raised[1] == raised[2]
