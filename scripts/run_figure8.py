@@ -16,6 +16,7 @@ from thermaldrift.control import LqrWeights
 from thermaldrift.figure8 import plan_figure8
 from thermaldrift.params import default_params
 from thermaldrift.sim import run
+from thermaldrift.trajopt import PlannerConfig
 
 
 def main() -> int:
@@ -25,14 +26,17 @@ def main() -> int:
     ap.add_argument("--theta0", type=float, default=30.0, help="degC")
     ap.add_argument("--arc", type=float, default=70.0,
                     help="steady arc per circle, m")
-    ap.add_argument("--k-s", type=float, default=200.0)
+    ap.add_argument("--k-s", type=float, default=None,
+                    help="m^-2 (default: the planner's)")
     ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args()
 
     params = default_params()
+    planner = (PlannerConfig() if args.k_s is None
+               else PlannerConfig(k_s=args.k_s))
     plan = plan_figure8(params, radius=args.radius,
                         beta=math.radians(args.beta), theta0=args.theta0,
-                        arc1=args.arc, arc2=args.arc, k_s=args.k_s,
+                        arc1=args.arc, arc2=args.arc, planner=planner,
                         weights=LqrWeights.tracking())
     tr = plan.transition
     xN = tr.states[-1]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -122,13 +123,11 @@ def cmd_plan_steady(args) -> int:
 def cmd_plan_figure8(args) -> int:
     params, planner = _load_inputs(args)
     beta = math.radians(args.beta)
-    k_s = planner.k_s if args.k_s is None else args.k_s
+    if args.k_s is not None:
+        planner = replace(planner, k_s=args.k_s)
     plan = plan_figure8(params, radius=args.radius, beta=beta,
                         theta0=args.theta0, arc1=args.arc, arc2=args.arc,
-                        k_s=k_s, n_steps=planner.n_steps,
-                        k_ddelta=planner.k_ddelta, k_dtau=planner.k_dtau,
-                        h_bounds=(planner.h_min, planner.h_max),
-                        limits=planner.limits, weights=LqrWeights.tracking())
+                        planner=planner, weights=LqrWeights.tracking())
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     csvio.save_quasi_steady(plan.steady1, out / "trajectory_steady1.csv")
@@ -143,7 +142,7 @@ def cmd_plan_figure8(args) -> int:
         f"radius_m {args.radius}",
         f"beta_deg {args.beta}",
         f"steady_arc_m {args.arc}",
-        f"k_s {k_s}",
+        f"k_s {planner.k_s}",
         f"transition_length_m {plan.transition_length:.4f}",
         f"transition_time_s {tr.h * (len(tr.t) - 1):.4f}",
         f"step_s {tr.h:.6f}",
@@ -204,7 +203,7 @@ def cmd_simulate(args) -> int:
         if plant_lin is None or not np.array_equal(knots, lin_knots):
             lin_knots = knots
             plant_lin = linearize_stack(params, operating_points(traj, knots))
-        trace = pole_trace(sc.schedule, params, plant_lin=plant_lin)
+        trace = pole_trace(sc.schedule, *plant_lin)
         csvio.save_poles(trace, out / f"poles_{sc.name}.csv")
     report = comparison_table(results)
     (out / "report.txt").write_text(report + "\n")

@@ -48,6 +48,9 @@ _log = logging.getLogger(__name__)
 #: largest accepted Riccati residual norm relative to max(1, |P|)
 _RESIDUAL_TOL = 1e-8
 
+#: arc-length distance between gain-schedule knots, m
+_KNOT_SPACING = 0.25
+
 #: column layout of a reference-state row in schedules and CSV files
 REF_STATE_FIELDS = ("Vx", "Vy", "r", "omega", "dFz", "theta_r",
                     "e", "s", "dpsi", "X", "Y", "psi")
@@ -275,7 +278,6 @@ class GainSchedule:
     ref_states: np.ndarray  # (n, 12), REF_STATE_FIELDS layout
     ref_inputs: np.ndarray  # (n, 3) [delta, Fxf, tau]
     kappa: np.ndarray       # (n,)
-    theta: np.ndarray       # (n,) tread temperature at the node, degC
 
     def __post_init__(self):
         if len(self.s_knots) == 0:
@@ -312,9 +314,9 @@ def _linearization_key(op: OperatingPoint) -> bytes:
                      st.dpsi, op.kappa, u.delta, u.Fxf, u.tau]).tobytes()
 
 
-def build_schedule(params: ParamSet, traj, weights: LqrWeights | None = None,
-                   spacing: float = 0.25) -> GainSchedule:
-    """Linearize and solve the LQR problem at every ``spacing`` meters.
+def build_schedule(params: ParamSet, traj,
+                   weights: LqrWeights | None = None) -> GainSchedule:
+    """Linearize and solve the LQR problem at every 0.25 m of arc length.
 
     ``traj`` must provide ``s_span()`` and ``sample(s)`` (the three
     reference types ``QuasiSteadyTrajectory``, ``DynamicTrajectory`` and
@@ -326,8 +328,8 @@ def build_schedule(params: ParamSet, traj, weights: LqrWeights | None = None,
     """
     weights = weights or LqrWeights()
     s_lo, s_hi = traj.s_span()
-    n = max(int(math.floor((s_hi - s_lo) / spacing + 1e-9)) + 1, 1)
-    knots = s_lo + spacing * np.arange(n)
+    n = max(int(math.floor((s_hi - s_lo) / _KNOT_SPACING + 1e-9)) + 1, 1)
+    knots = s_lo + _KNOT_SPACING * np.arange(n)
 
     ops = operating_points(traj, knots)
     point_of = {}                       # linearization key -> point index
@@ -361,5 +363,4 @@ def build_schedule(params: ParamSet, traj, weights: LqrWeights | None = None,
         s_knots=knots, K=K[which],
         ref_states=np.array([op.ref_state_row() for op in ops], dtype=float),
         ref_inputs=np.array([op.ref_input_row() for op in ops], dtype=float),
-        kappa=np.array([op.kappa for op in ops], dtype=float),
-        theta=np.array([op.state.theta_r for op in ops], dtype=float))
+        kappa=np.array([op.kappa for op in ops], dtype=float))

@@ -35,7 +35,7 @@ _GAIN_COLUMNS = (("s",)
                  + tuple(f"K{i}{j}" for i in range(3) for j in range(6))
                  + tuple(f"ref_{name}" for name in REF_STATE_FIELDS)
                  + ("ref_delta", "ref_Fxf", "ref_tau")
-                 + ("kappa", "theta"))
+                 + ("kappa",))
 
 _POLE_COLUMNS = ("s",) + tuple(f"{part}{i}" for i in range(6)
                                for part in ("re", "im"))
@@ -189,7 +189,7 @@ def save_gains(schedule: GainSchedule, path) -> None:
     for i in range(len(schedule)):
         rows.append([schedule.s_knots[i], *schedule.K[i].ravel(),
                      *schedule.ref_states[i], *schedule.ref_inputs[i],
-                     schedule.kappa[i], schedule.theta[i]])
+                     schedule.kappa[i]])
     _write(path, _GAIN_COLUMNS, rows, {"kind": "gains"})
 
 
@@ -203,8 +203,7 @@ def load_gains(path) -> GainSchedule:
         K=data[:, 1:19].reshape(n, 3, 6).copy(),
         ref_states=data[:, 19:31].copy(),
         ref_inputs=data[:, 31:34].copy(),
-        kappa=data[:, 34].copy(),
-        theta=data[:, 35].copy())
+        kappa=data[:, 34].copy())
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,11 @@ _MAX_ITER = 100
 _TOL_RESIDUAL = 1e-10
 _TOL_STEP = 1e-12
 
+# thermal fixed-point bisection: upper end of the bracket (the lower end is
+# the ambient temperature) and the bracket width it stops at, degC
+_FIXED_POINT_HI = 119.0
+_FIXED_POINT_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class DriftEquilibrium:
@@ -212,13 +217,13 @@ def find_equilibrium(params: ParamSet, radius: float, beta_target: float,
         residual_norm=norm)
 
 
-def thermal_fixed_point(params: ParamSet, radius: float, beta_target: float,
-                        lo: float | None = None, hi: float = 119.0,
-                        tol: float = 1e-10) -> DriftEquilibrium:
+def thermal_fixed_point(params: ParamSet, radius: float,
+                        beta_target: float) -> DriftEquilibrium:
     """Equilibrium whose tread temperature is also stationary.
 
-    Bisects the thermal rate over the temperature; the returned equilibrium
-    has all dynamic-state derivatives and the temperature derivative at zero.
+    Bisects the thermal rate over the temperature between the ambient
+    temperature and 119 degC; the returned equilibrium has all dynamic-state
+    derivatives and the temperature derivative at zero.
     """
     thp = params.thermal
 
@@ -230,13 +235,12 @@ def thermal_fixed_point(params: ParamSet, radius: float, beta_target: float,
                             forces.F_xr, forces.F_yr, forces.F_zr)
         return thermal_derivative(thp, theta, Q)
 
-    a = thp.theta_out if lo is None else lo
-    b = hi
+    a, b = thp.theta_out, _FIXED_POINT_HI
     fa, fb = theta_rate(a), theta_rate(b)
     if fa * fb > 0.0:
         raise ConvergenceError(
             f"no thermal fixed point bracketed in [{a}, {b}] degC")
-    while b - a > tol:
+    while b - a > _FIXED_POINT_TOL:
         m = 0.5 * (a + b)
         fm = theta_rate(m)
         if fa * fm <= 0.0:
@@ -290,7 +294,6 @@ class QuasiSteadyTrajectory:
 def quasi_steady_sweep(params: ParamSet, radius: float, beta_target: float,
                        theta0: float, total_arc: float, ds: float = 0.25, *,
                        thermal: bool = True, mu_const: float | None = None,
-                       guess=None,
                        limits: ActuatorLimits | None = None) -> QuasiSteadyTrajectory:
     """Sweep equilibria along a circle while the tread temperature evolves.
 
@@ -316,7 +319,7 @@ def quasi_steady_sweep(params: ParamSet, radius: float, beta_target: float,
     equilibria = []
 
     theta_k = float(theta0)
-    z_guess = guess
+    z_guess = None
     for k in range(n):
         try:
             eq = find_equilibrium(params, radius, beta_target, theta_k,

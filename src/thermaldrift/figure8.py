@@ -20,7 +20,6 @@ import numpy as np
 
 from .control import GainSchedule, LqrWeights, build_schedule
 from .equilibrium import QuasiSteadyTrajectory, find_equilibrium, quasi_steady_sweep
-from .limits import ActuatorLimits, default_limits
 from .model import VehicleState
 from .paths import CirclePath, CompositePath, PolylinePath
 from .params import ParamSet
@@ -28,6 +27,7 @@ from .sim import Scenario
 from .trajopt import (
     IX,
     DynamicTrajectory,
+    PlannerConfig,
     TransitionProblem,
     initial_guess,
     solve_transition,
@@ -109,14 +109,17 @@ class Figure8Plan:
 def plan_figure8(params: ParamSet, radius: float = 15.0,
                  beta: float = math.radians(-40.0), theta0: float = 30.0,
                  arc1: float = 70.0, arc2: float = 70.0, *,
-                 k_s: float = 200.0, n_steps: int = 100,
-                 k_ddelta: float = 1e4, k_dtau: float = 1e-4,
-                 h_bounds: tuple[float, float] = (0.01, 0.1),
-                 limits: ActuatorLimits | None = None,
-                 weights: LqrWeights | None = None,
-                 spacing: float = 0.25) -> Figure8Plan:
-    """Plan the full figure-8 reference and its gain schedule."""
-    limits = limits or default_limits()
+                 planner: PlannerConfig | None = None,
+                 weights: LqrWeights | None = None) -> Figure8Plan:
+    """Plan the full figure-8 reference and its gain schedule.
+
+    ``planner`` (default :class:`~thermaldrift.trajopt.PlannerConfig()`)
+    sets the transition's cost weights, step count and step-duration
+    bounds, and the actuator limits of every segment; ``weights`` are the
+    schedule's LQR weights.
+    """
+    planner = planner or PlannerConfig()
+    limits = planner.limits
     steady1 = quasi_steady_sweep(params, radius, beta, theta0, arc1,
                                  limits=limits)
     st, inp, _ = steady1.sample(arc1)
@@ -127,8 +130,9 @@ def plan_figure8(params: ParamSet, radius: float = 15.0,
     radius2 = -radius
     problem = TransitionProblem(
         params=params, x_initial=x_initial, kappa_final=1.0 / radius2,
-        beta_final=beta2, k_ddelta=k_ddelta, k_dtau=k_dtau, k_s=k_s,
-        N=n_steps, h_min=h_bounds[0], h_max=h_bounds[1], limits=limits,
+        beta_final=beta2, k_ddelta=planner.k_ddelta, k_dtau=planner.k_dtau,
+        k_s=planner.k_s, N=planner.n_steps, h_min=planner.h_min,
+        h_max=planner.h_max, limits=limits,
         y_center_target=steady1.circle.center[1])
     eq_target = find_equilibrium(params, radius2, beta2, st.theta_r,
                                  limits=limits)
@@ -154,5 +158,5 @@ def plan_figure8(params: ParamSet, radius: float = 15.0,
                                  limits=limits)
 
     plan = Figure8Plan(steady1, transition, replace(steady2, circle=circle2))
-    return replace(plan, schedule=build_schedule(
-        params, plan, weights=weights, spacing=spacing))
+    return replace(plan, schedule=build_schedule(params, plan,
+                                                 weights=weights))

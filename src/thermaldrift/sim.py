@@ -16,11 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import (
-    REF_STATE_FIELDS,
     GainSchedule,
-    OperatingPoint,
     linearize,  # noqa: F401  kept: perfbench/layers.py wraps sim.linearize
-    linearize_stack,
     lookup,
 )
 from .errors import ModelDomainError, SimulationError
@@ -48,10 +45,19 @@ SIM_COLUMNS = (
 
 _SPINOUT_LIMIT = math.radians(60.0)
 
+#: fixed RK4 step of the closed loop, s
+_H_SIM = 1e-3
+#: simulated-time cap; a run that has not reached s_final by then fails, s
+_T_MAX = 600.0
+
 
 @dataclass(frozen=True)
 class Scenario:
-    """One closed-loop run: a schedule tracked on a (thermal) plant."""
+    """One closed-loop run: a schedule tracked on a (thermal) plant.
+
+    The schedule's feedback is clamped to ``limits``.  The plant is stepped
+    by RK4 at a fixed 1 ms, for at most 600 s of simulated time.
+    """
 
     name: str
     schedule: GainSchedule
@@ -59,14 +65,9 @@ class Scenario:
     plant: ParamSet
     initial_state: VehicleState
     s_final: float
-    h_sim: float = 1e-3
-    t_max: float = 600.0
     limits: ActuatorLimits = field(default_factory=default_limits)
-    gains_enabled: bool = True      # False = feedforward only (open loop)
 
     def __post_init__(self):
-        if self.h_sim <= 0.0:
-            raise ValueError("h_sim must be positive")
         if self.s_final <= self.initial_state.s:
             raise ValueError("s_final must lie ahead of the initial state")
 
@@ -97,13 +98,10 @@ def _plant_rates(y: np.ndarray, params: ParamSet, inp: ControlInput) -> np.ndarr
 
 def _control(scenario: Scenario, y, e, s, dpsi):
     K, ref_x, ref_u, _ = lookup(scenario.schedule, s)
-    if scenario.gains_enabled:
-        x_err = np.array([y[0] - ref_x[0], y[1] - ref_x[1], y[2] - ref_x[2],
-                          y[4] - ref_x[3], wrap_angle(dpsi - ref_x[8]),
-                          e - ref_x[6]])
-        u = ref_u - K @ x_err
-    else:
-        u = ref_u.copy()
+    x_err = np.array([y[0] - ref_x[0], y[1] - ref_x[1], y[2] - ref_x[2],
+                      y[4] - ref_x[3], wrap_angle(dpsi - ref_x[8]),
+                      e - ref_x[6]])
+    u = ref_u - K @ x_err
     lim = scenario.limits
     u[0] = min(max(u[0], lim.delta_min), lim.delta_max)
     u[1] = min(max(u[1], lim.Fxf_min), lim.Fxf_max)
@@ -120,10 +118,10 @@ def run(scenario: Scenario) -> SimResult:
     st = scenario.initial_state
     y = np.array([st.Vx, st.Vy, st.r, st.psi, st.omega, st.dFz,
                   st.X, st.Y, st.theta_r], dtype=float)
-    h = scenario.h_sim
+    h = _H_SIM
     plant = scenario.plant
     thp = plant.thermal
-    n_max = int(math.ceil(scenario.t_max / h)) + 1
+    n_max = int(math.ceil(_T_MAX / h)) + 1
     rows = np.empty((n_max, len(SIM_COLUMNS)))
     n = 0
     status, detail = "finished", ""
@@ -160,7 +158,7 @@ def run(scenario: Scenario) -> SimResult:
         t += h
     else:
         status, detail = "domain_error", (
-            f"time limit {scenario.t_max} s reached before s_final")
+            f"time limit {_T_MAX} s reached before s_final")
 
     series = rows[:n].copy()
     e_col = series[:, SIM_COLUMNS.index("e")]
@@ -209,27 +207,19 @@ class PoleTrace:
         return float(np.max(self.poles.real))
 
 
-def pole_trace(schedule: GainSchedule, plant: ParamSet,
-               plant_theta=None, plant_lin=None) -> PoleTrace:
-    """Closed-loop spectra of the schedule's gains against the plant model.
+def pole_trace(schedule: GainSchedule, A: np.ndarray,
+               B: np.ndarray) -> PoleTrace:
+    """Closed-loop spectra of the schedule's gains against a plant model.
 
-    By default the linearization point is the schedule's own reference
-    (matched design and plant).  ``plant_theta`` swaps in the plant's tread
-    temperature at each knot (array or scalar) while keeping the schedule's
-    reference states.  ``plant_lin`` goes further: it is the plant already
-    linearized at the operating points it actually visits, the ``(A, B)``
-    stacks of :func:`~thermaldrift.control.linearize_stack` at the
-    schedule's knots, so two schedules can be compared against the identical
-    set of linearizations — the mismatch a constant-friction design
-    experiences when the plant follows the thermal trajectory.
+    ``A`` and ``B`` are the plant linearized at the operating points it
+    visits, one per schedule knot: the (n, 6, 6) and (n, 6, 3) stacks of
+    :func:`~thermaldrift.control.linearize_stack`.  Linearizing at the
+    schedule's own reference gives the matched spectra; linearizing at
+    another plan's points lets two schedules be compared against the
+    identical set of linearizations — the mismatch a constant-friction
+    design experiences when the plant follows the thermal trajectory.
     """
     knots = schedule.s_knots
-    if plant_lin is None:
-        plant_lin = linearize_stack(plant,
-                                    _schedule_points(schedule, plant_theta))
-    elif plant_theta is not None:
-        raise ValueError("pass plant_theta or plant_lin, not both")
-    A, B = plant_lin
     if A.shape[0] != len(knots) or B.shape[0] != len(knots):
         raise ValueError(f"{A.shape[0]} plant A and {B.shape[0]} B matrices "
                          f"for {len(knots)} schedule knots")
@@ -239,25 +229,6 @@ def pole_trace(schedule: GainSchedule, plant: ParamSet,
     for i in range(1, len(knots)):
         poles[i] = _match(poles[i - 1], eig[i])
     return PoleTrace(s_knots=knots.copy(), poles=poles)
-
-
-def _schedule_points(schedule: GainSchedule,
-                     plant_theta) -> list[OperatingPoint]:
-    """The schedule's own reference at each knot, at the plant's tread
-    temperature ``plant_theta`` (default: the schedule's)."""
-    if plant_theta is None:
-        theta = schedule.theta
-    else:
-        theta = np.broadcast_to(np.asarray(plant_theta, dtype=float),
-                                schedule.s_knots.shape)
-    ops = []
-    for ref, u, kappa, th in zip(schedule.ref_states, schedule.ref_inputs,
-                                 schedule.kappa, theta):
-        state = VehicleState(**dict(zip(REF_STATE_FIELDS, ref),
-                                    theta_r=float(th)))
-        inp = ControlInput(delta=u[0], Fxf=u[1], tau=u[2])
-        ops.append(OperatingPoint(state=state, input=inp, kappa=float(kappa)))
-    return ops
 
 
 def _match(prev: np.ndarray, eig: np.ndarray) -> np.ndarray:

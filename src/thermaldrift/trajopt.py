@@ -230,6 +230,9 @@ def load_planner_config(path) -> PlannerConfig:
         attr, scale = _PLANNER_KEYS[key]
         value = raw * scale
         if attr == "n_steps":
+            if not raw.is_integer():
+                raise ConfigError(
+                    f"{path}: n_steps must be a whole number, got {raw!r}")
             scalars[attr] = int(raw)
         elif attr.startswith(("delta", "ddelta", "tau", "dtau")):
             lim_kwargs[attr] = value
@@ -322,10 +325,12 @@ class DynamicTrajectory:
 # solver
 # ---------------------------------------------------------------------------
 
-def initial_guess(problem: TransitionProblem, x_target: np.ndarray,
-                  h0: float = 0.045) -> tuple[np.ndarray, np.ndarray, float]:
+def initial_guess(problem: TransitionProblem,
+                  x_target: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Straight-line interpolation of the body states toward the target
-    equilibrium, with the pose integrated from the interpolated rates."""
+    equilibrium, with the pose integrated from the interpolated rates, at
+    a step duration of 45 ms."""
+    h0 = 0.045
     N = problem.N
     x0 = problem.x_initial
     lam = np.linspace(0.0, 1.0, N + 1)
@@ -723,6 +728,7 @@ _IPM_TOL = 1e-6         # KKT error that ends it; the finite-difference
 _FEAS_MAX_ITER = 15     # iteration cap of the feasibility phase
 _FEAS_TOL = 1e-6        # max scaled violation that ends it
 _FEAS_MU = 1e-3         # its (fixed) barrier parameter
+_POLISH_MAX_ITER = 10   # Gauss-Newton steps of the terminal polish
 _MU_INIT = 0.01         # barrier parameter of the optimality phase ...
 _MU_MIN = 1e-9          # ... falling as mu <- min(_MU_LINEAR mu, mu^_MU_POWER)
 _MU_LINEAR = 0.2
@@ -1051,7 +1057,7 @@ def _check_limits(problem, states, U):
                 f"([{np.min(vals):.4g}, {np.max(vals):.4g}] vs [{lo:.4g}, {hi:.4g}])")
 
 
-def _polish(problem, X, U, h, max_iter: int = 10):
+def _polish(problem, X, U, h):
     """Single-shooting Gauss-Newton: drive the terminal residual to machine
     level with a least-norm correction of the inputs and step duration."""
     N = problem.N
@@ -1070,7 +1076,7 @@ def _polish(problem, X, U, h, max_iter: int = 10):
     p = np.concatenate([(U / _U_SCALE).ravel(), [h / _H_SCALE]])
     free = np.ones(p.size, dtype=bool)
     free[2 * (N - 1):2 * N] = False  # u_N stays pinned at zero
-    for _ in range(max_iter):
+    for _ in range(_POLISH_MAX_ITER):
         xN = rollout_batch(p[None, :])[0]
         g = _terminal_residual(problem, xN)
         if np.max(np.abs(g)) < 1e-11:

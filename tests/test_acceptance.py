@@ -199,7 +199,9 @@ def test_criterion_7_lqr(params, eq_nominal, steady_schedules, steady_plans):
     assert abs(K[0, 0] - (1.0 + math.sqrt(2.0))) < 1e-10
 
     # every gain in the thermal schedule stabilizes its own linearization
-    trace = pole_trace(steady_schedules["thermal"], params)
+    sched = steady_schedules["thermal"]
+    trace = pole_trace(sched, *linearize_stack(
+        params, operating_points(steady_plans["thermal"], sched.s_knots)))
     assert trace.spectral_abscissa < 0.0
 
     # independent algebraic-Riccati residual at the nominal operating point
@@ -243,9 +245,8 @@ def test_criterion_9_pole_clouds(params, steady_schedules, steady_plans):
     knots = steady_schedules["thermal"].s_knots
     plant_lin = linearize_stack(
         params, operating_points(steady_plans["thermal"], knots))
-    thermal = pole_trace(steady_schedules["thermal"], params,
-                         plant_lin=plant_lin)
-    const = pole_trace(steady_schedules["mu0.8"], params, plant_lin=plant_lin)
+    thermal = pole_trace(steady_schedules["thermal"], *plant_lin)
+    const = pole_trace(steady_schedules["mu0.8"], *plant_lin)
     assert thermal.cloud_diameter < const.cloud_diameter
 
 

@@ -1,10 +1,19 @@
+import math
+import runpy
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from thermaldrift import csvio
+from thermaldrift import csvio, figure8
 from thermaldrift.cli import main
+from thermaldrift.limits import default_limits
 from thermaldrift.params import default_params, save_params
 from thermaldrift.trajopt import _IPM_MAX_ITER
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def test_plan_steady_writes_outputs(tmp_path):
@@ -118,3 +127,53 @@ def test_plan_figure8(tmp_path, arc):
     assert float(summary["terminal_residual"]) < 1e-6
     transition = csvio.load_dynamic(out / "trajectory_transition.csv")
     assert transition.n_outer < _IPM_MAX_ITER
+
+
+class _TransitionPosed(Exception):
+    """Stops plan-figure8 once the transition problem is built."""
+
+
+def test_plan_figure8_passes_planner_config(tmp_path, monkeypatch):
+    """Every planner-file setting reaches the transition problem, and
+    --k-s overrides the file's k_s."""
+    posed = []
+
+    def record(problem, guess=None):
+        posed.append(problem)
+        raise _TransitionPosed
+
+    monkeypatch.setattr(figure8, "solve_transition", record)
+    cfg = tmp_path / "planner.txt"
+    cfg.write_text("n_steps 40\nh_min 0.02\nh_max 0.08\nk_ddelta 2e4\n"
+                   "k_dtau 50\nk_s 300\nddelta_max 80\ndtau_max 2.5\n")
+    with pytest.raises(_TransitionPosed):
+        main(["plan-figure8", "--out", str(tmp_path / "out"), "--arc", "10",
+              "--planner-config", str(cfg), "--k-s", "2000"])
+    (problem,) = posed
+    assert problem.N == 40
+    assert (problem.h_min, problem.h_max) == (0.02, 0.08)
+    assert problem.k_ddelta == 2e4
+    assert problem.k_dtau == 50 * 1e-6          # (kN m/s)^-2 -> (N m/s)^-2
+    assert problem.k_s == 2000.0
+    assert problem.limits == replace(default_limits(),
+                                     ddelta_max=80 * math.pi / 180.0,
+                                     dtau_max=2500.0)
+
+
+@pytest.mark.parametrize("script, written", [
+    ("run_steady_comparison.py",
+     ["trajectory.csv", "gains.csv", "report.txt", "sim_matched.csv",
+      "sim_mu0.73.csv", "sim_mu0.8.csv", "poles_matched.csv"]),
+    ("run_figure8.py",
+     ["steady1.csv", "transition.csv", "steady2.csv", "gains.csv",
+      "sim_figure8.csv"]),
+], ids=["steady_comparison", "figure8"])
+def test_script_runs(tmp_path, monkeypatch, script, written):
+    """Each script's main() runs end to end on a 20 m arc."""
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv",
+                        [script, "--arc", "20", "--out", str(out)])
+    code = runpy.run_path(str(SCRIPTS / script))["main"]()
+    assert code == 0
+    for name in written:
+        assert (out / name).exists(), name

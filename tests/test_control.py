@@ -269,11 +269,11 @@ def test_schedule_validation():
     with pytest.raises(ScheduleError):
         GainSchedule(s_knots=np.array([]), K=np.zeros((0, 3, 6)),
                      ref_states=np.zeros((0, 12)), ref_inputs=np.zeros((0, 3)),
-                     kappa=np.zeros(0), theta=np.zeros(0))
+                     kappa=np.zeros(0))
     with pytest.raises(ScheduleError):
         GainSchedule(s_knots=np.array([0.0, 0.0]), K=np.zeros((2, 3, 6)),
                      ref_states=np.zeros((2, 12)), ref_inputs=np.zeros((2, 3)),
-                     kappa=np.zeros(2), theta=np.zeros(2))
+                     kappa=np.zeros(2))
 
 
 def test_weight_validation():

@@ -63,7 +63,6 @@ def test_gains_round_trip(tmp_path, params, small_sweep):
     assert np.array_equal(loaded.ref_states, sched.ref_states)
     assert np.array_equal(loaded.ref_inputs, sched.ref_inputs)
     assert np.array_equal(loaded.kappa, sched.kappa)
-    assert np.array_equal(loaded.theta, sched.theta)
 
 
 def test_sim_round_trip(tmp_path, steady_results):

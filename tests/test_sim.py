@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,8 +40,6 @@ def short_scenario(params, steady_plans, steady_schedules, **kwargs):
 
 
 def test_scenario_validation(params, steady_plans, steady_schedules):
-    with pytest.raises(ValueError):
-        short_scenario(params, steady_plans, steady_schedules, h_sim=0.0)
     with pytest.raises(ValueError):
         short_scenario(params, steady_plans, steady_schedules, s_final=-1.0)
 
@@ -89,13 +88,15 @@ def test_plant_heat_non_negative(steady_results, params):
 
 
 def test_open_loop_unstable(params, steady_plans, steady_schedules):
-    """The drift equilibrium is unstable: feedforward only, a 1 cm lateral
-    perturbation grows until the spin-out guard fires."""
+    """The drift equilibrium is unstable: feedforward only (a schedule with
+    zero gains), a 1 cm lateral perturbation grows until the spin-out guard
+    fires."""
     traj = steady_plans["thermal"]
     st = traj.sample(0.0)[0].replace(theta_r=THETA0, Y=0.01)
-    sc = Scenario(name="openloop", schedule=steady_schedules["thermal"],
-                  path=CirclePath(RADIUS), plant=params, initial_state=st,
-                  s_final=ARC, gains_enabled=False)
+    sched = steady_schedules["thermal"]
+    open_loop = replace(sched, K=np.zeros_like(sched.K))
+    sc = Scenario(name="openloop", schedule=open_loop, path=CirclePath(RADIUS),
+                  plant=params, initial_state=st, s_final=ARC)
     res = run(sc)
     assert res.status == "spin_out"
     assert res.max_abs_e > 1.0
@@ -119,79 +120,54 @@ def test_compare_reports_failures_inline(params, steady_plans,
         compare([])
 
 
+def _plant_lin(params, plan, schedule):
+    """The plant linearized along ``plan`` at the schedule's knots."""
+    return linearize_stack(params, operating_points(plan, schedule.s_knots))
+
+
 def test_matched_pole_trace_stable(steady_schedules, params, steady_plans):
-    trace = pole_trace(steady_schedules["thermal"], params)
-    assert trace.poles.shape == (len(steady_schedules["thermal"]), 6)
+    sched = steady_schedules["thermal"]
+    trace = pole_trace(sched, *_plant_lin(params, steady_plans["thermal"],
+                                          sched))
+    assert trace.poles.shape == (len(sched), 6)
     assert trace.spectral_abscissa < 0.0
 
 
-def test_constant_mu_matched_spectra_identical(steady_schedules, params):
+def test_constant_mu_matched_spectra_identical(steady_schedules, params,
+                                               steady_plans):
     """Constant-mu schedule on the matching constant-mu plant: identical
     spectra at every knot."""
     sched = steady_schedules["mu0.8"]
-    theta_eq = float(sched.theta[0])
-    trace = pole_trace(sched, params, plant_theta=theta_eq)
+    trace = pole_trace(sched,
+                       *_plant_lin(params, steady_plans["mu0.8"], sched))
     spread = np.max(np.abs(trace.poles - trace.poles[0]))
     assert spread < 1e-8
 
 
-def test_pole_trace_plant_ref_matches_matched_case(steady_schedules, params,
-                                                   steady_plans):
-    """For the thermal schedule, evaluating at the thermal plan's operating
-    points is the matched case, so both call forms agree."""
-    sched = steady_schedules["thermal"]
-    a = pole_trace(sched, params)
-    plant_lin = linearize_stack(
-        params, operating_points(steady_plans["thermal"], sched.s_knots))
-    b = pole_trace(sched, params, plant_lin=plant_lin)
-    assert np.allclose(a.poles, b.poles, atol=1e-9)
-
-
-def _pole_trace_per_knot(schedule, plant, plant_theta=None, plant_ref=None):
-    """pole_trace as one linearize/eigvals/_match step per knot: the oracle
-    for the stacked version."""
+def _pole_trace_per_knot(schedule, plant, plant_ref):
+    """pole_trace as one linearize/eigvals/_match step per knot along
+    ``plant_ref``: the oracle for the stacked version."""
     knots = schedule.s_knots
-    theta = (schedule.theta if plant_theta is None else np.broadcast_to(
-        np.asarray(plant_theta, dtype=float), knots.shape))
     poles = np.empty((len(knots), 6), dtype=complex)
     prev = None
     for i in range(len(knots)):
-        if plant_ref is not None:
-            state, inp, kappa = plant_ref.sample(float(knots[i]))
-        else:
-            ref = schedule.ref_states[i]
-            state = VehicleState(Vx=ref[0], Vy=ref[1], r=ref[2], omega=ref[3],
-                                 dFz=ref[4], theta_r=float(theta[i]), e=ref[6],
-                                 s=ref[7], dpsi=ref[8], X=ref[9], Y=ref[10],
-                                 psi=ref[11])
-            u = schedule.ref_inputs[i]
-            inp = ControlInput(delta=u[0], Fxf=u[1], tau=u[2])
-            kappa = float(schedule.kappa[i])
-        sys = linearize(plant, OperatingPoint(state=state, input=inp,
-                                              kappa=kappa))
+        op = OperatingPoint(*plant_ref.sample(float(knots[i])))
+        sys = linearize(plant, op)
         eig = closed_loop_poles(sys.A, sys.B, schedule.K[i])
         poles[i] = eig if prev is None else _match(prev, eig)
         prev = poles[i]
     return poles
 
 
-@pytest.mark.parametrize("form", ["matched", "plant_theta", "plant_lin"])
+@pytest.mark.parametrize("form", ["matched", "plant_lin"])
 def test_pole_trace_matches_per_knot_loop(steady_schedules, steady_plans,
                                           params, form):
+    """The mu = 0.8 schedule along its own plan (matched), and along the
+    thermal plan as the CLI evaluates every schedule."""
     sched = steady_schedules["mu0.8"]
-    plan = steady_plans["thermal"]
-    if form == "matched":
-        kwargs = oracle_kwargs = {}
-    elif form == "plant_theta":
-        kwargs = oracle_kwargs = {
-            "plant_theta": np.linspace(30.0, 90.0, len(sched))}
-    else:
-        # the CLI's form: the thermal plan, linearized once for all schedules
-        kwargs = {"plant_lin": linearize_stack(
-            params, operating_points(plan, sched.s_knots))}
-        oracle_kwargs = {"plant_ref": plan}
-    trace = pole_trace(sched, params, **kwargs)
-    oracle = _pole_trace_per_knot(sched, params, **oracle_kwargs)
+    plan = steady_plans["mu0.8" if form == "matched" else "thermal"]
+    trace = pole_trace(sched, *_plant_lin(params, plan, sched))
+    oracle = _pole_trace_per_knot(sched, params, plan)
     np.testing.assert_allclose(trace.poles, oracle, rtol=0.0, atol=1e-10)
 
 
@@ -200,9 +176,7 @@ def test_pole_trace_rejects_wrong_stack(steady_schedules, params, eq_nominal):
     A, B = linearize_stack(params, [OperatingPoint(
         eq_nominal.state(), eq_nominal.input(), 1.0 / RADIUS)])
     with pytest.raises(ValueError, match="1 plant A and 1 B matrices"):
-        pole_trace(sched, params, plant_lin=(A, B))
-    with pytest.raises(ValueError, match="not both"):
-        pole_trace(sched, params, plant_theta=60.0, plant_lin=(A, B))
+        pole_trace(sched, A, B)
 
 
 @pytest.mark.slow

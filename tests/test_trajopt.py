@@ -144,6 +144,13 @@ def test_planner_config_load(tmp_path):
     assert cfg.h_min == PlannerConfig().h_min
 
 
+def test_planner_config_rejects_fractional_n_steps(tmp_path):
+    path = tmp_path / "planner.txt"
+    path.write_text("n_steps 80.7\n")
+    with pytest.raises(ConfigError, match="planner.txt.*n_steps"):
+        load_planner_config(path)
+
+
 def test_planner_config_unknown_key(tmp_path):
     path = tmp_path / "planner.txt"
     path.write_text("k_z 3\n")
