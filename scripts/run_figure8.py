@@ -5,6 +5,8 @@ The first circle (R = 15 m, beta = -40 deg) is driven quasi-steadily, the
 direction change is solved as a dynamic transition, and the mirrored circle
 continues from the transition's terminal temperature.  The planned reference
 is then tracked on the thermal plant and the per-segment errors are printed.
+The exit code is 3, the CLI's simulation-failure code, when the closed loop
+does not finish the course.
 """
 
 import argparse
@@ -67,7 +69,7 @@ def main() -> int:
         csvio.save_gains(plan.schedule, args.out / "gains.csv")
         csvio.save_sim(res, args.out / "sim_figure8.csv")
         print(f"series written to {args.out}")
-    return 0
+    return 0 if res.status == "finished" else 3
 
 
 if __name__ == "__main__":

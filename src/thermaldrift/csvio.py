@@ -50,8 +50,10 @@ def _write(path, columns, rows, meta=None):
         for key, value in (meta or {}).items():
             fh.write(f"# {key} {value}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        # one row's tolist() at a time: the whole array's list of lists
+        # would hold every row as Python floats at once
+        for row in np.asarray(rows, dtype=float):
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def _read(path, columns):

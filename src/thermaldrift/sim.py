@@ -21,7 +21,7 @@ from .control import (
     lookup,
 )
 from .errors import ModelDomainError, SimulationError
-from .integrate import rk4
+from .integrate import rk4_floats
 from .limits import ActuatorLimits, default_limits
 from .model import (
     ControlInput,
@@ -88,24 +88,29 @@ class SimResult:
         return self.series[:, SIM_COLUMNS.index(name)]
 
 
-def _plant_rates(y: np.ndarray, params: ParamSet, inp: ControlInput) -> np.ndarray:
-    """Rates of the 9-vector [Vx, Vy, r, psi, omega, dFz, X, Y, theta]."""
-    Vx, Vy, r, psi, omega, dFz, _, _, theta = y.tolist()
+def _plant_rates(y, params: ParamSet, inp: ControlInput) -> tuple:
+    """Rates of the 9 floats [Vx, Vy, r, psi, omega, dFz, X, Y, theta]."""
+    Vx, Vy, r, psi, omega, dFz, _, _, theta = y
     dVx, dVy, dr, domega, ddFz, dtheta, dX, dY = scalar_rates(
         params, Vx, Vy, r, psi, omega, dFz, theta, inp.delta, inp.Fxf, inp.tau)
-    return np.array([dVx, dVy, dr, r, domega, ddFz, dX, dY, dtheta])
+    return dVx, dVy, dr, r, domega, ddFz, dX, dY, dtheta
 
 
 def _control(scenario: Scenario, y, e, s, dpsi):
+    """Clamped input (delta, Fxf, tau) and the reference rows, as floats.
+
+    The gain product stays one numpy matmul: a Python dot sums in another
+    order and moves the series.
+    """
     K, ref_x, ref_u, _ = lookup(scenario.schedule, s)
-    x_err = np.array([y[0] - ref_x[0], y[1] - ref_x[1], y[2] - ref_x[2],
-                      y[4] - ref_x[3], wrap_angle(dpsi - ref_x[8]),
-                      e - ref_x[6]])
-    u = ref_u - K @ x_err
+    ref_x, ref_u = ref_x.tolist(), ref_u.tolist()
+    du = (K @ np.array([y[0] - ref_x[0], y[1] - ref_x[1], y[2] - ref_x[2],
+                        y[4] - ref_x[3], wrap_angle(dpsi - ref_x[8]),
+                        e - ref_x[6]])).tolist()
     lim = scenario.limits
-    u[0] = min(max(u[0], lim.delta_min), lim.delta_max)
-    u[1] = min(max(u[1], lim.Fxf_min), lim.Fxf_max)
-    u[2] = min(max(u[2], lim.tau_min), lim.tau_max)
+    u = (min(max(ref_u[0] - du[0], lim.delta_min), lim.delta_max),
+         min(max(ref_u[1] - du[1], lim.Fxf_min), lim.Fxf_max),
+         min(max(ref_u[2] - du[2], lim.tau_min), lim.tau_max))
     return u, ref_x, ref_u
 
 
@@ -116,8 +121,8 @@ def run(scenario: Scenario) -> SimResult:
     the run with a diagnostic partial result rather than an exception.
     """
     st = scenario.initial_state
-    y = np.array([st.Vx, st.Vy, st.r, st.psi, st.omega, st.dFz,
-                  st.X, st.Y, st.theta_r], dtype=float)
+    y = [float(v) for v in (st.Vx, st.Vy, st.r, st.psi, st.omega, st.dFz,
+                            st.X, st.Y, st.theta_r)]
     h = _H_SIM
     plant = scenario.plant
     thp = plant.thermal
@@ -129,20 +134,19 @@ def run(scenario: Scenario) -> SimResult:
     t = 0.0
 
     for step in range(n_max):
-        e, s, phi = _project(scenario.path, y[6], y[7], s_hint)
+        Vx, Vy, r, psi, omega, dFz, X, Y, theta = y
+        e, s, phi = _project(scenario.path, X, Y, s_hint)
         s_hint = s
-        dpsi = wrap_angle(y[3] - phi)
+        dpsi = wrap_angle(psi - phi)
         u, ref_x, ref_u = _control(scenario, y, e, s, dpsi)
-        inp = ControlInput(delta=float(u[0]), Fxf=float(u[1]), tau=float(u[2]))
-        mu = friction_coefficient(thp, y[8])
+        inp = ControlInput(*u)
+        mu = friction_coefficient(thp, theta)
         ref_mu = friction_coefficient(thp, ref_x[5])
-        rows[n] = (t, s, e, dpsi, y[0], y[1], y[2], y[4], y[5], y[8], mu,
-                   u[0], u[1], u[2],
-                   ref_x[6], ref_x[8], ref_x[0], ref_x[1], ref_x[2], ref_x[3],
-                   ref_x[4], ref_x[5], ref_mu, ref_u[0], ref_u[1], ref_u[2])
+        rows[n] = (t, s, e, dpsi, Vx, Vy, r, omega, dFz, theta, mu, *u,
+                   ref_x[6], ref_x[8], *ref_x[:6], ref_mu, *ref_u)
         n += 1
 
-        beta = math.atan2(y[1], y[0])
+        beta = math.atan2(Vy, Vx)
         beta_ref = math.atan2(ref_x[1], ref_x[0])
         if abs(wrap_angle(beta - beta_ref)) > _SPINOUT_LIMIT:
             status, detail = "spin_out", (
@@ -151,7 +155,7 @@ def run(scenario: Scenario) -> SimResult:
         if s >= scenario.s_final:
             break
         try:
-            y = rk4(_plant_rates, y, h, plant, inp)
+            y = rk4_floats(_plant_rates, y, h, plant, inp)
         except ModelDomainError as exc:
             status, detail = "domain_error", f"at t={t:.3f} s, s={s:.2f} m: {exc}"
             break

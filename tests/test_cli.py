@@ -177,3 +177,17 @@ def test_script_runs(tmp_path, monkeypatch, script, written):
     assert code == 0
     for name in written:
         assert (out / name).exists(), name
+
+
+def test_figure8_script_exit_code_on_failed_tracking(tmp_path, monkeypatch,
+                                                     capsys):
+    """At --arc 10 the closed loop ends in domain_error on circle 2: the
+    script still writes its files, then exits with the CLI's
+    simulation-failure code 3."""
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv",
+                        ["run_figure8.py", "--arc", "10", "--out", str(out)])
+    code = runpy.run_path(str(SCRIPTS / "run_figure8.py"))["main"]()
+    assert code == 3
+    assert "closed loop: domain_error" in capsys.readouterr().out
+    assert csvio.load_sim(out / "sim_figure8.csv").status == "domain_error"

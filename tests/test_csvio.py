@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,36 @@ def test_poles_round_trip(tmp_path):
     loaded = csvio.load_poles(path)
     assert np.array_equal(loaded.s_knots, trace.s_knots)
     assert np.array_equal(loaded.poles, trace.poles)
+
+
+#: signed zeros, the smallest subnormal, another subnormal, huge values,
+#: integer-valued floats and values with long shortest reprs
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1.0, -2.0,
+               2.0 ** 53, 1e16, 12345678.0, 0.1, 1.0 / 3.0, math.pi,
+               math.inf, -math.inf, math.nan]
+EDGE_INTS = [0, -1, 7, 2 ** 31, -(2 ** 53), 10 ** 17]
+
+
+def repr_formatted(columns, rows, meta):
+    """A CSV file's text with every number written as repr(float(x))."""
+    lines = [f"# {key} {value}" for key, value in meta.items()]
+    lines.append(",".join(columns))
+    lines.extend(",".join(repr(float(x)) for x in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("form", ["mixed_list", "ndarray"])
+def test_write_matches_repr_formatting(tmp_path, form):
+    """The writer's bytes equal repr(float(x)) per value, for rows of numpy
+    floats, Python floats and Python ints."""
+    rows = [[np.float64(v), v, EDGE_INTS[i % len(EDGE_INTS)], -v]
+            for i, v in enumerate(EDGE_FLOATS)]
+    if form == "ndarray":
+        rows = np.array(rows, dtype=float)
+    columns, meta = ("a", "b", "c", "d"), {"kind": "edge", "n": 4}
+    path = tmp_path / "edge.csv"
+    csvio._write(path, columns, rows, meta)
+    assert path.read_bytes() == repr_formatted(columns, rows, meta).encode()
 
 
 def test_corrupt_row_named(tmp_path, small_sweep):

@@ -12,7 +12,10 @@ from thermaldrift.control import (
     linearize_stack,
     operating_points,
 )
+from thermaldrift import sim
+from thermaldrift.errors import ModelDomainError
 from thermaldrift.figure8 import plan_figure8
+from thermaldrift.integrate import rk4, rk4_floats
 from thermaldrift.model import ControlInput, VehicleState, heat_generation, tire_forces
 from thermaldrift.paths import CirclePath
 from thermaldrift.sim import (
@@ -50,6 +53,64 @@ def test_run_deterministic(params, steady_plans, steady_schedules):
     assert np.array_equal(r1.series, r2.series)
     assert r1.max_abs_e == r2.max_abs_e
     assert r1.status == r2.status == "finished"
+
+
+def _ndarray_plant_rates(y, params, inp):
+    """``sim._plant_rates`` on an ndarray state, for ``integrate.rk4``."""
+    return np.array(sim._plant_rates(y.tolist(), params, inp))
+
+
+def test_float_step_matches_rk4_on_run_states(params, steady_plans,
+                                               steady_schedules, monkeypatch):
+    """Every step of a short closed-loop run equals integrate.rk4 over the
+    ndarray twin of the plant rates, bit for bit."""
+    steps = []
+
+    def recording_step(f, y, h, plant, inp):
+        y_next = rk4_floats(f, y, h, plant, inp)
+        steps.append((y, h, inp, y_next))
+        return y_next
+
+    monkeypatch.setattr(sim, "rk4_floats", recording_step)
+    traj = steady_plans["thermal"]
+    res = run(short_scenario(
+        params, steady_plans, steady_schedules, s_final=10.0,
+        initial_state=traj.sample(0.0)[0].replace(theta_r=THETA0, Vy=-5.5)))
+    assert res.status == "finished"
+    assert len(steps) == len(res.series) - 1 > 500
+    for y, h, inp, y_next in steps:
+        assert all(type(v) is float for v in y_next)
+        ref = rk4(_ndarray_plant_rates, np.array(y), h, params, inp)
+        assert np.array(y_next).tobytes() == ref.tobytes()
+
+
+def _raising_stage(step, rates, y, h, params, inp):
+    """(stage, exception type, message) of one RK4 step that must raise."""
+    calls = []
+
+    def counted(y, params, inp):
+        calls.append(y)
+        return rates(y, params, inp)
+
+    with pytest.raises(ModelDomainError) as info:
+        step(counted, y, h, params, inp)
+    return len(calls), type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("Vx, h, stage", [(0.3, 0.05, 1), (0.55, 0.1, 2),
+                                          (0.55, 0.05, 3), (0.6, 0.05, 4)])
+def test_float_step_raises_as_rk4(params, eq_nominal, Vx, h, stage):
+    """Full braking near the slip-model floor: an RK4 stage leaves the
+    model's domain, and the float step raises the exception integrate.rk4
+    raises, with its message, at the same stage."""
+    st = eq_nominal.state()
+    k = Vx / st.Vx
+    y = [Vx, k * st.Vy, k * st.r, 0.0, k * st.omega, 0.0, 0.0, 0.0, THETA0]
+    inp = ControlInput(delta=eq_nominal.delta, Fxf=-8000.0, tau=-1000.0)
+    raised = _raising_stage(rk4_floats, sim._plant_rates, y, h, params, inp)
+    assert raised == _raising_stage(rk4, _ndarray_plant_rates, np.array(y),
+                                    h, params, inp)
+    assert raised[0] == stage
 
 
 def test_metrics_recomputable(steady_results):
