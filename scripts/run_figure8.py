@@ -5,20 +5,17 @@ The first circle (R = 15 m, beta = -40 deg) is driven quasi-steadily, the
 direction change is solved as a dynamic transition, and the mirrored circle
 continues from the transition's terminal temperature.  The planned reference
 is then tracked on the thermal plant and the per-segment errors are printed.
-The exit code is 3, the CLI's simulation-failure code, when the closed loop
-does not finish the course.
+The study is ``thermaldrift plan-figure8`` followed by ``thermaldrift
+simulate``, whose exit code (3 when the course is not finished) it returns.
 """
 
 import argparse
 import math
+import tempfile
 from pathlib import Path
 
-from thermaldrift import csvio
-from thermaldrift.control import LqrWeights
-from thermaldrift.figure8 import plan_figure8
-from thermaldrift.params import default_params
-from thermaldrift.sim import run
-from thermaldrift.trajopt import PlannerConfig
+from thermaldrift import cli, csvio
+from thermaldrift.trajopt import IX
 
 
 def main() -> int:
@@ -33,43 +30,44 @@ def main() -> int:
     ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args()
 
-    params = default_params()
-    planner = (PlannerConfig() if args.k_s is None
-               else PlannerConfig(k_s=args.k_s))
-    plan = plan_figure8(params, radius=args.radius,
-                        beta=math.radians(args.beta), theta0=args.theta0,
-                        arc1=args.arc, arc2=args.arc, planner=planner,
-                        weights=LqrWeights.tracking())
-    tr = plan.transition
-    xN = tr.states[-1]
-    print(f"transition: length {plan.transition_length:.2f} m, "
-          f"time {tr.h * (len(tr.t) - 1):.2f} s, J {tr.J:.1f}, "
-          f"terminal residual {tr.terminal_residual:.2e}")
-    print(f"sideslip {args.beta:+.1f} deg -> "
-          f"{math.degrees(math.atan2(xN[1], xN[0])):+.1f} deg, "
-          f"tread {args.theta0:.1f} -> {xN[10]:.1f} degC")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = args.out or Path(tmp)
+        common = ["--out", str(out), "--theta0", str(args.theta0)]
+        k_s = [] if args.k_s is None else ["--k-s", str(args.k_s)]
+        code = cli.main(["plan-figure8", "--arc", str(args.arc),
+                         "--radius", str(args.radius),
+                         "--beta", str(args.beta), *k_s, *common])
+        if code != 0:
+            return code
+        code = cli.main(["simulate", *common])
+        sim_path = out / "sim_figure8.csv"
+        if code not in (0, 3) or not sim_path.exists():
+            return code
 
-    res = run(plan.scenario(params, args.theta0))
-    s = res.column("s")
-    e = res.column("e")
-    for label, lo, hi in (("circle 1", 0.0, plan.s_break1),
-                          ("transition", plan.s_break1, plan.s_break2),
-                          ("circle 2", plan.s_break2, plan.total_arc)):
-        mask = (s >= lo) & (s < hi)
-        if mask.any():
-            print(f"  {label:<11} max|e| {abs(e[mask]).max():6.3f} m")
-    print(f"closed loop: {res.status}, max|e| {res.max_abs_e:.3f} m, "
-          f"rms e {res.rms_e:.3f} m, final tread {res.final_theta:.1f} degC")
+        tr = csvio.load_dynamic(out / "trajectory_transition.csv")
+        xN = tr.states[-1]
+        print(f"transition: length {tr.transition_length:.2f} m, "
+              f"time {tr.h * (len(tr.t) - 1):.2f} s, J {tr.J:.1f}, "
+              f"terminal residual {tr.terminal_residual:.2e}")
+        print(f"sideslip {args.beta:+.1f} deg -> "
+              f"{math.degrees(math.atan2(xN[IX.Vy], xN[IX.Vx])):+.1f} deg, "
+              f"tread {args.theta0:.1f} -> {xN[IX.theta]:.1f} degC")
 
+        res = csvio.load_sim(sim_path)
+        s = res.column("s")
+        e = res.column("e")
+        for label, lo, hi in (("circle 1", 0.0, tr.s[0]),
+                              ("transition", tr.s[0], tr.s[-1]),
+                              ("circle 2", tr.s[-1], math.inf)):
+            mask = (s >= lo) & (s < hi)
+            if mask.any():
+                print(f"  {label:<11} max|e| {abs(e[mask]).max():6.3f} m")
+        print(f"closed loop: {res.status}, max|e| {res.max_abs_e:.3f} m, "
+              f"rms e {res.rms_e:.3f} m, "
+              f"final tread {res.final_theta:.1f} degC")
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        csvio.save_quasi_steady(plan.steady1, args.out / "steady1.csv")
-        csvio.save_dynamic(tr, args.out / "transition.csv")
-        csvio.save_quasi_steady(plan.steady2, args.out / "steady2.csv")
-        csvio.save_gains(plan.schedule, args.out / "gains.csv")
-        csvio.save_sim(res, args.out / "sim_figure8.csv")
         print(f"series written to {args.out}")
-    return 0 if res.status == "finished" else 3
+    return code
 
 
 if __name__ == "__main__":

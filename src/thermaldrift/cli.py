@@ -23,7 +23,7 @@ from .control import (
 )
 from .equilibrium import quasi_steady_sweep
 from .errors import ConfigError, SimulationError, SolverError, ThermalDriftError
-from .figure8 import plan_figure8
+from .figure8 import Figure8Plan, plan_figure8
 from .params import default_params, load_params
 from .sim import Scenario, compare, comparison_table, pole_trace
 from .trajopt import IX, PlannerConfig, load_planner_config
@@ -71,13 +71,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-s", type=float, default=None,
                    help="override the transition-distance weight, m^-2")
 
-    # the arc, radius and sideslip come from the planned trajectory.csv
-    p = sub.add_parser("simulate", help="closed-loop simulation of planned "
-                                        "files in the output directory")
+    # the plan kind, arc, radius and sideslip come from the planned files
+    p = sub.add_parser("simulate", help="closed-loop simulation of the plan "
+                                        "in the output directory")
     common(p)
     p.add_argument("--scenario", default="steady",
                    choices=("steady", "steady-compare"),
-                   help="matched run, or the three-way friction comparison")
+                   help="the plan's own run, or a steady plan's comparison")
     return parser
 
 
@@ -163,20 +163,31 @@ def cmd_plan_figure8(args) -> int:
 def cmd_simulate(args) -> int:
     params, planner = _load_inputs(args)
     out = args.out
-    traj_path = out / "trajectory.csv"
-    gains_path = out / "gains.csv"
-    for path in (traj_path, gains_path):
-        if not path.exists():
-            raise ConfigError(f"missing input file {path}; run plan-steady first")
-    traj = csvio.load_quasi_steady(traj_path)
-    schedule = csvio.load_gains(gains_path)
-    path = traj.circle
-    arc = float(traj.s[-1])
-
-    scenarios = [Scenario(
-        name="matched", schedule=schedule, path=path, plant=params,
-        initial_state=traj.sample(0.0)[0].replace(theta_r=args.theta0),
-        s_final=arc, limits=planner.limits)]
+    steady = (out / "trajectory.csv").exists()
+    if steady == (out / "trajectory_transition.csv").exists():
+        raise ConfigError(f"{out} must hold one plan: trajectory.csv from "
+                          "plan-steady or trajectory_transition.csv from "
+                          "plan-figure8")
+    if steady:
+        ref = traj = csvio.load_quasi_steady(out / "trajectory.csv")
+        schedule = csvio.load_gains(out / "gains.csv")
+        path = traj.circle
+        arc = float(traj.s[-1])
+        scenarios = [Scenario(
+            name="matched", schedule=schedule, path=path, plant=params,
+            initial_state=traj.sample(0.0)[0].replace(theta_r=args.theta0),
+            s_final=arc, limits=planner.limits)]
+    elif args.scenario == "steady-compare":
+        raise ConfigError(f"{out} holds a figure-8 plan; --scenario "
+                          "steady-compare needs a plan-steady plan")
+    else:
+        ref = Figure8Plan(
+            csvio.load_quasi_steady(out / "trajectory_steady1.csv"),
+            csvio.load_dynamic(out / "trajectory_transition.csv"),
+            csvio.load_quasi_steady(out / "trajectory_steady2.csv"),
+            csvio.load_gains(out / "gains.csv"))
+        scenarios = [replace(ref.scenario(params, args.theta0),
+                             limits=planner.limits)]
     if args.scenario == "steady-compare":
         beta = traj.beta_target
         for mu in (0.73, 0.8):
@@ -202,7 +213,7 @@ def cmd_simulate(args) -> int:
         knots = sc.schedule.s_knots
         if plant_lin is None or not np.array_equal(knots, lin_knots):
             lin_knots = knots
-            plant_lin = linearize_stack(params, operating_points(traj, knots))
+            plant_lin = linearize_stack(params, operating_points(ref, knots))
         trace = pole_trace(sc.schedule, *plant_lin)
         csvio.save_poles(trace, out / f"poles_{sc.name}.csv")
     report = comparison_table(results)
@@ -211,6 +222,10 @@ def cmd_simulate(args) -> int:
     hard_failures = [r for r in results.values() if isinstance(r, Exception)]
     if hard_failures:
         raise SimulationError("; ".join(str(r) for r in hard_failures))
+    own = results[scenarios[0].name]
+    if own.status != "finished":
+        raise SimulationError(f"{own.scenario} run ended in {own.status}: "
+                              f"{own.detail}")
     return 0
 
 
@@ -223,7 +238,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SimulationError as exc:

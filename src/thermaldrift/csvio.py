@@ -45,8 +45,9 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write(path, columns, rows, meta=None):
+def _write(path, columns, rows, kind, meta=None):
     with open(path, "w") as fh:
+        fh.write(f"# kind {kind}\n")
         for key, value in (meta or {}).items():
             fh.write(f"# {key} {value}\n")
         fh.write(",".join(columns) + "\n")
@@ -56,7 +57,7 @@ def _write(path, columns, rows, meta=None):
             fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
-def _read(path, columns):
+def _read(path, columns, kind):
     meta = {}
     rows = []
     header = None
@@ -71,6 +72,9 @@ def _read(path, columns):
                     meta[parts[0]] = parts[1]
                 continue
             if header is None:
+                if meta.get("kind") != kind:
+                    raise ConfigError(f"{path}: kind {meta.get('kind')!r}, "
+                                      f"expected {kind!r}")
                 header = tuple(line.split(","))
                 if header != tuple(columns):
                     raise ConfigError(
@@ -105,7 +109,6 @@ def _meta_float(meta, key, path):
 
 def save_quasi_steady(traj: QuasiSteadyTrajectory, path) -> None:
     meta = {
-        "kind": "quasi_steady",
         "radius": _fmt(traj.radius),
         "beta_target": _fmt(traj.beta_target),
         "ds": _fmt(traj.ds),
@@ -116,13 +119,11 @@ def save_quasi_steady(traj: QuasiSteadyTrajectory, path) -> None:
         rows.append([traj.s[k], traj.t[k], traj.theta[k], traj.Q[k],
                      eq.r, eq.omega, eq.dFz, eq.delta, eq.tau,
                      eq.mu_r, eq.residual_norm])
-    _write(path, _QS_COLUMNS, rows, meta)
+    _write(path, _QS_COLUMNS, rows, "quasi_steady", meta)
 
 
 def load_quasi_steady(path) -> QuasiSteadyTrajectory:
-    meta, data = _read(path, _QS_COLUMNS)
-    if meta.get("kind") != "quasi_steady":
-        raise ConfigError(f"{path}: not a quasi-steady trajectory file")
+    meta, data = _read(path, _QS_COLUMNS, "quasi_steady")
     radius = _meta_float(meta, "radius", path)
     beta = _meta_float(meta, "beta_target", path)
     cols = {name: data[:, i] for i, name in enumerate(_QS_COLUMNS)}
@@ -148,7 +149,6 @@ def load_quasi_steady(path) -> QuasiSteadyTrajectory:
 
 def save_dynamic(traj: DynamicTrajectory, path) -> None:
     meta = {
-        "kind": "dynamic",
         "h": _fmt(traj.h),
         "J": _fmt(traj.J),
         "input_cost": _fmt(traj.input_cost),
@@ -162,13 +162,11 @@ def save_dynamic(traj: DynamicTrajectory, path) -> None:
     for k in range(N + 1):
         u = traj.inputs[k] if k < N else np.zeros(2)
         rows.append([traj.t[k], *traj.states[k], *u])
-    _write(path, _DYN_COLUMNS, rows, meta)
+    _write(path, _DYN_COLUMNS, rows, "dynamic", meta)
 
 
 def load_dynamic(path) -> DynamicTrajectory:
-    meta, data = _read(path, _DYN_COLUMNS)
-    if meta.get("kind") != "dynamic":
-        raise ConfigError(f"{path}: not a dynamic trajectory file")
+    meta, data = _read(path, _DYN_COLUMNS, "dynamic")
     return DynamicTrajectory(
         t=data[:, 0].copy(),
         states=data[:, 1:1 + IX.n].copy(),
@@ -192,13 +190,11 @@ def save_gains(schedule: GainSchedule, path) -> None:
         rows.append([schedule.s_knots[i], *schedule.K[i].ravel(),
                      *schedule.ref_states[i], *schedule.ref_inputs[i],
                      schedule.kappa[i]])
-    _write(path, _GAIN_COLUMNS, rows, {"kind": "gains"})
+    _write(path, _GAIN_COLUMNS, rows, "gains")
 
 
 def load_gains(path) -> GainSchedule:
-    meta, data = _read(path, _GAIN_COLUMNS)
-    if meta.get("kind") != "gains":
-        raise ConfigError(f"{path}: not a gain-schedule file")
+    _, data = _read(path, _GAIN_COLUMNS, "gains")
     n = data.shape[0]
     return GainSchedule(
         s_knots=data[:, 0].copy(),
@@ -214,7 +210,6 @@ def load_gains(path) -> GainSchedule:
 
 def save_sim(result: SimResult, path) -> None:
     meta = {
-        "kind": "sim",
         "scenario": result.scenario,
         "status": result.status,
         "detail": result.detail or "-",
@@ -224,13 +219,11 @@ def save_sim(result: SimResult, path) -> None:
         "final_theta": _fmt(result.final_theta),
         "final_mu": _fmt(result.final_mu),
     }
-    _write(path, SIM_COLUMNS, result.series, meta)
+    _write(path, SIM_COLUMNS, result.series, "sim", meta)
 
 
 def load_sim(path) -> SimResult:
-    meta, data = _read(path, SIM_COLUMNS)
-    if meta.get("kind") != "sim":
-        raise ConfigError(f"{path}: not a simulation series file")
+    meta, data = _read(path, SIM_COLUMNS, "sim")
     return SimResult(
         scenario=meta.get("scenario", ""),
         status=meta.get("status", ""),
@@ -250,12 +243,10 @@ def save_poles(trace: PoleTrace, path) -> None:
         for lam in trace.poles[i]:
             row.extend([lam.real, lam.imag])
         rows.append(row)
-    _write(path, _POLE_COLUMNS, rows, {"kind": "poles"})
+    _write(path, _POLE_COLUMNS, rows, "poles")
 
 
 def load_poles(path) -> PoleTrace:
-    meta, data = _read(path, _POLE_COLUMNS)
-    if meta.get("kind") != "poles":
-        raise ConfigError(f"{path}: not a pole-trace file")
+    _, data = _read(path, _POLE_COLUMNS, "poles")
     poles = data[:, 1::2] + 1j * data[:, 2::2]
     return PoleTrace(s_knots=data[:, 0].copy(), poles=poles)

@@ -41,15 +41,26 @@ class Figure8Plan:
     """The figure-8 reference: circle 1, the transition, and circle 2 placed
     at the transition's terminal pose, on one arc-length coordinate.
 
-    The plan is itself the s-indexed reference (``s_span``/``sample``) its
-    gain ``schedule`` is designed along; ``schedule`` is None only while
-    :func:`plan_figure8` builds it.
+    The plan places circle 2 itself (from ``steady2``'s radius), so a planned
+    and a reloaded plan drive one circle.  It is the s-indexed reference
+    (``s_span``/``sample``) its gain ``schedule`` is designed along;
+    ``schedule`` is None only while :func:`plan_figure8` builds it.
     """
 
     steady1: QuasiSteadyTrajectory
     transition: DynamicTrajectory
     steady2: QuasiSteadyTrajectory
     schedule: GainSchedule | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        # circle 2's tangent continues the transition's terminal course
+        xN = self.transition.states[-1]
+        chi_N = xN[IX.psi] + math.atan2(xN[IX.Vy], xN[IX.Vx])
+        circle2 = CirclePath(self.steady2.radius,
+                             start=(float(xN[IX.X]), float(xN[IX.Y])),
+                             phi0=chi_N)
+        object.__setattr__(self, "steady2",
+                           replace(self.steady2, circle=circle2))
 
     @property
     def s_break1(self) -> float:
@@ -91,11 +102,8 @@ class Figure8Plan:
             (self.steady2.circle, float(self.steady2.s[-1])),
         ])
 
-    def initial_state(self, theta0: float | None = None) -> VehicleState:
-        state = self.steady1.sample(0.0)[0]
-        if theta0 is not None:
-            state = state.replace(theta_r=theta0)
-        return state
+    def initial_state(self, theta0: float) -> VehicleState:
+        return self.steady1.sample(0.0)[0].replace(theta_r=theta0)
 
     def scenario(self, plant: ParamSet, theta0: float) -> Scenario:
         """Closed-loop run of the whole course on ``plant``, starting from a
@@ -143,20 +151,12 @@ def plan_figure8(params: ParamSet, radius: float = 15.0,
                  (IX.dFz, eq_target.dFz), (IX.delta, eq_target.delta),
                  (IX.tau, eq_target.tau)):
         x_target[j] = v
-    transition = solve_transition(problem, guess=initial_guess(problem, x_target))
+    transition = solve_transition(problem, initial_guess(problem, x_target))
 
-    # place circle 2 from the transition's terminal pose: the course tangent
-    # continues and the center sits a signed radius to the left
-    xN = transition.states[-1]
-    beta_N = math.atan2(xN[IX.Vy], xN[IX.Vx])
-    chi_N = xN[IX.psi] + beta_N
-    circle2 = CirclePath(radius2, start=(float(xN[IX.X]), float(xN[IX.Y])),
-                         phi0=chi_N)
-
-    theta2 = float(xN[IX.theta])
+    theta2 = float(transition.states[-1, IX.theta])
     steady2 = quasi_steady_sweep(params, radius2, beta2, theta2, arc2,
                                  limits=limits)
 
-    plan = Figure8Plan(steady1, transition, replace(steady2, circle=circle2))
+    plan = Figure8Plan(steady1, transition, steady2)
     return replace(plan, schedule=build_schedule(params, plan,
                                                  weights=weights))

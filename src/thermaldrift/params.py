@@ -99,9 +99,6 @@ class ParamSet:
     tire: TireParams
     thermal: ThermalParams
 
-    def with_thermal(self, **kwargs) -> "ParamSet":
-        return replace(self, thermal=replace(self.thermal, **kwargs))
-
     def with_tire(self, **kwargs) -> "ParamSet":
         return replace(self, tire=replace(self.tire, **kwargs))
 

@@ -987,12 +987,10 @@ def _interior_point(tr: "_Transcription", z: np.ndarray,
                       converged=converged)
 
 
-def solve_transition(problem: TransitionProblem, guess=None) -> DynamicTrajectory:
-    """Solve the transition problem; see the module docstring for the method."""
+def solve_transition(problem: TransitionProblem, guess) -> DynamicTrajectory:
+    """Solve the transition problem from ``guess`` (see :func:`initial_guess`);
+    see the module docstring for the method."""
     tr = _Transcription(problem)
-    if guess is None:
-        raise ValueError("solve_transition requires an initial guess "
-                         "(use initial_guess with a target equilibrium)")
     X0, U0, h0 = guess
     z = tr.pack(np.asarray(X0, float), np.asarray(U0, float), float(h0))
     lb, ub = tr.bounds()

@@ -1,5 +1,6 @@
 import math
 import runpy
+import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -7,10 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermaldrift import csvio, figure8
+from thermaldrift import cli, csvio, figure8
 from thermaldrift.cli import main
+from thermaldrift.figure8 import Figure8Plan
 from thermaldrift.limits import default_limits
 from thermaldrift.params import default_params, save_params
+from thermaldrift.sim import run
 from thermaldrift.trajopt import _IPM_MAX_ITER
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -79,6 +82,20 @@ def test_simulate_without_plan_is_config_error(tmp_path, capsys):
     assert "trajectory.csv" in capsys.readouterr().err
 
 
+def test_missing_input_file_is_config_error(tmp_path, capsys):
+    """A plan file or parameter file that is not there is a configuration
+    error that names the file."""
+    out = tmp_path / "out"
+    assert main(["plan-steady", "--out", str(out), "--arc", "5"]) == 0
+    (out / "gains.csv").unlink()
+    assert main(["simulate", "--out", str(out)]) == 1
+    assert "gains.csv" in capsys.readouterr().err
+    rc = main(["simulate", "--out", str(out),
+               "--params", str(tmp_path / "absent.txt")])
+    assert rc == 1
+    assert "absent.txt" in capsys.readouterr().err
+
+
 def test_missing_param_key_is_config_error(tmp_path, capsys):
     pfile = tmp_path / "params.txt"
     save_params(default_params(), pfile)
@@ -129,6 +146,44 @@ def test_plan_figure8(tmp_path, arc):
     assert transition.n_outer < _IPM_MAX_ITER
 
 
+@pytest.mark.slow
+def test_simulate_figure8_plan(tmp_path, monkeypatch, capsys):
+    """simulate on a plan-figure8 directory tracks the plan it wrote: the
+    series is the in-memory plan's own run, circle 2 is placed where the
+    planner placed it, and the directory takes no steady-compare and no
+    second plan."""
+    planned = []
+
+    def capture(*args, _fn=cli.plan_figure8, **kwargs):
+        planned.append(_fn(*args, **kwargs))
+        return planned[-1]
+
+    monkeypatch.setattr(cli, "plan_figure8", capture)
+    out = tmp_path / "out"
+    assert main(["plan-figure8", "--out", str(out), "--arc", "20"]) == 0
+    assert main(["simulate", "--out", str(out)]) == 0
+    (plan,) = planned
+    expected = run(plan.scenario(default_params(), 30.0))
+    assert expected.status == "finished"
+    series = csvio.load_sim(out / "sim_figure8.csv").series
+    assert np.array_equal(series, expected.series)
+    reloaded = Figure8Plan(
+        csvio.load_quasi_steady(out / "trajectory_steady1.csv"),
+        csvio.load_dynamic(out / "trajectory_transition.csv"),
+        csvio.load_quasi_steady(out / "trajectory_steady2.csv"))
+    assert reloaded.steady2.circle == plan.steady2.circle
+    for name in ("poles_figure8.csv", "report.txt"):
+        assert (out / name).exists(), name
+    capsys.readouterr()
+
+    rc = main(["simulate", "--out", str(out), "--scenario", "steady-compare"])
+    assert rc == 1
+    assert "figure-8 plan" in capsys.readouterr().err
+    shutil.copy(out / "trajectory_steady1.csv", out / "trajectory.csv")
+    assert main(["simulate", "--out", str(out)]) == 1
+    assert "must hold one plan" in capsys.readouterr().err
+
+
 class _TransitionPosed(Exception):
     """Stops plan-figure8 once the transition problem is built."""
 
@@ -138,7 +193,7 @@ def test_plan_figure8_passes_planner_config(tmp_path, monkeypatch):
     --k-s overrides the file's k_s."""
     posed = []
 
-    def record(problem, guess=None):
+    def record(problem, guess):
         posed.append(problem)
         raise _TransitionPosed
 
@@ -165,8 +220,8 @@ def test_plan_figure8_passes_planner_config(tmp_path, monkeypatch):
      ["trajectory.csv", "gains.csv", "report.txt", "sim_matched.csv",
       "sim_mu0.73.csv", "sim_mu0.8.csv", "poles_matched.csv"]),
     ("run_figure8.py",
-     ["steady1.csv", "transition.csv", "steady2.csv", "gains.csv",
-      "sim_figure8.csv"]),
+     ["trajectory_steady1.csv", "trajectory_transition.csv",
+      "trajectory_steady2.csv", "gains.csv", "sim_figure8.csv"]),
 ], ids=["steady_comparison", "figure8"])
 def test_script_runs(tmp_path, monkeypatch, script, written):
     """Each script's main() runs end to end on a 20 m arc."""

@@ -119,7 +119,7 @@ def test_write_matches_repr_formatting(tmp_path, form):
         rows = np.array(rows, dtype=float)
     columns, meta = ("a", "b", "c", "d"), {"kind": "edge", "n": 4}
     path = tmp_path / "edge.csv"
-    csvio._write(path, columns, rows, meta)
+    csvio._write(path, columns, rows, "edge", {"n": 4})
     assert path.read_bytes() == repr_formatted(columns, rows, meta).encode()
 
 
@@ -155,7 +155,8 @@ def test_wrong_header_rejected(tmp_path):
 def test_wrong_kind_rejected(tmp_path, small_sweep):
     path = tmp_path / "qs.csv"
     csvio.save_quasi_steady(small_sweep, path)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError,
+                       match="kind 'quasi_steady', expected 'gains'"):
         csvio.load_gains(path)
 
 

@@ -243,7 +243,8 @@ def test_pole_trace_rejects_wrong_stack(steady_schedules, params, eq_nominal):
 @pytest.mark.slow
 def test_figure8_closed_loop_tracks(params):
     """The README's figure-8 plan, tracked on the thermal plant as
-    ``scripts/run_figure8.py`` does, reaches the end of the course."""
+    ``thermaldrift simulate`` tracks a plan-figure8 directory (and so
+    ``scripts/run_figure8.py``), reaches the end of the course."""
     plan = plan_figure8(params, theta0=THETA0, weights=LqrWeights.tracking())
     res = run(plan.scenario(params, THETA0))
     assert res.status == "finished", res.detail
