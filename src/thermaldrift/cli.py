@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio
+from ._fork import fork_map
 from .control import (
     LqrWeights,
     build_schedule,
@@ -201,10 +202,13 @@ def cmd_simulate(args) -> int:
                 s_final=arc, limits=planner.limits))
 
     results = compare(scenarios)
-    for name, res in results.items():
-        if isinstance(res, Exception):
-            continue
-        csvio.save_sim(res, out / f"sim_{name}.csv")
+
+    def save(name):
+        csvio.save_sim(results[name], out / f"sim_{name}.csv")
+
+    # the series reach the writers by fork, so they are not pickled again
+    fork_map(save, [name for name, res in results.items()
+                    if not isinstance(res, Exception)])
     # all schedules are judged against the operating points the plant
     # actually visits on the planned (thermal) trajectory; schedules on the
     # same knots share one linearization of the plant there

@@ -91,6 +91,8 @@ def _read(path, columns, kind):
                 raise ConfigError(f"{path}:{lineno}: bad number: {exc}") from exc
     if header is None:
         raise ConfigError(f"{path}: missing header row")
+    if not rows:
+        raise ConfigError(f"{path}: no data rows after the header")
     return meta, np.array(rows, dtype=float)
 
 

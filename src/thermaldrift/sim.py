@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fork import fork_map
 from .control import (
     GainSchedule,
     linearize,  # noqa: F401  kept: perfbench/layers.py wraps sim.linearize
@@ -250,16 +251,25 @@ def _match(prev: np.ndarray, eig: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def compare(scenarios: list[Scenario]) -> dict:
-    """Run every scenario; failures are reported inline, not raised."""
+    """Run every scenario; failures are reported inline, not raised.
+
+    Returns scenario name -> :class:`SimResult`, in the order given.  A
+    scenario whose :func:`run` raised maps to a :class:`SimulationError`
+    naming it instead.  The scenarios share no state, so they run in forked
+    workers, one per core (:func:`~thermaldrift._fork.fork_map`); each
+    result is bit-identical to calling :func:`run` on the scenario here.
+    """
     if not scenarios:
         raise SimulationError("compare needs at least one scenario")
-    results = {}
-    for sc in scenarios:
-        try:
-            results[sc.name] = run(sc)
-        except Exception as exc:  # noqa: BLE001 - report, keep going
-            results[sc.name] = SimulationError(f"{sc.name}: {exc}")
-    return results
+    return {sc.name: res
+            for sc, res in zip(scenarios, fork_map(_run_reported, scenarios))}
+
+
+def _run_reported(sc: Scenario):
+    try:
+        return run(sc)
+    except Exception as exc:  # noqa: BLE001 - report, keep going
+        return SimulationError(f"{sc.name}: {exc}")
 
 
 def comparison_table(results: dict) -> str:

@@ -1,4 +1,5 @@
 import math
+import os
 import runpy
 import shutil
 import sys
@@ -118,6 +119,41 @@ def test_corrupt_trajectory_is_config_error(tmp_path, capsys):
     rc = main(["simulate", "--out", str(out)])
     assert rc == 1
     assert "trajectory.csv" in capsys.readouterr().err
+
+
+def test_gains_without_rows_is_config_error(tmp_path, capsys):
+    """A gains.csv cut after its header (head -2) is a configuration error,
+    not a traceback."""
+    out = tmp_path / "out"
+    assert main(["plan-steady", "--out", str(out), "--arc", "5"]) == 0
+    gains = out / "gains.csv"
+    gains.write_text("".join(gains.read_text().splitlines(True)[:2]))
+    assert main(["simulate", "--out", str(out)]) == 1
+    assert "gains.csv: no data rows" in capsys.readouterr().err
+
+
+def test_steady_compare_csvs_match_in_process_runs(tmp_path, monkeypatch):
+    """With its runs and CSV writes in forked workers, simulate --scenario
+    steady-compare writes each sim_*.csv byte for byte as save_sim(run(sc))
+    does in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    scenarios = []
+
+    def capture(scs, _fn=cli.compare):
+        scenarios.extend(scs)
+        return _fn(scs)
+
+    monkeypatch.setattr(cli, "compare", capture)
+    out = tmp_path / "out"
+    assert main(["plan-steady", "--out", str(out), "--arc", "20"]) == 0
+    assert main(["simulate", "--out", str(out),
+                 "--scenario", "steady-compare"]) == 0
+    assert [sc.name for sc in scenarios] == ["matched", "mu0.73", "mu0.8"]
+    for sc in scenarios:
+        want = tmp_path / f"want_{sc.name}.csv"
+        csvio.save_sim(run(sc), want)
+        assert (out / f"sim_{sc.name}.csv").read_bytes() == \
+            want.read_bytes(), sc.name
 
 
 def test_infeasible_plan_is_planner_failure(tmp_path, capsys):

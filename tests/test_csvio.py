@@ -6,6 +6,7 @@ import pytest
 from thermaldrift import csvio
 from thermaldrift.equilibrium import quasi_steady_sweep
 from thermaldrift.errors import ConfigError
+from thermaldrift.sim import SIM_COLUMNS
 from thermaldrift.trajopt import DynamicTrajectory
 
 from conftest import BETA, RADIUS, THETA0
@@ -150,6 +151,21 @@ def test_wrong_header_rejected(tmp_path):
     path.write_text("# kind quasi_steady\na,b,c\n1,2,3\n")
     with pytest.raises(ConfigError, match="header"):
         csvio.load_quasi_steady(path)
+
+
+@pytest.mark.parametrize("loader, columns, kind", [
+    (csvio.load_quasi_steady, csvio._QS_COLUMNS, "quasi_steady"),
+    (csvio.load_dynamic, csvio._DYN_COLUMNS, "dynamic"),
+    (csvio.load_gains, csvio._GAIN_COLUMNS, "gains"),
+    (csvio.load_sim, SIM_COLUMNS, "sim"),
+    (csvio.load_poles, csvio._POLE_COLUMNS, "poles"),
+], ids=["quasi_steady", "dynamic", "gains", "sim", "poles"])
+def test_header_without_rows_rejected(tmp_path, loader, columns, kind):
+    """A file cut after its header row is a ConfigError naming the file."""
+    path = tmp_path / "cut.csv"
+    path.write_text(f"# kind {kind}\n" + ",".join(columns) + "\n")
+    with pytest.raises(ConfigError, match="cut.csv: no data rows"):
+        loader(path)
 
 
 def test_wrong_kind_rejected(tmp_path, small_sweep):

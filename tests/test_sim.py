@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from thermaldrift.control import (
     operating_points,
 )
 from thermaldrift import sim
-from thermaldrift.errors import ModelDomainError
+from thermaldrift.errors import ModelDomainError, SimulationError
 from thermaldrift.figure8 import plan_figure8
 from thermaldrift.integrate import rk4, rk4_floats
 from thermaldrift.model import ControlInput, VehicleState, heat_generation, tire_forces
@@ -179,6 +180,37 @@ def test_compare_reports_failures_inline(params, steady_plans,
     assert "short" in table and "finished" in table
     with pytest.raises(Exception):
         compare([])
+
+
+class _UnprojectablePath:
+    def project(self, X, Y, s_hint):
+        raise RuntimeError("no projection")
+
+
+def test_compare_forked_matches_run(params, steady_plans, steady_schedules,
+                                    monkeypatch):
+    """Three scenarios in forked workers, one of them failing: its slot
+    holds a SimulationError naming it, and the other two are bit-equal to
+    run() in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    mu = steady_plans["mu0.73"]
+    good = [
+        short_scenario(params, steady_plans, steady_schedules, s_final=20.0),
+        short_scenario(params, steady_plans, steady_schedules, name="mu",
+                       schedule=steady_schedules["mu0.73"],
+                       initial_state=mu.sample(0.0)[0].replace(theta_r=THETA0),
+                       s_final=20.0),
+    ]
+    broken = short_scenario(params, steady_plans, steady_schedules,
+                            name="broken", path=_UnprojectablePath())
+    results = compare([good[0], broken, good[1]])
+    assert list(results) == ["short", "broken", "mu"]
+    assert isinstance(results["broken"], SimulationError)
+    assert str(results["broken"]) == "broken: no projection"
+    for sc in good:
+        want, got = run(sc), results[sc.name]
+        assert got.series.tobytes() == want.series.tobytes()
+        assert replace(got, series=None) == replace(want, series=None)
 
 
 def _plant_lin(params, plan, schedule):
