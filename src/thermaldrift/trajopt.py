@@ -16,9 +16,11 @@ negative).  Steps are accepted by a filter line search.  Each Newton step is
 one banded LU factorization (LAPACK ``dgbtrf``) of the KKT system ordered
 stage by stage; the free step duration, the only variable coupling all
 stages, is a border that costs one extra back-substitution.  A
-single-shooting Gauss-Newton polish then drives the terminal residual to
-machine level.  The returned states are an exact re-integration of the
-returned inputs, so the dynamics defects are zero by construction.
+Gauss-Newton polish then drives the terminal residual to machine level: it
+re-integrates the inputs with the scalar RK4 step and takes least-norm input
+corrections from the same Jacobian and banded factorization.  The returned
+states are that exact re-integration of the returned inputs, so the
+dynamics defects are zero by construction.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .errors import ConvergenceError, InfeasibleError
+from .errors import ConfigError, ConvergenceError, InfeasibleError
 from .integrate import rk4
 from .limits import ActuatorLimits, default_limits
 from .model import (
@@ -40,7 +42,7 @@ from .model import (
     scalar_rates,
     vehicle_derivatives,  # noqa: F401  kept: perfbench/layers.py wraps trajopt.vehicle_derivatives
 )
-from .params import ParamSet
+from .params import ParamSet, parse_keyvalue
 
 __all__ = [
     "IX",
@@ -185,6 +187,17 @@ def _rk4_batch(params, x, u, h):
 # torques in kN m, torque-slew weight in (kN m/s)^-2)
 # ---------------------------------------------------------------------------
 
+def _check_settings(k_ddelta, k_dtau, k_s, n_steps, h_min, h_max):
+    """The checks :class:`PlannerConfig` and :class:`TransitionProblem`
+    share; raises ValueError."""
+    if n_steps < 2:
+        raise ValueError("the step count must be at least 2")
+    if not (h_min > 0.0 and h_min < h_max):
+        raise ValueError("step-duration bounds out of order")
+    if min(k_ddelta, k_dtau, k_s) < 0.0:
+        raise ValueError("cost weights must be non-negative")
+
+
 @dataclass(frozen=True)
 class PlannerConfig:
     k_ddelta: float = 1e4   # (rad/s)^-2
@@ -194,6 +207,10 @@ class PlannerConfig:
     h_min: float = 0.01     # s
     h_max: float = 0.1      # s
     limits: ActuatorLimits = field(default_factory=default_limits)
+
+    def __post_init__(self):
+        _check_settings(self.k_ddelta, self.k_dtau, self.k_s, self.n_steps,
+                        self.h_min, self.h_max)
 
 
 # file key -> (attribute, scale to SI)
@@ -216,10 +233,8 @@ _PLANNER_KEYS = {
 
 
 def load_planner_config(path) -> PlannerConfig:
-    """Load planner settings; keys absent from the file keep their defaults."""
-    from .errors import ConfigError
-    from .params import parse_keyvalue
-
+    """Load planner settings; keys absent from the file keep their defaults.
+    Values out of order or range raise ConfigError naming the file."""
     values = parse_keyvalue(path)
     unknown = sorted(set(values) - set(_PLANNER_KEYS))
     if unknown:
@@ -238,8 +253,11 @@ def load_planner_config(path) -> PlannerConfig:
             lim_kwargs[attr] = value
         else:
             scalars[attr] = value
-    limits = replace(default_limits(), **lim_kwargs)
-    return PlannerConfig(limits=limits, **scalars)
+    try:
+        return PlannerConfig(limits=replace(default_limits(), **lim_kwargs),
+                             **scalars)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +280,8 @@ class TransitionProblem:
     y_center_target: float | None = None  # figure-8: lateral center alignment
 
     def __post_init__(self):
-        if self.N < 2:
-            raise ValueError("N must be at least 2")
-        if not (self.h_min > 0.0 and self.h_min < self.h_max):
-            raise ValueError("step-duration bounds out of order")
-        for w in (self.k_ddelta, self.k_dtau, self.k_s):
-            if w < 0.0:
-                raise ValueError("cost weights must be non-negative")
+        _check_settings(self.k_ddelta, self.k_dtau, self.k_s, self.N,
+                        self.h_min, self.h_max)
         object.__setattr__(self, "x_initial",
                            np.asarray(self.x_initial, dtype=float).copy())
         if self.x_initial.shape != (IX.n,):
@@ -423,12 +436,16 @@ class _Transcription:
         return lb, ub
 
     # -- cost -------------------------------------------------------------
-    def cost(self, z):
-        X, U, h = self.unpack(z)
+    def cost_terms(self, X, U):
+        """(input cost, transition-distance cost) of states X and inputs U."""
         input_cost = float(self.p.k_ddelta * (U[:, 0] ** 2).sum()
                            + self.p.k_dtau * (U[:, 1] ** 2).sum())
         dist = X[-1, IX.s] - self.p.x_initial[IX.s]
-        distance_cost = float(self.p.k_s * dist ** 2)
+        return input_cost, float(self.p.k_s * dist ** 2)
+
+    def cost(self, z):
+        X, U, h = self.unpack(z)
+        input_cost, distance_cost = self.cost_terms(X, U)
         return input_cost + distance_cost
 
     def cost_grad(self, z):
@@ -1008,24 +1025,15 @@ def solve_transition(problem: TransitionProblem, guess) -> DynamicTrajectory:
             f"transition solve stalled with constraint violation {viol:.2e} "
             f"after {res.iterations} interior-point iterations")
 
-    X, U, h = tr.unpack(z)
-    X, U, h = _polish(problem, X, U, h)
-
-    # exact rollout through the strict scalar integrator
-    states = np.empty((problem.N + 1, IX.n))
-    states[0] = problem.x_initial
-    for k in range(problem.N):
-        states[k + 1] = rk4_step(problem.params, states[k], U[k], h)
+    _, U, h = tr.unpack(z)
+    states, U, h = _polish(tr, U, h)
     term = _terminal_residual(problem, states[-1])
     defect = np.max(np.abs((states[1:] -
                             _rk4_batch(problem.params, states[:-1], U, h))
                            / _X_SCALE))
     _check_limits(problem, states, U)
 
-    input_cost = float(problem.k_ddelta * (U[:, 0] ** 2).sum()
-                       + problem.k_dtau * (U[:, 1] ** 2).sum())
-    dist = states[-1, IX.s] - states[0, IX.s]
-    distance_cost = float(problem.k_s * dist ** 2)
+    input_cost, distance_cost = tr.cost_terms(states, U)
     if float(np.max(np.abs(term))) > 1e-6:
         raise ConvergenceError(
             f"terminal conditions not met: residual {np.max(np.abs(term)):.2e}")
@@ -1055,52 +1063,31 @@ def _check_limits(problem, states, U):
                 f"([{np.min(vals):.4g}, {np.max(vals):.4g}] vs [{lo:.4g}, {hi:.4g}])")
 
 
-def _polish(problem, X, U, h):
-    """Single-shooting Gauss-Newton: drive the terminal residual to machine
-    level with a least-norm correction of the inputs and step duration."""
-    N = problem.N
-    p_scale = np.concatenate([np.tile(_U_SCALE, N), [_H_SCALE]])
+def _polish(tr: _Transcription, U, h):
+    """Gauss-Newton on the terminal conditions of the exact rollout.
 
-    def rollout_batch(P):
-        # P: (m, 2N+1) scaled parameter rows -> terminal states (m, 12)
-        m = P.shape[0]
-        Ub = (P[:, :2 * N].reshape(m, N, 2)) * _U_SCALE
-        hb = P[:, -1] * _H_SCALE
-        x = np.repeat(problem.x_initial[None, :], m, axis=0)
-        for k in range(N):
-            x = _rk4_batch(problem.params, x, Ub[:, k], hb)
-        return x
-
-    p = np.concatenate([(U / _U_SCALE).ravel(), [h / _H_SCALE]])
-    free = np.ones(p.size, dtype=bool)
-    free[2 * (N - 1):2 * N] = False  # u_N stays pinned at zero
-    for _ in range(_POLISH_MAX_ITER):
-        xN = rollout_batch(p[None, :])[0]
-        g = _terminal_residual(problem, xN)
-        if np.max(np.abs(g)) < 1e-11:
-            break
-        idx = np.flatnonzero(free)
-        eps = 1e-6
-        P = np.repeat(p[None, :], 2 * idx.size + 1, axis=0)
-        for c, j in enumerate(idx):
-            P[1 + 2 * c, j] += eps
-            P[2 + 2 * c, j] -= eps
-        xNs = rollout_batch(P)
-        Jg = np.empty((g.size, idx.size))
-        for c in range(idx.size):
-            gp = _terminal_residual(problem, xNs[1 + 2 * c])
-            gm = _terminal_residual(problem, xNs[2 + 2 * c])
-            Jg[:, c] = (gp - gm) / (2.0 * eps)
-        step, *_ = np.linalg.lstsq(Jg, -g, rcond=None)
-        p[idx] += step
-        # keep the polished point inside the box
-        Pl = np.concatenate([np.tile([problem.limits.ddelta_min,
-                                      problem.limits.dtau_min], N),
-                             [problem.h_min]]) / p_scale
-        Pu = np.concatenate([np.tile([problem.limits.ddelta_max,
-                                      problem.limits.dtau_max], N),
-                             [problem.h_max]]) / p_scale
-        p = np.clip(p, Pl, Pu)
-    U_out = (p[:2 * N].reshape(N, 2)) * _U_SCALE
-    h_out = float(p[-1]) * _H_SCALE
-    return X, U_out, h_out
+    Each iteration re-integrates (U, h) from the initial state with
+    :func:`rk4_step` and, while the terminal residual is above machine
+    level, takes the least-norm correction of the scaled inputs and step
+    duration that zeroes the linearized constraints there: the Newton
+    equations of the transcription with unit weight on u and h and none on
+    the states, clipped to the box.  Returns the last rollout's states with
+    its inputs and step duration.
+    """
+    p = tr.p
+    lb, ub = tr.bounds()
+    kkt = _BandedKKT(tr)
+    w = np.zeros(tr.nz)
+    w[tr.nx:] = 1.0
+    for it in range(_POLISH_MAX_ITER + 1):
+        X = np.empty((tr.N + 1, IX.n))
+        X[0] = p.x_initial
+        for k in range(tr.N):
+            X[k + 1] = rk4_step(p.params, X[k], U[k], h)
+        z = tr.pack(X, U, h)
+        c = tr.constraints(z)
+        if it == _POLISH_MAX_ITER or np.max(np.abs(c[-tr.ng:])) < 1e-11:
+            return X, U, h
+        kkt.factor(tr.jacobian(z), w)
+        _, U, h = tr.unpack(np.clip(z + kkt.solve(np.zeros(tr.nz), -c)[0],
+                                    lb, ub))

@@ -132,6 +132,23 @@ def test_gains_without_rows_is_config_error(tmp_path, capsys):
     assert "gains.csv: no data rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, settings", [
+    ("plan-figure8", "h_min 0.2\nh_max 0.1\n"),
+    ("plan-steady", "delta_min 50\n"),
+], ids=["h_bounds", "delta_bounds"])
+def test_planner_values_out_of_order_are_config_error(tmp_path, capsys,
+                                                      command, settings):
+    """A planner file whose bounds are out of order is a configuration
+    error that names the file, not a planner failure."""
+    cfg = tmp_path / "planner.txt"
+    cfg.write_text(settings)
+    rc = main([command, "--out", str(tmp_path / "out"), "--arc", "5",
+               "--planner-config", str(cfg)])
+    assert rc == 1
+    assert "planner.txt: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_steady_compare_csvs_match_in_process_runs(tmp_path, monkeypatch):
     """With its runs and CSV writes in forked workers, simulate --scenario
     steady-compare writes each sim_*.csv byte for byte as save_sim(run(sc))

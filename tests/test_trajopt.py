@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -243,9 +244,10 @@ def test_larger_ks_does_not_lengthen(params, transition):
 
 @pytest.fixture(scope="module")
 def iterates(params):
-    """The criterion-6 transcription at its initial guess and at an iterate
-    five steps into the optimality phase: (transcription, {name: (z, lam,
-    Newton diagonal)})."""
+    """The criterion-6 transcription at its initial guess and at iterates
+    five and twenty steps into the optimality phase: (transcription,
+    {name: (z, lam, Newton diagonal)}); the twenty-step point, which only
+    the polish test uses, has no diagonal."""
     problem, x_target = make_transition_problem(params)
     tr = trajopt._Transcription(problem)
     lb, ub = tr.bounds()
@@ -254,7 +256,9 @@ def iterates(params):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trajopt, "_IPM_MAX_ITER", 5)
         mid = trajopt._interior_point(tr, feasible.z)
-    assert not mid.converged
+        mp.setattr(trajopt, "_IPM_MAX_ITER", 20)
+        capped = trajopt._interior_point(tr, feasible.z)
+    assert not mid.converged and not capped.converged
     free = lb < ub
     il = np.flatnonzero(free & np.isfinite(lb))
     iu = np.flatnonzero(free & np.isfinite(ub))
@@ -264,7 +268,8 @@ def iterates(params):
     w0 = 1e-3 * tr.cost_hess() + np.where(np.isfinite(lb) | np.isfinite(ub),
                                           1.0, 0.0)
     return tr, {"guess": (z0, np.zeros(tr.nc), w0),
-                "mid-solve": (mid.z, mid.lam, w)}
+                "mid-solve": (mid.z, mid.lam, w),
+                "capped": (capped.z, capped.lam, None)}
 
 
 def _sparse_kkt(tr, z, w, hess):
@@ -340,3 +345,78 @@ def test_lagrangian_hessian_matches_second_differences(iterates):
         fd = (lam @ tr.constraints(z + t * v) - 2.0 * lam @ tr.constraints(z)
               + lam @ tr.constraints(z - t * v)) / t ** 2
         assert quad == pytest.approx(fd, rel=1e-2)
+
+
+# ---------------------------------------------------------------------------
+# terminal polish
+# ---------------------------------------------------------------------------
+
+def _shooting_step(problem, U, h):
+    """One single-shooting Gauss-Newton step on the terminal conditions: a
+    central difference of the whole batched rollout in every free scaled
+    input and in h, then the least-norm step clipped to the box.  The
+    polish took this step before it went through the transcription."""
+    N = problem.N
+    lim = problem.limits
+    p_scale = np.append(np.tile(trajopt._U_SCALE, N), trajopt._H_SCALE)
+    p = np.append(U.ravel(), h) / p_scale
+
+    def terminal_states(P):
+        x = np.repeat(problem.x_initial[None, :], P.shape[0], axis=0)
+        Ub = P[:, :-1].reshape(-1, N, 2) * trajopt._U_SCALE
+        for k in range(N):
+            x = trajopt._rk4_batch(problem.params, x, Ub[:, k],
+                                   P[:, -1] * trajopt._H_SCALE)
+        return x
+
+    def residual(xN):
+        return trajopt._terminal_residual(problem, xN)
+
+    idx = np.delete(np.arange(p.size), [2 * N - 2, 2 * N - 1])  # u_N pinned
+    eps = 1e-6
+    P = np.repeat(p[None, :], 2 * idx.size + 1, axis=0)
+    P[1 + 2 * np.arange(idx.size), idx] += eps
+    P[2 + 2 * np.arange(idx.size), idx] -= eps
+    xN = terminal_states(P)
+    Jg = np.column_stack([(residual(xN[1 + 2 * c]) - residual(xN[2 + 2 * c]))
+                          / (2.0 * eps) for c in range(idx.size)])
+    p[idx] += np.linalg.lstsq(Jg, -residual(xN[0]), rcond=None)[0]
+    lo = np.append(np.tile([lim.ddelta_min, lim.dtau_min], N), problem.h_min)
+    hi = np.append(np.tile([lim.ddelta_max, lim.dtau_max], N), problem.h_max)
+    p = np.clip(p, lo / p_scale, hi / p_scale)
+    return p[:-1].reshape(N, 2) * trajopt._U_SCALE, p[-1] * trajopt._H_SCALE
+
+
+def test_polish_step_matches_single_shooting(iterates, monkeypatch):
+    """At a solve capped at 20 iterations, one polish step through the
+    transcription's Jacobian and banded KKT equals the single-shooting
+    central-difference Gauss-Newton step in scaled (u, h)."""
+    tr, points = iterates
+    _, U, h = tr.unpack(points["capped"][0])
+    monkeypatch.setattr(trajopt, "_POLISH_MAX_ITER", 1)
+    _, U1, h1 = trajopt._polish(tr, U, h)
+    U_ref, h_ref = _shooting_step(tr.p, U, h)
+
+    def scaled_step(Un, hn):
+        return np.append(((Un - U) / trajopt._U_SCALE).ravel(),
+                         (hn - h) / trajopt._H_SCALE)
+
+    got, ref = scaled_step(U1, h1), scaled_step(U_ref, h_ref)
+    assert np.linalg.norm(ref) > 0.0
+    assert np.linalg.norm(got - ref) <= 1e-5 * np.linalg.norm(ref)
+
+
+def test_capped_solve_is_polished(params, monkeypatch, caplog):
+    """Stopped by a 20-iteration cap, the solve warns and still returns a
+    plan on its terminal conditions whose states are the exact scalar RK4
+    replay of its inputs."""
+    monkeypatch.setattr(trajopt, "_IPM_MAX_ITER", 20)
+    problem, x_target = make_transition_problem(params)
+    with caplog.at_level(logging.WARNING, logger="thermaldrift.trajopt"):
+        traj = solve_transition(problem, initial_guess(problem, x_target))
+    assert "20-iteration cap" in caplog.text
+    assert traj.terminal_residual < 1e-10
+    replay = [problem.x_initial]
+    for k in range(problem.N):
+        replay.append(rk4_step(params, replay[-1], traj.inputs[k], traj.h))
+    assert np.array_equal(np.array(replay), traj.states)
