@@ -20,11 +20,9 @@ from .figure8 import Figure8Plan, plan_figure8
 from .limits import ActuatorLimits, default_limits
 from .model import (
     ControlInput,
-    TireForces,
     VehicleState,
     friction_coefficient,
     thermal_derivative,
-    tire_forces,
     vehicle_derivatives,
 )
 from .params import (
@@ -52,12 +50,11 @@ __all__ = [
     "ActuatorLimits", "ControlInput", "DriftEquilibrium", "DynamicTrajectory",
     "Figure8Plan", "GainSchedule", "LqrWeights", "ParamSet", "PlannerConfig",
     "PoleTrace", "QuasiSteadyTrajectory", "Scenario", "SimResult",
-    "ThermalDriftError", "ThermalParams", "TireForces", "TireParams",
+    "ThermalDriftError", "ThermalParams", "TireParams",
     "TransitionProblem", "VehicleParams", "VehicleState", "build_schedule",
     "compare", "default_limits", "default_params", "find_equilibrium",
     "friction_coefficient", "initial_guess", "linearize", "load_params",
     "load_planner_config", "lookup", "lqr_gain", "plan_figure8", "pole_trace",
     "quasi_steady_sweep", "run", "save_params", "solve_transition",
-    "thermal_derivative", "thermal_fixed_point", "tire_forces",
-    "vehicle_derivatives",
+    "thermal_derivative", "thermal_fixed_point", "vehicle_derivatives",
 ]

@@ -125,7 +125,10 @@ def cmd_plan_figure8(args) -> int:
     params, planner = _load_inputs(args)
     beta = math.radians(args.beta)
     if args.k_s is not None:
-        planner = replace(planner, k_s=args.k_s)
+        try:
+            planner = replace(planner, k_s=args.k_s)
+        except ValueError as exc:
+            raise ConfigError(f"--k-s {args.k_s:g}: {exc}") from None
     plan = plan_figure8(params, radius=args.radius, beta=beta,
                         theta0=args.theta0, arc1=args.arc, arc2=args.arc,
                         planner=planner, weights=LqrWeights.tracking())

@@ -26,10 +26,7 @@ from .model import (
     ControlInput,
     VehicleState,
     friction_coefficient,
-    heat_generation,
     scalar_rates,
-    thermal_derivative,
-    tire_forces,
     vehicle_derivatives,  # noqa: F401  kept: perfbench/layers.py wraps equilibrium.vehicle_derivatives
 )
 from .params import ParamSet
@@ -94,6 +91,28 @@ def dynamic_residual(params: ParamSet, state: VehicleState,
     dV = (Vx * dVx + Vy * dVy) / V
     dbeta = (Vx * dVy - Vy * dVx) / (V * V)
     return np.array([dr, dV, dbeta, domega, ddFz])
+
+
+def _heat_rates(params: ParamSet, eq: DriftEquilibrium) -> tuple[float, float]:
+    """Tread heating power Q and temperature rate at an equilibrium."""
+    st = eq.state()
+    rates = scalar_rates(params, st.Vx, st.Vy, st.r, st.psi, st.omega,
+                         st.dFz, st.theta_r, eq.delta, 0.0, eq.tau)
+    return rates[8], rates[5]
+
+
+def _rear_saturated(params: ParamSet, state: VehicleState,
+                    mu_r: float) -> bool:
+    """Whether the rear combined-slip demand is past full sliding,
+    f > 3*mu_r*F_zr, at a state the kernel accepts."""
+    vp, tp = params.vehicle, params.tire
+    Vx, Vy = state.Vx, state.Vy
+    alpha_r = math.atan((Vy - vp.b * state.r) / Vx)
+    kappa_r = math.atan((vp.Re * state.omega - Vx) / Vx)
+    f = math.hypot(tp.Cx * kappa_r / (kappa_r + 1.0),
+                   tp.Cy * math.tan(alpha_r) / (kappa_r + 1.0))
+    F_zr = vp.a * vp.m * vp.g / vp.L + state.dFz
+    return f > 3.0 * mu_r * F_zr
 
 
 def _default_guess(radius: float, params: ParamSet) -> np.ndarray:
@@ -190,8 +209,10 @@ def find_equilibrium(params: ParamSet, radius: float, beta_target: float,
             max(r * radius, VELOCITY_FLOOR), beta_target,
             r=r, omega=omega, dFz=dFz, theta_r=theta_r)
         try:
-            forces = tire_forces(params, state, ControlInput(delta=delta, tau=tau))
-            saturated = forces.f > 3.0 * forces.mu_r * forces.F_zr
+            # only the kernel's domain checks: a point outside them stalled
+            scalar_rates(params, state.Vx, state.Vy, r, 0.0, omega, dFz,
+                         theta_r, delta, 0.0, tau)
+            saturated = _rear_saturated(params, state, mu_r)
         except ModelDomainError:
             saturated = False
         if saturated:
@@ -225,17 +246,11 @@ def thermal_fixed_point(params: ParamSet, radius: float,
     temperature and 119 degC; the returned equilibrium has all dynamic-state
     derivatives and the temperature derivative at zero.
     """
-    thp = params.thermal
-
     def theta_rate(theta: float) -> float:
         eq = find_equilibrium(params, radius, beta_target, theta)
-        state = eq.state()
-        forces = tire_forces(params, state, eq.input())
-        Q = heat_generation(thp, state.Vx, forces.alpha_r, forces.kappa_r,
-                            forces.F_xr, forces.F_yr, forces.F_zr)
-        return thermal_derivative(thp, theta, Q)
+        return _heat_rates(params, eq)[1]
 
-    a, b = thp.theta_out, _FIXED_POINT_HI
+    a, b = params.thermal.theta_out, _FIXED_POINT_HI
     fa, fb = theta_rate(a), theta_rate(b)
     if fa * fb > 0.0:
         raise ConvergenceError(
@@ -326,10 +341,7 @@ def quasi_steady_sweep(params: ParamSet, radius: float, beta_target: float,
                                   guess=z_guess, limits=limits)
         except (ConvergenceError, InfeasibleError, BoundsError) as exc:
             raise type(exc)(f"sweep node {k} (s={s[k]:.2f} m): {exc}") from exc
-        state = eq.state()
-        forces = tire_forces(params, state, eq.input())
-        Q_k = heat_generation(thp, state.Vx, forces.alpha_r, forces.kappa_r,
-                              forces.F_xr, forces.F_yr, forces.F_zr)
+        Q_k, dtheta = _heat_rates(params, eq)
         theta[k] = theta_k
         Q[k] = Q_k
         equilibria.append(eq)
@@ -337,7 +349,7 @@ def quasi_steady_sweep(params: ParamSet, radius: float, beta_target: float,
             dt = ds / eq.V  # ds/dt on the path with e = 0
             t[k + 1] = t[k] + dt
             if thermal:
-                theta_k = theta_k + dt * thermal_derivative(thp, theta_k, Q_k)
+                theta_k = theta_k + dt * dtheta
         z_guess = eq.unknowns()
 
     return QuasiSteadyTrajectory(

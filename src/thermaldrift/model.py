@@ -6,14 +6,14 @@ whose friction coefficient is an affine function of the tread temperature,
 and a lumped-parameter tread energy balance.  All functions here are pure;
 state and parameters are immutable values.
 
-:func:`scalar_rates` is the single-point path: one float-only function for
-the body and pose rates that the simulator, the equilibrium Newton solve,
-the linearization and the transition's scalar re-integration call.
-:func:`vehicle_derivatives` is its adapter for :class:`VehicleState` values;
-it adds the path rates and returns :class:`StateRates`.  The per-quantity
-helpers (:func:`vertical_loads`, :func:`fiala_lateral_force`, ...) and
-:func:`tire_forces` compute the same quantities one at a time; they serve
-the heat report of the equilibrium sweep and are the tests' oracle.
+:func:`scalar_rates` is the one implementation of the tire physics: a
+float-only function for the body and pose rates and the tread heating power
+that the simulator, the equilibrium solve and sweep, the linearization and
+the transition's scalar re-integration call.  :func:`vehicle_derivatives`
+is its adapter for :class:`VehicleState` values; it adds the path rates and
+returns :class:`StateRates`.  :func:`friction_coefficient` and
+:func:`thermal_derivative` state the friction map and the energy balance on
+their own.
 
 Sign conventions: x forward, y left, yaw positive counter-clockwise.  A
 positive slip quantity produces a tire force through the brush law such that
@@ -32,25 +32,15 @@ from .errors import (
     PathSingularityError,
     VelocityFloorError,
 )
-from .params import ParamSet, ThermalParams, TireParams, VehicleParams
+from .params import ParamSet, ThermalParams
 
 __all__ = [
     "VELOCITY_FLOOR",
     "VehicleState",
     "ControlInput",
-    "TireForces",
     "StateRates",
-    "vertical_loads",
-    "weight_transfer_derivative",
-    "front_slip_angle",
-    "front_cornering_stiffness",
-    "fiala_lateral_force",
-    "rear_slip_quantities",
-    "rear_combined_forces",
     "friction_coefficient",
-    "heat_generation",
     "thermal_derivative",
-    "tire_forces",
     "scalar_rates",
     "vehicle_derivatives",
 ]
@@ -109,22 +99,6 @@ class ControlInput:
 
 
 @dataclass(frozen=True)
-class TireForces:
-    F_yf: float         # front lateral force, N
-    F_xr: float         # rear longitudinal force, N
-    F_yr: float         # rear lateral force, N
-    F_zf: float         # front vertical load, N
-    F_zr: float         # rear vertical load, N
-    f: float            # combined-slip demand magnitude, N
-    F_ymax: float       # front lateral saturation level, N
-    alpha_slide: float  # front full-sliding slip angle, rad
-    alpha_f: float      # front slip angle, rad
-    alpha_r: float      # rear slip angle, rad
-    kappa_r: float      # rear slip ratio
-    mu_r: float         # evaluated rear friction coefficient
-
-
-@dataclass(frozen=True)
 class StateRates:
     """Time derivative of :class:`VehicleState` (same field layout)."""
 
@@ -142,111 +116,6 @@ class StateRates:
     Y: float = 0.0
 
 
-def vertical_loads(vp: VehicleParams, dFz: float) -> tuple[float, float]:
-    """Front/rear axle loads under weight transfer; their sum is m*g."""
-    static_front = vp.b * vp.m * vp.g / vp.L
-    static_rear = vp.a * vp.m * vp.g / vp.L
-    F_zf = static_front - dFz
-    F_zr = static_rear + dFz
-    if F_zf <= 0.0 or F_zr <= 0.0:
-        raise DegenerateLoadError(
-            f"axle load non-positive (F_zf={F_zf:.1f} N, F_zr={F_zr:.1f} N)"
-        )
-    return F_zf, F_zr
-
-
-def weight_transfer_derivative(vp: VehicleParams, dFz: float,
-                               F_xr: float, F_yf: float, delta: float) -> float:
-    """First-order lag toward the quasi-static transfer level."""
-    target = (vp.h_cg / vp.L) * (F_xr - F_yf * math.sin(delta))
-    return -vp.Kz * (dFz - target)
-
-
-def _check_floor(Vx: float) -> None:
-    if Vx < VELOCITY_FLOOR:
-        raise VelocityFloorError(
-            f"Vx={Vx:.3f} m/s below the {VELOCITY_FLOOR} m/s slip-model floor"
-        )
-
-
-def front_slip_angle(Vx: float, Vy: float, r: float, delta: float, a: float) -> float:
-    _check_floor(Vx)
-    return math.atan((Vy + a * r) / Vx) - delta
-
-
-def front_cornering_stiffness(tp: TireParams, F_zf: float) -> float:
-    """Load-dependent front cornering stiffness (affine in the front load)."""
-    if F_zf < 0.0:
-        raise DegenerateLoadError(f"negative front load {F_zf:.1f} N")
-    C_alpha = tp.C_alpha1 * F_zf + tp.C_alpha0
-    if C_alpha <= 0.0:
-        raise ModelDomainError(
-            f"front cornering stiffness {C_alpha:.1f} N/rad non-positive "
-            f"at F_zf={F_zf:.1f} N"
-        )
-    return C_alpha
-
-
-def fiala_lateral_force(C_alpha: float, F_ymax: float, alpha: float) -> float:
-    """Fiala brush lateral force, cubic up to full sliding, then saturated.
-
-    Continuous and odd in alpha; the cubic meets -F_ymax*sign(alpha) exactly
-    at alpha_slide = atan(3*F_ymax/C_alpha).
-    """
-    tan_a = math.tan(alpha)
-    tan_slide = 3.0 * F_ymax / C_alpha
-    if abs(tan_a) > tan_slide:
-        return -F_ymax * math.copysign(1.0, alpha)
-    return (-C_alpha * tan_a
-            + C_alpha * C_alpha / (3.0 * F_ymax) * abs(tan_a) * tan_a
-            - C_alpha ** 3 / (27.0 * F_ymax * F_ymax) * tan_a ** 3)
-
-
-def rear_slip_quantities(vp: VehicleParams, Vx: float, Vy: float,
-                         r: float, omega: float) -> tuple[float, float]:
-    """Rear slip angle and slip ratio.
-
-    The slip ratio is wrapped in an arctangent, which keeps it bounded for a
-    locked wheel (kappa_r -> -pi/4 at omega = 0).
-    """
-    _check_floor(Vx)
-    alpha_r = math.atan((Vy - vp.b * r) / Vx)
-    kappa_r = math.atan((vp.Re * omega - Vx) / Vx)
-    if kappa_r <= -1.0:
-        raise ModelDomainError(f"rear slip ratio {kappa_r:.3f} <= -1")
-    return alpha_r, kappa_r
-
-
-def rear_combined_forces(tp: TireParams, mu_r: float, F_zr: float,
-                         alpha_r: float, kappa_r: float) -> tuple[float, float, float]:
-    """Combined-slip brush forces on the rear axle.
-
-    Returns (F_xr, F_yr, f).  The resultant magnitude never exceeds
-    mu_r*F_zr, and each component opposes its slip quantity's sliding
-    direction (F_xr has the sign of kappa_r; F_yr the opposite sign of
-    alpha_r).
-    """
-    if F_zr <= 0.0:
-        raise DegenerateLoadError(f"rear load {F_zr:.1f} N non-positive")
-    if mu_r <= 0.0:
-        raise ModelDomainError(f"rear friction {mu_r:.4f} non-positive")
-    if kappa_r <= -1.0:
-        raise ModelDomainError(f"rear slip ratio {kappa_r:.3f} <= -1")
-    gx = tp.Cx * kappa_r / (kappa_r + 1.0)
-    gy = tp.Cy * math.tan(alpha_r) / (kappa_r + 1.0)
-    f = math.hypot(gx, gy)
-    if f == 0.0:
-        return 0.0, 0.0, 0.0  # removable singularity: no slip, no force
-    limit = mu_r * F_zr
-    if f <= 3.0 * limit:
-        F = f - f * f / (3.0 * limit) + f ** 3 / (27.0 * limit * limit)
-    else:
-        F = limit
-    F_xr = F * gx / f
-    F_yr = -F * gy / f
-    return F_xr, F_yr, f
-
-
 def friction_coefficient(thp: ThermalParams, theta_r: float) -> float:
     """Rear friction coefficient from the temperature map (affine)."""
     mu_r = thp.mu_r1 * theta_r + thp.mu_r0
@@ -257,68 +126,39 @@ def friction_coefficient(thp: ThermalParams, theta_r: float) -> float:
     return mu_r
 
 
-def heat_generation(thp: ThermalParams, Vx: float,
-                    alpha_r: float, kappa_r: float,
-                    F_xr: float, F_yr: float, F_zr: float) -> float:
-    """Tread heating power: partitioned slip loss plus rolling resistance.
-
-    The slip velocities carry the sign of the wheel sliding over the road, so
-    the brush forces oppose them and both slip products are non-negative.
-    """
-    V_sx = Vx * kappa_r              # ~ Re*omega - Vx, wheel surplus speed
-    V_sy = -Vx * math.tan(alpha_r)   # ~ -(Vy - b*r), opposes the axle slide
-    slip_power = V_sx * F_xr + V_sy * F_yr
-    return thp.alpha_tire * slip_power + thp.eps_tire * F_zr * Vx
-
-
 def thermal_derivative(thp: ThermalParams, theta_r: float, Q_tire: float) -> float:
     """Tread temperature rate from the lumped energy balance, K/s."""
     return (Q_tire - thp.KA_tire * (theta_r - thp.theta_out)) / thp.C_tire
 
 
-def tire_forces(params: ParamSet, state: VehicleState, inp: ControlInput) -> TireForces:
-    """Evaluate every tire quantity at the given state and input."""
-    vp, tp, thp = params.vehicle, params.tire, params.thermal
-    F_zf, F_zr = vertical_loads(vp, state.dFz)
-    alpha_f = front_slip_angle(state.Vx, state.Vy, state.r, inp.delta, vp.a)
-    C_alpha = front_cornering_stiffness(tp, F_zf)
-    F_ymax = tp.mu_f * F_zf
-    alpha_slide = math.atan(3.0 * F_ymax / C_alpha)
-    F_yf = fiala_lateral_force(C_alpha, F_ymax, alpha_f)
-    alpha_r, kappa_r = rear_slip_quantities(vp, state.Vx, state.Vy, state.r, state.omega)
-    mu_r = friction_coefficient(thp, state.theta_r)
-    F_xr, F_yr, f = rear_combined_forces(tp, mu_r, F_zr, alpha_r, kappa_r)
-    return TireForces(
-        F_yf=F_yf, F_xr=F_xr, F_yr=F_yr, F_zf=F_zf, F_zr=F_zr, f=f,
-        F_ymax=F_ymax, alpha_slide=alpha_slide,
-        alpha_f=alpha_f, alpha_r=alpha_r, kappa_r=kappa_r, mu_r=mu_r,
-    )
-
-
 def scalar_rates(params: ParamSet, Vx: float, Vy: float, r: float, psi: float,
                  omega: float, dFz: float, theta_r: float,
                  delta: float, Fxf: float, tau: float) -> tuple:
-    """Body and pose rates ``(dVx, dVy, dr, domega, ddFz, dtheta, dX, dY)``.
+    """Body and pose rates and the tread heating power,
+    ``(dVx, dVy, dr, domega, ddFz, dtheta, dX, dY, Q)``.
 
-    The same arithmetic as the helper chain of :func:`tire_forces` and
-    :func:`vehicle_derivatives`, operand for operand, on plain floats; it
-    builds no dataclass.  Each distinct domain check runs once, in the
-    helpers' order and with their exceptions: the axle loads, the velocity
-    floor, the front cornering stiffness, kappa_r > -1 and mu_r > 0.
+    Plain floats in and out; it builds no dataclass.  Each domain check runs
+    once, in this order: the axle loads, the velocity floor, the front
+    cornering stiffness, kappa_r > -1 and mu_r > 0.  The rear tire's slip
+    velocities carry the sign of the wheel sliding over the road, so the
+    brush forces oppose them and the slip heating is non-negative.
     """
     vp, tp, thp = params.vehicle, params.tire, params.thermal
     m, a, b = vp.m, vp.a, vp.b
     L = vp.L
 
-    # vertical_loads
+    # axle loads under weight transfer
     F_zf = b * m * vp.g / L - dFz
     F_zr = a * m * vp.g / L + dFz
     if F_zf <= 0.0 or F_zr <= 0.0:
         raise DegenerateLoadError(
             f"axle load non-positive (F_zf={F_zf:.1f} N, F_zr={F_zr:.1f} N)"
         )
-    # front_slip_angle, front_cornering_stiffness, fiala_lateral_force
-    _check_floor(Vx)
+    # front tire: slip angle, load-dependent cornering stiffness, Fiala law
+    if Vx < VELOCITY_FLOOR:
+        raise VelocityFloorError(
+            f"Vx={Vx:.3f} m/s below the {VELOCITY_FLOOR} m/s slip-model floor"
+        )
     alpha_f = math.atan((Vy + a * r) / Vx) - delta
     C_alpha = tp.C_alpha1 * F_zf + tp.C_alpha0
     if C_alpha <= 0.0:
@@ -334,7 +174,7 @@ def scalar_rates(params: ParamSet, Vx: float, Vy: float, r: float, psi: float,
         F_yf = (-C_alpha * tan_a
                 + C_alpha * C_alpha / (3.0 * F_ymax) * abs(tan_a) * tan_a
                 - C_alpha ** 3 / (27.0 * F_ymax * F_ymax) * tan_a ** 3)
-    # rear_slip_quantities, friction_coefficient, rear_combined_forces
+    # rear tire: slip angle, slip ratio, friction map, combined-slip brush
     alpha_r = math.atan((Vy - b * r) / Vx)
     kappa_r = math.atan((vp.Re * omega - Vx) / Vx)
     if kappa_r <= -1.0:
@@ -364,17 +204,18 @@ def scalar_rates(params: ParamSet, Vx: float, Vy: float, r: float, psi: float,
     dVy = (F_yf * cos_d + Fxf * sin_d + F_yr) / m - r * Vx
     dr = (a * F_yf * cos_d + a * Fxf * sin_d - b * F_yr) / vp.Iz
     domega = (tau - vp.Re * F_xr) / vp.J
-    # weight_transfer_derivative
+    # first-order lag toward the quasi-static weight transfer
     ddFz = -vp.Kz * (dFz - (vp.h_cg / L) * (F_xr - F_yf * sin_d))
-    # heat_generation, thermal_derivative
-    V_sx = Vx * kappa_r
-    V_sy = -Vx * tan_ar
+    # tread heat: partitioned slip loss plus rolling resistance, and the
+    # lumped energy balance
+    V_sx = Vx * kappa_r   # ~ Re*omega - Vx, wheel surplus speed
+    V_sy = -Vx * tan_ar   # ~ -(Vy - b*r), opposes the axle slide
     Q = thp.alpha_tire * (V_sx * F_xr + V_sy * F_yr) + thp.eps_tire * F_zr * Vx
     dtheta = (Q - thp.KA_tire * (theta_r - thp.theta_out)) / thp.C_tire
 
     sin_psi, cos_psi = math.sin(psi), math.cos(psi)
     return (dVx, dVy, dr, domega, ddFz, dtheta,
-            Vx * cos_psi - Vy * sin_psi, Vx * sin_psi + Vy * cos_psi)
+            Vx * cos_psi - Vy * sin_psi, Vx * sin_psi + Vy * cos_psi, Q)
 
 
 def vehicle_derivatives(params: ParamSet, state: VehicleState, inp: ControlInput,
@@ -386,7 +227,7 @@ def vehicle_derivatives(params: ParamSet, state: VehicleState, inp: ControlInput
     reference path curvature at the vehicle's arc length; it only affects
     the path states.
     """
-    dVx, dVy, dr, domega, ddFz, dtheta, dX, dY = scalar_rates(
+    dVx, dVy, dr, domega, ddFz, dtheta, dX, dY, _ = scalar_rates(
         params, state.Vx, state.Vy, state.r, state.psi, state.omega,
         state.dFz, state.theta_r, inp.delta, inp.Fxf, inp.tau)
 

@@ -92,7 +92,7 @@ class SimResult:
 def _plant_rates(y, params: ParamSet, inp: ControlInput) -> tuple:
     """Rates of the 9 floats [Vx, Vy, r, psi, omega, dFz, X, Y, theta]."""
     Vx, Vy, r, psi, omega, dFz, _, _, theta = y
-    dVx, dVy, dr, domega, ddFz, dtheta, dX, dY = scalar_rates(
+    dVx, dVy, dr, domega, ddFz, dtheta, dX, dY, _ = scalar_rates(
         params, Vx, Vy, r, psi, omega, dFz, theta, inp.delta, inp.Fxf, inp.tau)
     return dVx, dVy, dr, r, domega, ddFz, dX, dY, dtheta
 

@@ -27,9 +27,7 @@ from thermaldrift.integrate import rk4
 from thermaldrift.model import (
     ControlInput,
     VehicleState,
-    fiala_lateral_force,
     friction_coefficient,
-    rear_combined_forces,
     thermal_derivative,
     vehicle_derivatives,
 )
@@ -38,6 +36,7 @@ from thermaldrift.sim import pole_trace, run
 from thermaldrift.trajopt import IX, rk4_step
 
 from conftest import BETA, RADIUS, THETA0
+from model_oracle import fiala_lateral_force, rear_combined_forces
 
 
 # ---------------------------------------------------------------------------

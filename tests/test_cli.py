@@ -132,20 +132,24 @@ def test_gains_without_rows_is_config_error(tmp_path, capsys):
     assert "gains.csv: no data rows" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, settings", [
-    ("plan-figure8", "h_min 0.2\nh_max 0.1\n"),
-    ("plan-steady", "delta_min 50\n"),
-], ids=["h_bounds", "delta_bounds"])
+@pytest.mark.parametrize("command, settings, option, named", [
+    ("plan-figure8", "h_min 0.2\nh_max 0.1\n", [], "planner.txt: "),
+    ("plan-steady", "delta_min 50\n", [], "planner.txt: "),
+    ("plan-figure8", "k_s 200\n", ["--k-s", "-1"],
+     "--k-s -1: cost weights must be non-negative"),
+], ids=["h_bounds", "delta_bounds", "k_s_option"])
 def test_planner_values_out_of_order_are_config_error(tmp_path, capsys,
-                                                      command, settings):
-    """A planner file whose bounds are out of order is a configuration
-    error that names the file, not a planner failure."""
+                                                      command, settings,
+                                                      option, named):
+    """A planner value out of order or range, from the planner file or an
+    option, is a configuration error that names where it came from, not a
+    planner failure, and nothing is written."""
     cfg = tmp_path / "planner.txt"
     cfg.write_text(settings)
     rc = main([command, "--out", str(tmp_path / "out"), "--arc", "5",
-               "--planner-config", str(cfg)])
+               "--planner-config", str(cfg), *option])
     assert rc == 1
-    assert "planner.txt: " in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

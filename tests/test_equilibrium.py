@@ -9,10 +9,11 @@ from thermaldrift.equilibrium import (
     quasi_steady_sweep,
     thermal_fixed_point,
 )
-from thermaldrift.errors import SolverError
-from thermaldrift.model import tire_forces
+from thermaldrift.errors import ConvergenceError, InfeasibleError, SolverError
+from thermaldrift.model import thermal_derivative
 
 from conftest import BETA, RADIUS, THETA0
+from model_oracle import heat_generation, tire_forces
 
 
 def test_nominal_equilibrium_character(params, eq_nominal):
@@ -58,6 +59,24 @@ def test_precondition_errors(params):
         find_equilibrium(params, 15.0, math.radians(-85.0), 30.0)
 
 
+@pytest.mark.parametrize("radius, beta_deg, theta, error, message", [
+    (5.0, -5.0, 30.0, InfeasibleError,
+     "no equilibrium at radius=5.0 m, beta=-0.087 rad, theta=30.0 degC: "
+     "rear tire saturated with residual 3.27e+01"),
+    (15.0, -5.0, 0.0, ConvergenceError,
+     "equilibrium solve stalled with residual 5.23e+01"),
+], ids=["saturated", "stalled"])
+def test_failure_classification(params, radius, beta_deg, theta, error,
+                                message):
+    """A failed solve is infeasible when the rear tire's combined-slip
+    demand at the stalled point is past full sliding, and stalled
+    otherwise."""
+    with pytest.raises(SolverError) as info:
+        find_equilibrium(params, radius, math.radians(beta_deg), theta)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_sweep_deterministic(params):
     t1 = quasi_steady_sweep(params, RADIUS, BETA, THETA0, 20.0)
     t2 = quasi_steady_sweep(params, RADIUS, BETA, THETA0, 20.0)
@@ -86,7 +105,6 @@ def test_sweep_monotone_toward_fixed_point(params, steady_plans):
 
 
 def test_fixed_point_is_thermally_stationary(params):
-    from thermaldrift.model import heat_generation, thermal_derivative
     fp = thermal_fixed_point(params, RADIUS, BETA)
     forces = tire_forces(params, fp.state(), fp.input())
     Q = heat_generation(params.thermal, fp.state().Vx, forces.alpha_r,

@@ -17,22 +17,25 @@ from thermaldrift.limits import default_limits
 from thermaldrift.model import (
     ControlInput,
     VehicleState,
-    fiala_lateral_force,
     friction_coefficient,
+    scalar_rates,
+    thermal_derivative,
+    vehicle_derivatives,
+)
+from thermaldrift.params import default_params
+from thermaldrift.paths import CirclePath
+
+from model_oracle import (
+    fiala_lateral_force,
     front_cornering_stiffness,
     front_slip_angle,
     heat_generation,
     rear_combined_forces,
     rear_slip_quantities,
-    scalar_rates,
-    thermal_derivative,
     tire_forces,
-    vehicle_derivatives,
     vertical_loads,
     weight_transfer_derivative,
 )
-from thermaldrift.params import default_params
-from thermaldrift.paths import CirclePath
 
 P = default_params()
 VP, TP, THP = P.vehicle, P.tire, P.thermal
@@ -315,9 +318,10 @@ def test_speed_beta_parameterization():
 # ---------------------------------------------------------------------------
 
 def helper_chain_rates(params, state, inp):
-    """Body and pose rates assembled from :func:`tire_forces` and the
-    per-quantity helpers, in the order :func:`scalar_rates` inlines them:
-    the oracle the flat kernel is pinned to, bit for bit."""
+    """Body and pose rates and the heat rate Q assembled from the oracle's
+    :func:`tire_forces` and per-quantity helpers, in the order
+    :func:`scalar_rates` inlines them: what the kernel is pinned to, bit for
+    bit."""
     vp, thp = params.vehicle, params.thermal
     fc = tire_forces(params, state, inp)
     sin_d, cos_d = math.sin(inp.delta), math.cos(inp.delta)
@@ -336,7 +340,7 @@ def helper_chain_rates(params, state, inp):
     sin_psi, cos_psi = math.sin(state.psi), math.cos(state.psi)
     return (dVx, dVy, dr, domega, ddFz, dtheta,
             state.Vx * cos_psi - state.Vy * sin_psi,
-            state.Vx * sin_psi + state.Vy * cos_psi)
+            state.Vx * sin_psi + state.Vy * cos_psi, Q)
 
 
 def kernel_rates(params, state, inp):
@@ -359,10 +363,11 @@ def outcome(fn, *args):
 
 
 def assert_pinned(params, state, inp):
-    """Kernel, adapter and helper chain agree exactly (no tolerance)."""
+    """Kernel, adapter and helper chain agree exactly (no tolerance).  The
+    adapter returns no Q; an error outcome is a pair, which the slice keeps."""
     want = outcome(helper_chain_rates, params, state, inp)
     assert outcome(kernel_rates, params, state, inp) == want
-    assert outcome(adapter_rates, params, state, inp) == want
+    assert outcome(adapter_rates, params, state, inp) == want[:8]
 
 
 LIM = default_limits()
@@ -417,13 +422,31 @@ def test_scalar_rates_match_helper_chain_on_run_states(monkeypatch):
         state = VehicleState(Vx=y[0], Vy=y[1], r=y[2], omega=y[4], dFz=y[5],
                              theta_r=y[8], psi=y[3], X=y[6], Y=y[7])
         assert_pinned(P, state, inp)
-        dVx, dVy, dr, domega, ddFz, dtheta, dX, dY = \
+        dVx, dVy, dr, domega, ddFz, dtheta, dX, dY, _ = \
             helper_chain_rates(P, state, inp)
         assert np.array_equal(
             plant_rates(y, P, inp),
             [dVx, dVy, dr, y[2], domega, ddFz, dX, dY, dtheta])
     for state, inp in seen_eq:
         assert_pinned(P, state, inp)
+
+
+@pytest.mark.parametrize("eq", EQUILIBRIA,
+                         ids=[f"R{eq.radius:+g}-{eq.theta_r:g}C"
+                              for eq in EQUILIBRIA])
+def test_sweep_heat_is_kernel_heat(eq):
+    """The sweep saves the kernel's Q at each node and steps the
+    temperature with the kernel's dtheta/dt; both equal the helper chain's."""
+    traj = quasi_steady_sweep(P, eq.radius, eq.beta, eq.theta_r, 0.5)
+    assert traj.equilibria[0] == eq
+    for k, node in enumerate(traj.equilibria):
+        state, inp = node.state(), node.input()
+        Q = kernel_rates(P, state, inp)[8]
+        assert Q == helper_chain_rates(P, state, inp)[8]
+        assert traj.Q[k] == Q
+        if k + 1 < traj.n_nodes:
+            dtheta = thermal_derivative(THP, traj.theta[k], Q)
+            assert traj.theta[k + 1] == traj.theta[k] + 0.25 / node.V * dtheta
 
 
 _STATIC_FRONT = VP.b * VP.m * VP.g / VP.L

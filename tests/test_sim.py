@@ -17,7 +17,7 @@ from thermaldrift import sim
 from thermaldrift.errors import ModelDomainError, SimulationError
 from thermaldrift.figure8 import plan_figure8
 from thermaldrift.integrate import rk4, rk4_floats
-from thermaldrift.model import ControlInput, VehicleState, heat_generation, tire_forces
+from thermaldrift.model import ControlInput, VehicleState
 from thermaldrift.paths import CirclePath
 from thermaldrift.sim import (
     SIM_COLUMNS,
@@ -30,6 +30,7 @@ from thermaldrift.sim import (
 )
 
 from conftest import ARC, RADIUS, THETA0
+from model_oracle import heat_generation, tire_forces
 
 
 def short_scenario(params, steady_plans, steady_schedules, **kwargs):
