@@ -3,6 +3,11 @@
 Numbers are written with ``repr`` (shortest exact decimal), so a written file
 reloads bit-identically.  Scalar metadata rides in ``# key value`` comment
 lines ahead of the header row.
+
+The writer formats a few hundred rows at a time.  Down each column of such a
+block it calls ``repr`` once per run of bit-equal cells (a reference column
+holds one knot for many simulator steps) and reuses that string for the run,
+so the bytes are those of ``repr`` on every cell.
 """
 
 from __future__ import annotations
@@ -40,21 +45,38 @@ _GAIN_COLUMNS = (("s",)
 _POLE_COLUMNS = ("s",) + tuple(f"{part}{i}" for i in range(6)
                                for part in ("re", "im"))
 
+#: rows formatted per block by _write
+_BLOCK_ROWS = 256
+
 
 def _fmt(x) -> str:
     return repr(float(x))
 
 
 def _write(path, columns, rows, kind, meta=None):
+    data = np.asarray(rows, dtype=float)
     with open(path, "w") as fh:
         fh.write(f"# kind {kind}\n")
         for key, value in (meta or {}).items():
             fh.write(f"# {key} {value}\n")
         fh.write(",".join(columns) + "\n")
-        # one row's tolist() at a time: the whole array's list of lists
-        # would hold every row as Python floats at once
-        for row in np.asarray(rows, dtype=float):
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+        # a block at a time: the whole array's cells as strings would be
+        # alive at once
+        for start in range(0, len(data), _BLOCK_ROWS):
+            block = data[start:start + _BLOCK_ROWS].T.copy()
+            # runs of bit-equal cells down each column; bits, not ==, keep
+            # 0.0 and -0.0 apart
+            bits = block.view(np.uint64)
+            first = np.ones(block.shape, dtype=bool)
+            np.not_equal(bits[:, 1:], bits[:, :-1], out=first[:, 1:])
+            cells = []
+            for col, new, run in zip(block, first,
+                                     np.cumsum(first, axis=1) - 1):
+                # repr once per run, then the run's string for each cell
+                text = np.array(list(map(repr, col[new].tolist())),
+                                dtype=object)
+                cells.append(text[run].tolist())
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _read(path, columns, kind):

@@ -80,14 +80,17 @@ class DriftEquilibrium:
         return np.array([self.r, self.omega, self.dFz, self.delta, self.tau])
 
 
-def dynamic_residual(params: ParamSet, state: VehicleState,
-                     inp: ControlInput) -> np.ndarray:
-    """Derivatives of (r, V, beta, omega, dFz) at a state; zero at equilibrium."""
-    Vx, Vy = state.Vx, state.Vy
+def dynamic_residual(params: ParamSet, Vx: float, Vy: float, r: float,
+                     omega: float, dFz: float, theta_r: float,
+                     delta: float, tau: float) -> np.ndarray:
+    """Derivatives of (r, V, beta, omega, dFz) at a point; zero at equilibrium.
+
+    Plain floats in, as :func:`scalar_rates` takes them, at heading 0 and
+    with no front braking force; it builds no state or input value.
+    """
     dVx, dVy, dr, domega, ddFz, *_ = scalar_rates(
-        params, Vx, Vy, state.r, state.psi, state.omega, state.dFz,
-        state.theta_r, inp.delta, inp.Fxf, inp.tau)
-    V = state.V
+        params, Vx, Vy, r, 0.0, omega, dFz, theta_r, delta, 0.0, tau)
+    V = math.hypot(Vx, Vy)
     dV = (Vx * dVx + Vy * dVy) / V
     dbeta = (Vx * dVy - Vy * dVx) / (V * V)
     return np.array([dr, dV, dbeta, domega, ddFz])
@@ -142,16 +145,18 @@ def find_equilibrium(params: ParamSet, radius: float, beta_target: float,
     mu_r = friction_coefficient(params.thermal, theta_r)
     limits = limits or default_limits()
 
+    # from_speed_beta's arithmetic, with the sideslip's sine and cosine
+    # taken once per solve
+    cos_b, sin_b = math.cos(beta_target), math.sin(beta_target)
+
     def residual(z):
-        r, omega, dFz, delta, tau = z
+        r, omega, dFz, delta, tau = z.tolist()
         V = r * radius
         if V < VELOCITY_FLOOR:
             return None
-        state = VehicleState.from_speed_beta(
-            V, beta_target, r=r, omega=omega, dFz=dFz, theta_r=theta_r)
-        inp = ControlInput(delta=delta, Fxf=0.0, tau=tau)
         try:
-            return dynamic_residual(params, state, inp)
+            return dynamic_residual(params, V * cos_b, V * sin_b, r, omega,
+                                    dFz, theta_r, delta, tau)
         except ModelDomainError:
             return None
 

@@ -7,12 +7,19 @@ kernel can be pinned to them bit for bit and each law can be tested on its
 own (load conservation, the Fiala saturation, the friction circle, the sign
 of the slip heating).  :func:`tire_forces` evaluates the whole chain at a
 state and input; :func:`heat_generation` gives the tread heating power.
+
+:func:`sweep_residual` is the equilibrium Newton residual built the way the
+package once built it, through :class:`VehicleState` and
+:class:`ControlInput` values, for pinning the float-only residual of
+:func:`thermaldrift.equilibrium.find_equilibrium` to it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from thermaldrift.errors import (
     DegenerateLoadError,
@@ -24,6 +31,7 @@ from thermaldrift.model import (
     ControlInput,
     VehicleState,
     friction_coefficient,
+    scalar_rates,
 )
 from thermaldrift.params import ParamSet, ThermalParams, TireParams, VehicleParams
 
@@ -181,3 +189,31 @@ def tire_forces(params: ParamSet, state: VehicleState, inp: ControlInput) -> Tir
         alpha_f=alpha_f, alpha_r=alpha_r, kappa_r=kappa_r, mu_r=mu_r,
     )
 
+
+def state_residual(params: ParamSet, state: VehicleState,
+                   inp: ControlInput) -> np.ndarray:
+    """Derivatives of (r, V, beta, omega, dFz) at a state and input."""
+    Vx, Vy = state.Vx, state.Vy
+    dVx, dVy, dr, domega, ddFz, *_ = scalar_rates(
+        params, Vx, Vy, state.r, state.psi, state.omega, state.dFz,
+        state.theta_r, inp.delta, inp.Fxf, inp.tau)
+    V = state.V
+    dV = (Vx * dVx + Vy * dVy) / V
+    dbeta = (Vx * dVy - Vy * dVx) / (V * V)
+    return np.array([dr, dV, dbeta, domega, ddFz])
+
+
+def sweep_residual(radius: float, beta_target: float):
+    """A stand-in for ``equilibrium.dynamic_residual`` in a solve at
+    ``radius`` and ``beta_target``: it rebuilds the point from the speed
+    V = r * radius with ``VehicleState.from_speed_beta``, checks that the
+    package's (Vx, Vy) are that state's, and evaluates
+    :func:`state_residual` there."""
+    def residual(params, Vx, Vy, r, omega, dFz, theta_r, delta, tau):
+        state = VehicleState.from_speed_beta(
+            r * radius, beta_target, r=r, omega=omega, dFz=dFz,
+            theta_r=theta_r)
+        assert (Vx, Vy) == (state.Vx, state.Vy)
+        return state_residual(params, state,
+                              ControlInput(delta=delta, Fxf=0.0, tau=tau))
+    return residual

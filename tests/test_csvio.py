@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from thermaldrift import csvio
+from thermaldrift.cli import main
 from thermaldrift.equilibrium import quasi_steady_sweep
 from thermaldrift.errors import ConfigError
 from thermaldrift.sim import SIM_COLUMNS
@@ -122,6 +123,58 @@ def test_write_matches_repr_formatting(tmp_path, form):
     path = tmp_path / "edge.csv"
     csvio._write(path, columns, rows, "edge", {"n": 4})
     assert path.read_bytes() == repr_formatted(columns, rows, meta).encode()
+
+
+def run_column_rows():
+    """Rows whose columns hold runs of bit-equal cells: runs longer than a
+    block, a run across a block boundary, alternating 0.0 and -0.0 runs,
+    runs of NaN and of each infinity, an all-equal column and a column
+    with no run."""
+    B = csvio._BLOCK_ROWS
+    n = 2 * B + 37
+    rng = np.random.default_rng(11)
+    across = rng.normal(size=n)
+    # one run across the first block boundary, then one longer than a
+    # block across the second
+    across[B - 9:B + 7] = 0.1
+    across[B + 7:2 * B + 20] = 1.0 / 3.0
+    lengths = np.arange(n) % 5 + 1
+    signs = np.repeat(np.resize([1.0, -1.0], n), lengths)[:n]
+    zeros = np.copysign(0.0, signs)
+    special = np.repeat(np.resize([math.nan, math.inf, -math.inf, 2.5], n),
+                        lengths[::-1])[:n]
+    return np.column_stack([np.full(n, math.pi), across, zeros, special,
+                            rng.normal(size=n)])
+
+
+@pytest.mark.parametrize("n_rows", [None, 1, 0], ids=["runs", "one", "none"])
+def test_write_runs_match_repr_formatting(tmp_path, n_rows):
+    """Formatting once per run of bit-equal cells writes the bytes of
+    repr(float(x)) on every cell."""
+    rows = run_column_rows()[:n_rows]
+    columns = ("equal", "across", "zeros", "special", "noise")
+    path = tmp_path / "runs.csv"
+    csvio._write(path, columns, rows, "runs", {"n": 5})
+    assert path.read_bytes() == \
+        repr_formatted(columns, rows, {"kind": "runs", "n": 5}).encode()
+
+
+def test_cli_outputs_match_repr_formatting(tmp_path):
+    """Every CSV that plan-steady and simulate --scenario steady-compare
+    write equals the per-cell repr of its own loaded array and metadata."""
+    out = tmp_path / "out"
+    assert main(["plan-steady", "--out", str(out), "--arc", "20"]) == 0
+    assert main(["simulate", "--out", str(out),
+                 "--scenario", "steady-compare"]) == 0
+    files = [("trajectory.csv", csvio._QS_COLUMNS, "quasi_steady"),
+             ("gains.csv", csvio._GAIN_COLUMNS, "gains")]
+    for name in ("matched", "mu0.73", "mu0.8"):
+        files += [(f"sim_{name}.csv", SIM_COLUMNS, "sim"),
+                  (f"poles_{name}.csv", csvio._POLE_COLUMNS, "poles")]
+    for name, columns, kind in files:
+        meta, data = csvio._read(out / name, columns, kind)
+        assert (out / name).read_bytes() == \
+            repr_formatted(columns, data, meta).encode(), name
 
 
 def test_corrupt_row_named(tmp_path, small_sweep):

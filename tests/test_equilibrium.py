@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from thermaldrift import equilibrium
 from thermaldrift.equilibrium import (
     dynamic_residual,
     find_equilibrium,
@@ -13,7 +14,12 @@ from thermaldrift.errors import ConvergenceError, InfeasibleError, SolverError
 from thermaldrift.model import thermal_derivative
 
 from conftest import BETA, RADIUS, THETA0
-from model_oracle import heat_generation, tire_forces
+from model_oracle import (
+    heat_generation,
+    state_residual,
+    sweep_residual,
+    tire_forces,
+)
 
 
 def test_nominal_equilibrium_character(params, eq_nominal):
@@ -30,9 +36,32 @@ def test_nominal_equilibrium_character(params, eq_nominal):
 
 
 def test_residual_reevaluates(params, eq_nominal):
-    res = dynamic_residual(params, eq_nominal.state(), eq_nominal.input())
+    st, inp = eq_nominal.state(), eq_nominal.input()
+    res = dynamic_residual(params, st.Vx, st.Vy, st.r, st.omega, st.dFz,
+                           st.theta_r, inp.delta, inp.tau)
     assert np.linalg.norm(res) == pytest.approx(eq_nominal.residual_norm,
                                                 abs=1e-12)
+    assert np.array_equal(res, state_residual(params, st, inp))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["R+15", "R-15"])
+@pytest.mark.parametrize("mu_const", [None, 0.73], ids=["thermal", "mu0.73"])
+def test_sweep_matches_state_residual_oracle(params, monkeypatch, sign,
+                                             mu_const):
+    """A sweep whose Newton residual is rebuilt through VehicleState and
+    ControlInput values, as the package once built it, gives the same
+    equilibria, temperatures, heat rates and times bit for bit."""
+    radius, beta = sign * RADIUS, sign * BETA
+    want = quasi_steady_sweep(params, radius, beta, THETA0, 3.0,
+                              mu_const=mu_const)
+    monkeypatch.setattr(equilibrium, "dynamic_residual",
+                        sweep_residual(radius, beta))
+    got = quasi_steady_sweep(params, radius, beta, THETA0, 3.0,
+                             mu_const=mu_const)
+    assert got.n_nodes == want.n_nodes == 13
+    assert got.equilibria == want.equilibria
+    for name in ("theta", "Q", "t"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_hotter_tire_slower_drift(params):

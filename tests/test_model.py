@@ -403,9 +403,12 @@ def test_scalar_rates_match_helper_chain_on_run_states(monkeypatch):
         seen_sim.append((y.copy(), inp))
         return plant_rates(y, params, inp)
 
-    def recording_residual(params, state, inp):
-        seen_eq.append((state, inp))
-        return residual(params, state, inp)
+    def recording_residual(params, Vx, Vy, r, omega, dFz, theta_r, delta,
+                           tau):
+        seen_eq.append((VehicleState(Vx=Vx, Vy=Vy, r=r, omega=omega, dFz=dFz,
+                                     theta_r=theta_r),
+                        ControlInput(delta=delta, Fxf=0.0, tau=tau)))
+        return residual(params, Vx, Vy, r, omega, dFz, theta_r, delta, tau)
 
     monkeypatch.setattr(sim, "_plant_rates", recording_plant_rates)
     monkeypatch.setattr(equilibrium, "dynamic_residual", recording_residual)
