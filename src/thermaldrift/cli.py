@@ -12,16 +12,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import csvio
 from ._fork import fork_map
-from .control import (
-    LqrWeights,
-    build_schedule,
-    linearize_stack,
-    operating_points,
-)
+from .control import LqrWeights, build_schedule, linearize_stack
 from .equilibrium import quasi_steady_sweep
 from .errors import ConfigError, SimulationError, SolverError, ThermalDriftError
 from .figure8 import Figure8Plan, plan_figure8
@@ -173,14 +166,21 @@ def cmd_simulate(args) -> int:
                           "plan-steady or trajectory_transition.csv from "
                           "plan-figure8")
     if steady:
-        ref = traj = csvio.load_quasi_steady(out / "trajectory.csv")
-        schedule = csvio.load_gains(out / "gains.csv")
-        path = traj.circle
-        arc = float(traj.s[-1])
+        ref = csvio.load_quasi_steady(out / "trajectory.csv")
+        arc = float(ref.s[-1])
+        plans = [("matched", ref, csvio.load_gains(out / "gains.csv"))]
+        if args.scenario == "steady-compare":
+            for mu in (0.73, 0.8):
+                mtraj = quasi_steady_sweep(
+                    params, ref.radius, ref.beta_target, args.theta0, arc,
+                    mu_const=mu, limits=planner.limits)
+                plans.append((f"mu{mu:g}", mtraj, build_schedule(
+                    params, mtraj, weights=LqrWeights.tracking())))
         scenarios = [Scenario(
-            name="matched", schedule=schedule, path=path, plant=params,
-            initial_state=traj.sample(0.0)[0].replace(theta_r=args.theta0),
-            s_final=arc, limits=planner.limits)]
+            name=name, schedule=schedule, path=ref.circle, plant=params,
+            initial_state=plan.sample(0.0)[0].replace(theta_r=args.theta0),
+            s_final=arc, limits=planner.limits)
+            for name, plan, schedule in plans]
     elif args.scenario == "steady-compare":
         raise ConfigError(f"{out} holds a figure-8 plan; --scenario "
                           "steady-compare needs a plan-steady plan")
@@ -192,17 +192,6 @@ def cmd_simulate(args) -> int:
             csvio.load_gains(out / "gains.csv"))
         scenarios = [replace(ref.scenario(params, args.theta0),
                              limits=planner.limits)]
-    if args.scenario == "steady-compare":
-        beta = traj.beta_target
-        for mu in (0.73, 0.8):
-            mtraj = quasi_steady_sweep(params, traj.radius, beta, args.theta0,
-                                       arc, mu_const=mu, limits=planner.limits)
-            msched = build_schedule(params, mtraj,
-                                    weights=LqrWeights.tracking())
-            scenarios.append(Scenario(
-                name=f"mu{mu:g}", schedule=msched, path=path, plant=params,
-                initial_state=mtraj.sample(0.0)[0].replace(theta_r=args.theta0),
-                s_final=arc, limits=planner.limits))
 
     results = compare(scenarios)
 
@@ -212,15 +201,12 @@ def cmd_simulate(args) -> int:
     # the series reach the writers by fork, so they are not pickled again
     fork_map(save, [name for name, res in results.items()
                     if not isinstance(res, Exception)])
-    # all schedules are judged against the operating points the plant
-    # actually visits on the planned (thermal) trajectory; schedules on the
-    # same knots share one linearization of the plant there
-    lin_knots = plant_lin = None
+    # all schedules span the plan's arc on the same knots, and are judged
+    # against one linearization of the plant at the operating points it
+    # actually visits on the plan
+    knots = scenarios[0].schedule.s_knots
+    plant_lin = linearize_stack(params, [ref.sample(float(s)) for s in knots])
     for sc in scenarios:
-        knots = sc.schedule.s_knots
-        if plant_lin is None or not np.array_equal(knots, lin_knots):
-            lin_knots = knots
-            plant_lin = linearize_stack(params, operating_points(ref, knots))
         trace = pole_trace(sc.schedule, *plant_lin)
         csvio.save_poles(trace, out / f"poles_{sc.name}.csv")
     report = comparison_table(results)
@@ -238,6 +224,11 @@ def cmd_simulate(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            print(f"error: --{name.replace('_', '-')} must be a finite "
+                  f"number, got {value}", file=sys.stderr)
+            return 1
     handlers = {
         "plan-steady": cmd_plan_steady,
         "plan-figure8": cmd_plan_figure8,

@@ -26,14 +26,11 @@ from .model import (
 from .params import ParamSet
 
 __all__ = [
-    "OperatingPoint",
-    "LinearizedSystem",
     "LqrWeights",
     "LqrStack",
     "GainSchedule",
     "linearize",
     "linearize_stack",
-    "operating_points",
     "lqr_gain",
     "lqr_gains",
     "build_schedule",
@@ -56,33 +53,14 @@ REF_STATE_FIELDS = ("Vx", "Vy", "r", "omega", "dFz", "theta_r",
                     "e", "s", "dpsi", "X", "Y", "psi")
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
-    state: VehicleState
-    input: ControlInput
-    kappa: float
-
-    def ref_state_row(self) -> np.ndarray:
-        st = self.state
-        return np.array([getattr(st, name) for name in REF_STATE_FIELDS])
-
-    def ref_input_row(self) -> np.ndarray:
-        return np.array([self.input.delta, self.input.Fxf, self.input.tau])
-
-
-@dataclass(frozen=True)
-class LinearizedSystem:
-    A: np.ndarray  # (6, 6)
-    B: np.ndarray  # (6, 3)
-    op: OperatingPoint
-
-
 def _fd_step(value: float) -> float:
     return 1e-6 * max(1.0, abs(value))
 
 
-def linearize(params: ParamSet, op: OperatingPoint) -> LinearizedSystem:
-    """System matrices about a trajectory node.
+def linearize(params: ParamSet, state: VehicleState, inp: ControlInput,
+              kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """System matrices (A, B) about a trajectory node, the (state, input,
+    curvature) triple a reference's ``sample(s)`` returns.
 
     Temperature and weight transfer are frozen parameters here (the tracking
     state excludes them); their variation enters through gain scheduling.
@@ -90,15 +68,14 @@ def linearize(params: ParamSet, op: OperatingPoint) -> LinearizedSystem:
     path rates and their singularity check at 1 - kappa*e = 0 are never
     evaluated (every reference rides its path at e = 0).
     """
-    st, u = op.state, op.input
 
     def body_rates(Vx, Vy, r, omega, delta, Fxf, tau):
-        rates = scalar_rates(params, Vx, Vy, r, st.psi, omega, st.dFz,
-                             st.theta_r, delta, Fxf, tau)
+        rates = scalar_rates(params, Vx, Vy, r, state.psi, omega, state.dFz,
+                             state.theta_r, delta, Fxf, tau)
         return np.array(rates[:4])
 
-    x0 = [st.Vx, st.Vy, st.r, st.omega]
-    u0 = [u.delta, u.Fxf, u.tau]
+    x0 = [state.Vx, state.Vy, state.r, state.omega]
+    u0 = [inp.delta, inp.Fxf, inp.tau]
 
     A = np.zeros((6, 6))
     B = np.zeros((6, 3))
@@ -116,28 +93,22 @@ def linearize(params: ParamSet, op: OperatingPoint) -> LinearizedSystem:
         B[:4, j] = (body_rates(*x0, *up) - body_rates(*x0, *um)) / (2.0 * h)
 
     # analytic path rows, evaluated at e_ref = 0
-    S, C = math.sin(st.dpsi), math.cos(st.dpsi)
-    k = op.kappa
-    Vx, Vy = st.Vx, st.Vy
-    A[4] = [-k * C, k * S, 1.0, 0.0,
-            k * (Vx * S + Vy * C), -k * k * (Vx * C - Vy * S)]
+    S, C = math.sin(state.dpsi), math.cos(state.dpsi)
+    Vx, Vy = state.Vx, state.Vy
+    A[4] = [-kappa * C, kappa * S, 1.0, 0.0,
+            kappa * (Vx * S + Vy * C), -kappa * kappa * (Vx * C - Vy * S)]
     A[5] = [S, C, 0.0, 0.0, Vx * C - Vy * S, 0.0]
-    return LinearizedSystem(A=A, B=B, op=op)
+    return A, B
 
 
-def operating_points(ref, s_knots) -> list[OperatingPoint]:
-    """The reference ``ref`` (``sample(s)``) at every knot."""
-    return [OperatingPoint(*ref.sample(float(s))) for s in s_knots]
-
-
-def linearize_stack(params: ParamSet, ops) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`linearize` at every operating point, stacked into (n, 6, 6) A
-    and (n, 6, 3) B for batched linear algebra."""
-    A = np.empty((len(ops), 6, 6))
-    B = np.empty((len(ops), 6, 3))
-    for i, op in enumerate(ops):
-        sys = linearize(params, op)
-        A[i], B[i] = sys.A, sys.B
+def linearize_stack(params: ParamSet, points) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`linearize` at every ``(state, input, kappa)`` point (as
+    ``sample(s)`` returns them), stacked into (n, 6, 6) A and (n, 6, 3) B
+    for batched linear algebra."""
+    A = np.empty((len(points), 6, 6))
+    B = np.empty((len(points), 6, 3))
+    for i, point in enumerate(points):
+        A[i], B[i] = linearize(params, *point)
     return A, B
 
 
@@ -306,12 +277,12 @@ def lookup(schedule: GainSchedule, s: float) -> tuple[np.ndarray, np.ndarray, np
     return schedule.K[idx], schedule.ref_states[idx], schedule.ref_inputs[idx], idx
 
 
-def _linearization_key(op: OperatingPoint) -> bytes:
+def _linearization_key(st: VehicleState, u: ControlInput,
+                       kappa: float) -> bytes:
     """The bits of every value :func:`linearize` reads; the pose (e, s, psi,
     X, Y) enters neither A nor B."""
-    st, u = op.state, op.input
     return np.array([st.Vx, st.Vy, st.r, st.omega, st.dFz, st.theta_r,
-                     st.dpsi, op.kappa, u.delta, u.Fxf, u.tau]).tobytes()
+                     st.dpsi, kappa, u.delta, u.Fxf, u.tau]).tobytes()
 
 
 def build_schedule(params: ParamSet, traj,
@@ -331,16 +302,16 @@ def build_schedule(params: ParamSet, traj,
     n = max(int(math.floor((s_hi - s_lo) / _KNOT_SPACING + 1e-9)) + 1, 1)
     knots = s_lo + _KNOT_SPACING * np.arange(n)
 
-    ops = operating_points(traj, knots)
+    points = [traj.sample(float(s)) for s in knots]
     point_of = {}                       # linearization key -> point index
     first = []                          # first knot at each distinct point
     which = np.empty(n, dtype=np.intp)  # point index of every knot
-    for i, op in enumerate(ops):
-        j = point_of.setdefault(_linearization_key(op), len(first))
+    for i, point in enumerate(points):
+        j = point_of.setdefault(_linearization_key(*point), len(first))
         if j == len(first):
             first.append(i)
         which[i] = j
-    A, B = linearize_stack(params, [ops[i] for i in first])
+    A, B = linearize_stack(params, [points[i] for i in first])
     sol = lqr_gains(A, B, weights.Q, weights.R)
     K = sol.K
     fallback = np.flatnonzero(~sol.ok)
@@ -361,6 +332,8 @@ def build_schedule(params: ParamSet, traj,
                len(fallback))
     return GainSchedule(
         s_knots=knots, K=K[which],
-        ref_states=np.array([op.ref_state_row() for op in ops], dtype=float),
-        ref_inputs=np.array([op.ref_input_row() for op in ops], dtype=float),
-        kappa=np.array([op.kappa for op in ops], dtype=float))
+        ref_states=np.array([[getattr(st, name) for name in REF_STATE_FIELDS]
+                             for st, _, _ in points], dtype=float),
+        ref_inputs=np.array([[u.delta, u.Fxf, u.tau] for _, u, _ in points],
+                            dtype=float),
+        kappa=np.array([kappa for _, _, kappa in points], dtype=float))

@@ -320,7 +320,8 @@ def quasi_steady_sweep(params: ParamSet, radius: float, beta_target: float,
     With ``mu_const`` set, planning runs at a frozen friction coefficient:
     the temperature is pinned to the map's equivalent temperature so every
     node carries a consistent (theta, mu) pair.  ``thermal=False`` freezes
-    the temperature at ``theta0`` instead.
+    the temperature at ``theta0`` instead.  With a frozen temperature every
+    node shares node 0's equilibrium, which is solved once.
     """
     if ds <= 0.0:
         raise ValueError("ds must be positive")
@@ -341,12 +342,15 @@ def quasi_steady_sweep(params: ParamSet, radius: float, beta_target: float,
     theta_k = float(theta0)
     z_guess = None
     for k in range(n):
-        try:
-            eq = find_equilibrium(params, radius, beta_target, theta_k,
-                                  guess=z_guess, limits=limits)
-        except (ConvergenceError, InfeasibleError, BoundsError) as exc:
-            raise type(exc)(f"sweep node {k} (s={s[k]:.2f} m): {exc}") from exc
-        Q_k, dtheta = _heat_rates(params, eq)
+        # a frozen temperature never moves: every node is node 0's root
+        if thermal or k == 0:
+            try:
+                eq = find_equilibrium(params, radius, beta_target, theta_k,
+                                      guess=z_guess, limits=limits)
+            except (ConvergenceError, InfeasibleError, BoundsError) as exc:
+                raise type(exc)(
+                    f"sweep node {k} (s={s[k]:.2f} m): {exc}") from exc
+            Q_k, dtheta = _heat_rates(params, eq)
         theta[k] = theta_k
         Q[k] = Q_k
         equilibria.append(eq)

@@ -217,12 +217,15 @@ def pole_trace(schedule: GainSchedule, A: np.ndarray,
     """Closed-loop spectra of the schedule's gains against a plant model.
 
     ``A`` and ``B`` are the plant linearized at the operating points it
-    visits, one per schedule knot: the (n, 6, 6) and (n, 6, 3) stacks of
-    :func:`~thermaldrift.control.linearize_stack`.  Linearizing at the
-    schedule's own reference gives the matched spectra; linearizing at
-    another plan's points lets two schedules be compared against the
-    identical set of linearizations — the mismatch a constant-friction
-    design experiences when the plant follows the thermal trajectory.
+    visits, one per schedule knot: the (n, 6, 6) and (n, 6, 3) stacks
+    ``linearize_stack(params, [ref.sample(float(s)) for s in knots])`` of
+    :func:`~thermaldrift.control.linearize_stack` along a reference
+    ``ref``.  Linearizing along the schedule's own reference gives the
+    matched spectra; linearizing along another plan lets two schedules be
+    compared against the identical set of linearizations — the mismatch a
+    constant-friction design experiences when the plant follows the thermal
+    trajectory.  A stack whose length is not the knot count raises
+    ``ValueError``.
     """
     knots = schedule.s_knots
     if A.shape[0] != len(knots) or B.shape[0] != len(knots):

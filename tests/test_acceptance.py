@@ -15,11 +15,9 @@ import scipy.linalg
 from thermaldrift import csvio
 from thermaldrift.control import (
     LqrWeights,
-    OperatingPoint,
     linearize,
     linearize_stack,
     lqr_gain,
-    operating_points,
     spectral_abscissa,
 )
 from thermaldrift.equilibrium import quasi_steady_sweep
@@ -199,21 +197,21 @@ def test_criterion_7_lqr(params, eq_nominal, steady_schedules, steady_plans):
 
     # every gain in the thermal schedule stabilizes its own linearization
     sched = steady_schedules["thermal"]
+    plan = steady_plans["thermal"]
     trace = pole_trace(sched, *linearize_stack(
-        params, operating_points(steady_plans["thermal"], sched.s_knots)))
+        params, [plan.sample(float(s)) for s in sched.s_knots]))
     assert trace.spectral_abscissa < 0.0
 
     # independent algebraic-Riccati residual at the nominal operating point
-    op = OperatingPoint(state=eq_nominal.state(), input=eq_nominal.input(),
-                        kappa=1.0 / RADIUS)
-    sys = linearize(params, op)
+    A, B = linearize(params, eq_nominal.state(), eq_nominal.input(),
+                     1.0 / RADIUS)
     for w in (LqrWeights(), LqrWeights.tracking()):
-        K = lqr_gain(sys.A, sys.B, w.Q, w.R)
-        P = scipy.linalg.solve_continuous_are(sys.A, sys.B, w.Q, w.R)
-        resid = (sys.A.T @ P + P @ sys.A + w.Q
-                 - P @ sys.B @ np.linalg.solve(w.R, sys.B.T @ P))
+        K = lqr_gain(A, B, w.Q, w.R)
+        P = scipy.linalg.solve_continuous_are(A, B, w.Q, w.R)
+        resid = (A.T @ P + P @ A + w.Q
+                 - P @ B @ np.linalg.solve(w.R, B.T @ P))
         assert np.linalg.norm(resid) / max(1.0, np.linalg.norm(P)) < 1e-8
-        assert spectral_abscissa(sys.A - sys.B @ K) < 0.0
+        assert spectral_abscissa(A - B @ K) < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +240,9 @@ def test_criterion_9_pole_clouds(params, steady_schedules, steady_plans):
     # both schedules share the 300 m knots: one linearization of the plant
     # at the operating points it visits on the thermal plan
     knots = steady_schedules["thermal"].s_knots
+    plan = steady_plans["thermal"]
     plant_lin = linearize_stack(
-        params, operating_points(steady_plans["thermal"], knots))
+        params, [plan.sample(float(s)) for s in knots])
     thermal = pole_trace(steady_schedules["thermal"], *plant_lin)
     const = pole_trace(steady_schedules["mu0.8"], *plant_lin)
     assert thermal.cloud_diameter < const.cloud_diameter

@@ -11,10 +11,11 @@ import pytest
 
 from thermaldrift import cli, csvio, figure8
 from thermaldrift.cli import main
+from thermaldrift.control import linearize_stack
 from thermaldrift.figure8 import Figure8Plan
 from thermaldrift.limits import default_limits
 from thermaldrift.params import default_params, save_params
-from thermaldrift.sim import run
+from thermaldrift.sim import pole_trace, run
 from thermaldrift.trajopt import _IPM_MAX_ITER
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -153,10 +154,28 @@ def test_planner_values_out_of_order_are_config_error(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, option", [
+    ("plan-steady", ["--arc", "inf"]),
+    ("plan-steady", ["--beta", "nan"]),
+    ("plan-steady", ["--mu-const", "nan"]),
+    ("plan-figure8", ["--radius", "nan"]),
+    ("plan-figure8", ["--k-s", "inf"]),
+], ids=["steady_arc", "steady_beta", "steady_mu_const", "figure8_radius",
+        "figure8_k_s"])
+def test_non_finite_option_is_config_error(tmp_path, capsys, command, option):
+    """An infinite or NaN number on the command line is a configuration
+    error naming its option, and nothing is written."""
+    rc = main([command, "--out", str(tmp_path / "out"), *option])
+    assert rc == 1
+    assert f"{option[0]} must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_steady_compare_csvs_match_in_process_runs(tmp_path, monkeypatch):
     """With its runs and CSV writes in forked workers, simulate --scenario
     steady-compare writes each sim_*.csv byte for byte as save_sim(run(sc))
-    does in this process."""
+    does in this process, and each poles_*.csv as the scenario's schedule
+    against the plant linearized once along the matched plan."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     scenarios = []
 
@@ -170,10 +189,18 @@ def test_steady_compare_csvs_match_in_process_runs(tmp_path, monkeypatch):
     assert main(["simulate", "--out", str(out),
                  "--scenario", "steady-compare"]) == 0
     assert [sc.name for sc in scenarios] == ["matched", "mu0.73", "mu0.8"]
+    matched = csvio.load_quasi_steady(out / "trajectory.csv")
+    knots = scenarios[0].schedule.s_knots
     for sc in scenarios:
         want = tmp_path / f"want_{sc.name}.csv"
         csvio.save_sim(run(sc), want)
         assert (out / f"sim_{sc.name}.csv").read_bytes() == \
+            want.read_bytes(), sc.name
+        want = tmp_path / f"want_poles_{sc.name}.csv"
+        csvio.save_poles(pole_trace(sc.schedule, *linearize_stack(
+            default_params(), [matched.sample(float(s)) for s in knots])),
+            want)
+        assert (out / f"poles_{sc.name}.csv").read_bytes() == \
             want.read_bytes(), sc.name
 
 

@@ -7,9 +7,7 @@ import scipy.linalg
 
 from thermaldrift.control import (
     GainSchedule,
-    LinearizedSystem,
     LqrWeights,
-    OperatingPoint,
     build_schedule,
     closed_loop_poles,
     linearize,
@@ -17,7 +15,6 @@ from thermaldrift.control import (
     lookup,
     lqr_gain,
     lqr_gains,
-    operating_points,
     spectral_abscissa,
 )
 from thermaldrift.errors import ScheduleError, SolverError
@@ -26,9 +23,9 @@ from thermaldrift.model import vehicle_derivatives
 from conftest import BETA, RADIUS, THETA0
 
 
-def nominal_op(eq):
-    return OperatingPoint(state=eq.state(), input=eq.input(),
-                          kappa=1.0 / RADIUS)
+def nominal_point(eq):
+    """The (state, input, kappa) point at an equilibrium on the circle."""
+    return eq.state(), eq.input(), 1.0 / RADIUS
 
 
 # ---------------------------------------------------------------------------
@@ -48,19 +45,19 @@ def test_lqr_rejects_unstabilizable():
 
 
 def test_full_gain_stabilizes(params, eq_nominal):
-    sys = linearize(params, nominal_op(eq_nominal))
+    A, B = linearize(params, *nominal_point(eq_nominal))
     w = LqrWeights()
-    K = lqr_gain(sys.A, sys.B, w.Q, w.R)
-    assert spectral_abscissa(sys.A - sys.B @ K) < 0.0
+    K = lqr_gain(A, B, w.Q, w.R)
+    assert spectral_abscissa(A - B @ K) < 0.0
     # independent Riccati residual check
-    P = scipy.linalg.solve_continuous_are(sys.A, sys.B, w.Q, w.R)
-    K_ref = np.linalg.solve(w.R, sys.B.T @ P)
+    P = scipy.linalg.solve_continuous_are(A, B, w.Q, w.R)
+    K_ref = np.linalg.solve(w.R, B.T @ P)
     assert np.allclose(K, K_ref, atol=1e-8)
-    resid = sys.A.T @ P + P @ sys.A - P @ sys.B @ K_ref + w.Q
+    resid = A.T @ P + P @ A - P @ B @ K_ref + w.Q
     assert np.linalg.norm(resid) / max(1.0, np.linalg.norm(P)) < 1e-8
     # perturbed linear closed loop decays
     x = np.full(6, 0.05)
-    Acl = sys.A - sys.B @ K
+    Acl = A - B @ K
     for _ in range(2000):
         x = x + 0.005 * (Acl @ x)
     assert np.linalg.norm(x) < 0.05
@@ -73,8 +70,9 @@ def test_batched_gains_match_scipy(params, steady_plans, steady_schedules,
     knot, on the 300 m schedules (1201 knots each)."""
     sched = steady_schedules[name]
     w = LqrWeights.tracking()
+    plan = steady_plans[name]
     A, B = linearize_stack(params,
-                           operating_points(steady_plans[name], sched.s_knots))
+                           [plan.sample(float(s)) for s in sched.s_knots])
     sol = lqr_gains(A, B, w.Q, w.R)
     assert sol.ok.all()
     np.testing.assert_array_equal(sched.K, sol.K)  # no scipy fallback
@@ -100,12 +98,12 @@ def test_schedule_failure_names_knot(params, monkeypatch):
     real = control.linearize
     bad_s = 2.0
 
-    def linearize_unactuated_at(params, op):
-        sys = real(params, op)
-        if op.state.s == bad_s:
-            assert spectral_abscissa(sys.A) > 0.0
-            return LinearizedSystem(A=sys.A, B=np.zeros_like(sys.B), op=op)
-        return sys
+    def linearize_unactuated_at(params, state, inp, kappa):
+        A, B = real(params, state, inp, kappa)
+        if state.s == bad_s:
+            assert spectral_abscissa(A) > 0.0
+            return A, np.zeros_like(B)
+        return A, B
 
     monkeypatch.setattr(control, "linearize", linearize_unactuated_at)
     with pytest.raises(ScheduleError,
@@ -145,7 +143,8 @@ def test_schedule_falls_back_to_scipy(params, monkeypatch, caplog):
     w = LqrWeights()
     with caplog.at_level(logging.DEBUG, logger="thermaldrift.control"):
         sched = build_schedule(params, traj, weights=w)
-    A, B = linearize_stack(params, operating_points(traj, sched.s_knots))
+    A, B = linearize_stack(params,
+                           [traj.sample(float(s)) for s in sched.s_knots])
     np.testing.assert_array_equal(sched.K[bad],
                                   lqr_gain(A[bad], B[bad], w.Q, w.R))
     assert np.isfinite(sched.K).all()
@@ -160,13 +159,12 @@ def test_schedule_falls_back_to_scipy(params, monkeypatch, caplog):
 
 def test_linearize_cross_check(params, eq_nominal):
     """Central differences vs an independent forward scheme at h/10."""
-    op = nominal_op(eq_nominal)
-    sys = linearize(params, op)
-    st, u = op.state, op.input
+    st, u, kappa = nominal_point(eq_nominal)
+    A, _ = linearize(params, st, u, kappa)
     names = ["Vx", "Vy", "r", "omega"]
 
     def rates(state, inp):
-        rt = vehicle_derivatives(params, state, inp, kappa=op.kappa)
+        rt = vehicle_derivatives(params, state, inp, kappa=kappa)
         return np.array([rt.Vx, rt.Vy, rt.r, rt.omega])
 
     base = rates(st, u)
@@ -174,36 +172,33 @@ def test_linearize_cross_check(params, eq_nominal):
         h = 1e-7 * max(1.0, abs(getattr(st, name)))
         fwd = (rates(st.replace(**{name: getattr(st, name) + h}), u) - base) / h
         for i in range(4):
-            if abs(sys.A[i, j]) > 1e-6:
-                assert fwd[i] == pytest.approx(sys.A[i, j], rel=1e-4)
+            if abs(A[i, j]) > 1e-6:
+                assert fwd[i] == pytest.approx(A[i, j], rel=1e-4)
 
 
 def test_linearize_analytic_path_rows(params, eq_nominal):
-    op = nominal_op(eq_nominal)
-    sys = linearize(params, op)
-    st = op.state
+    st, u, kappa = nominal_point(eq_nominal)
+    A, B = linearize(params, st, u, kappa)
     S, C = math.sin(st.dpsi), math.cos(st.dpsi)
     np.testing.assert_allclose(
-        sys.A[5], [S, C, 0.0, 0.0, st.Vx * C - st.Vy * S, 0.0], atol=1e-12)
-    assert np.all(sys.B[4:] == 0.0)
+        A[5], [S, C, 0.0, 0.0, st.Vx * C - st.Vy * S, 0.0], atol=1e-12)
+    assert np.all(B[4:] == 0.0)
 
 
 def test_linearize_straight_path_row(params, eq_nominal):
-    op = OperatingPoint(state=eq_nominal.state().replace(dpsi=0.0),
-                        input=eq_nominal.input(), kappa=0.0)
-    sys = linearize(params, op)
+    st = eq_nominal.state().replace(dpsi=0.0)
+    A, _ = linearize(params, st, eq_nominal.input(), 0.0)
     np.testing.assert_allclose(
-        sys.A[5], [0.0, 1.0, 0.0, 0.0, op.state.Vx, 0.0], atol=1e-12)
+        A[5], [0.0, 1.0, 0.0, 0.0, st.Vx, 0.0], atol=1e-12)
 
 
 def test_linearization_consistency(params, eq_nominal):
-    op = nominal_op(eq_nominal)
-    sys = linearize(params, op)
+    st, u, kappa = nominal_point(eq_nominal)
+    A, _ = linearize(params, st, u, kappa)
     rng = np.random.default_rng(7)
-    st = op.state
 
     def f6(state):
-        rt = vehicle_derivatives(params, state, op.input, kappa=op.kappa)
+        rt = vehicle_derivatives(params, state, u, kappa=kappa)
         return np.array([rt.Vx, rt.Vy, rt.r, rt.omega, rt.dpsi, rt.e])
 
     base = f6(st)
@@ -212,7 +207,7 @@ def test_linearization_consistency(params, eq_nominal):
         pert = st.replace(Vx=st.Vx + dx[0], Vy=st.Vy + dx[1], r=st.r + dx[2],
                           omega=st.omega + dx[3], dpsi=st.dpsi + dx[4],
                           e=st.e + dx[5])
-        err = np.linalg.norm(f6(pert) - base - sys.A @ dx)
+        err = np.linalg.norm(f6(pert) - base - A @ dx)
         assert err <= 1e-6 + 10.0 * np.dot(dx, dx)
 
 
@@ -284,9 +279,9 @@ def test_weight_validation():
 
 
 def test_closed_loop_poles_shape(params, eq_nominal):
-    sys = linearize(params, nominal_op(eq_nominal))
+    A, B = linearize(params, *nominal_point(eq_nominal))
     w = LqrWeights()
-    K = lqr_gain(sys.A, sys.B, w.Q, w.R)
-    poles = closed_loop_poles(sys.A, sys.B, K)
+    K = lqr_gain(A, B, w.Q, w.R)
+    poles = closed_loop_poles(A, B, K)
     assert poles.shape == (6,)
     assert np.max(poles.real) < 0.0

@@ -64,6 +64,31 @@ def test_sweep_matches_state_residual_oracle(params, monkeypatch, sign,
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+@pytest.mark.parametrize("frozen", [{"mu_const": 0.73}, {"mu_const": 0.8},
+                                    {"thermal": False}],
+                         ids=["mu0.73", "mu0.8", "thermal_off"])
+def test_frozen_sweep_solves_one_equilibrium(params, monkeypatch, frozen):
+    """With a frozen temperature the 300 m sweep solves node 0 alone; a
+    solve warm-started from that root, as the next node's would be, returns
+    it unchanged."""
+    real = equilibrium.find_equilibrium
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "find_equilibrium", counting)
+    traj = quasi_steady_sweep(params, RADIUS, BETA, THETA0, 300.0, **frozen)
+    assert traj.n_nodes == 1201
+    assert len(calls) == 1
+    eq0 = traj.equilibria[0]
+    assert all(eq is eq0 for eq in traj.equilibria)
+    assert np.all(traj.theta == eq0.theta_r) and np.all(traj.Q == traj.Q[0])
+    assert real(params, RADIUS, BETA, eq0.theta_r,
+                guess=eq0.unknowns()) == eq0
+
+
 def test_hotter_tire_slower_drift(params):
     eq_cold = find_equilibrium(params, RADIUS, BETA, 30.0)
     eq_hot = find_equilibrium(params, RADIUS, BETA, 70.0)

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import types
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import thermaldrift
 
 SRC = Path(thermaldrift.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
 MODULES = sorted(info.name for info in pkgutil.iter_modules(thermaldrift.__path__))
 
 
@@ -40,3 +42,30 @@ def test_src_does_not_import_tests():
             offenders += [f"{path.name}: {n}" for n in names
                           if n.split(".")[0] in test_modules]
     assert offenders == []
+
+
+def test_benchmark_wrappers_install_and_restore(monkeypatch):
+    """Every package attribute the benchmark's tracer wraps exists: both
+    hook sets install, and restore() puts each original back."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("tracer")
+    modules = [importlib.import_module(f"thermaldrift.{m}") for m in MODULES]
+    before = [dict(vars(m)) for m in modules]
+
+    def replaced():
+        return sorted(f"{m.__name__}.{name}"
+                      for m, attrs in zip(modules, before)
+                      for name, value in attrs.items()
+                      if getattr(m, name) is not value)
+
+    patcher = tracer.Patcher()
+    try:
+        layers.install_capture(patcher, types.SimpleNamespace())
+        layers.install_trace(patcher, tracer.Tracer())
+        wrapped = replaced()
+    finally:
+        patcher.restore()
+    assert "thermaldrift.sim.run" in wrapped
+    assert "thermaldrift.control.linearize" in wrapped
+    assert replaced() == []

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from thermaldrift.control import REF_STATE_FIELDS, OperatingPoint
+from thermaldrift.control import REF_STATE_FIELDS
 from thermaldrift.figure8 import plan_figure8
 from thermaldrift.paths import CirclePath
 from thermaldrift.trajopt import IX
@@ -61,10 +61,11 @@ def test_transition_rows_equal_the_transition(plan):
                          & (sched.s_knots <= plan.s_break2))
     assert len(idx) > 10
     for i in idx:
-        op = OperatingPoint(*plan.transition.sample(float(sched.s_knots[i])))
-        assert np.array_equal(sched.ref_states[i], op.ref_state_row())
-        assert np.array_equal(sched.ref_inputs[i], op.ref_input_row())
-        assert sched.kappa[i] == op.kappa
+        st, u, kappa = plan.transition.sample(float(sched.s_knots[i]))
+        assert np.array_equal(sched.ref_states[i],
+                              [getattr(st, name) for name in REF_STATE_FIELDS])
+        assert np.array_equal(sched.ref_inputs[i], [u.delta, u.Fxf, u.tau])
+        assert sched.kappa[i] == kappa
 
 
 def test_sample_is_continuous_across_both_breaks(params):

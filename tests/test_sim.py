@@ -7,11 +7,9 @@ import pytest
 
 from thermaldrift.control import (
     LqrWeights,
-    OperatingPoint,
     closed_loop_poles,
     linearize,
     linearize_stack,
-    operating_points,
 )
 from thermaldrift import sim
 from thermaldrift.errors import ModelDomainError, SimulationError
@@ -216,7 +214,8 @@ def test_compare_forked_matches_run(params, steady_plans, steady_schedules,
 
 def _plant_lin(params, plan, schedule):
     """The plant linearized along ``plan`` at the schedule's knots."""
-    return linearize_stack(params, operating_points(plan, schedule.s_knots))
+    return linearize_stack(params,
+                           [plan.sample(float(s)) for s in schedule.s_knots])
 
 
 def test_matched_pole_trace_stable(steady_schedules, params, steady_plans):
@@ -245,9 +244,8 @@ def _pole_trace_per_knot(schedule, plant, plant_ref):
     poles = np.empty((len(knots), 6), dtype=complex)
     prev = None
     for i in range(len(knots)):
-        op = OperatingPoint(*plant_ref.sample(float(knots[i])))
-        sys = linearize(plant, op)
-        eig = closed_loop_poles(sys.A, sys.B, schedule.K[i])
+        A, B = linearize(plant, *plant_ref.sample(float(knots[i])))
+        eig = closed_loop_poles(A, B, schedule.K[i])
         poles[i] = eig if prev is None else _match(prev, eig)
         prev = poles[i]
     return poles
@@ -267,7 +265,7 @@ def test_pole_trace_matches_per_knot_loop(steady_schedules, steady_plans,
 
 def test_pole_trace_rejects_wrong_stack(steady_schedules, params, eq_nominal):
     sched = steady_schedules["thermal"]
-    A, B = linearize_stack(params, [OperatingPoint(
+    A, B = linearize_stack(params, [(
         eq_nominal.state(), eq_nominal.input(), 1.0 / RADIUS)])
     with pytest.raises(ValueError, match="1 plant A and 1 B matrices"):
         pole_trace(sched, A, B)
