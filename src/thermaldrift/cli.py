@@ -15,7 +15,12 @@ from pathlib import Path
 from . import csvio
 from ._fork import fork_map
 from .control import LqrWeights, build_schedule, linearize_stack
-from .equilibrium import quasi_steady_sweep
+from .equilibrium import (
+    check_arc,
+    check_radius,
+    check_sideslip,
+    quasi_steady_sweep,
+)
 from .errors import ConfigError, SimulationError, SolverError, ThermalDriftError
 from .figure8 import Figure8Plan, plan_figure8
 from .params import default_params, load_params
@@ -82,7 +87,21 @@ def _load_inputs(args):
     return params, planner
 
 
+def _check_geometry(args) -> None:
+    """The planner's own preconditions on --radius, --beta and --arc, as
+    configuration errors that name the option."""
+    for option, value, check, arg in (
+            ("--radius", args.radius, check_radius, args.radius),
+            ("--beta", args.beta, check_sideslip, math.radians(args.beta)),
+            ("--arc", args.arc, check_arc, args.arc)):
+        try:
+            check(arg)
+        except ValueError as exc:
+            raise ConfigError(f"{option} {value:g}: {exc}") from None
+
+
 def cmd_plan_steady(args) -> int:
+    _check_geometry(args)
     params, planner = _load_inputs(args)
     beta = math.radians(args.beta)
     traj = quasi_steady_sweep(params, args.radius, beta, args.theta0,
@@ -115,6 +134,7 @@ def cmd_plan_steady(args) -> int:
 
 
 def cmd_plan_figure8(args) -> int:
+    _check_geometry(args)
     params, planner = _load_inputs(args)
     beta = math.radians(args.beta)
     if args.k_s is not None:

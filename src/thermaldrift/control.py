@@ -9,6 +9,7 @@ the node; the two path rows are analytic.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass, field
@@ -35,6 +36,7 @@ __all__ = [
     "lqr_gains",
     "build_schedule",
     "lookup",
+    "nearest_knot",
     "closed_loop_poles",
     "spectral_abscissa",
     "REF_STATE_FIELDS",
@@ -69,36 +71,37 @@ def linearize(params: ParamSet, state: VehicleState, inp: ControlInput,
     evaluated (every reference rides its path at e = 0).
     """
 
-    def body_rates(Vx, Vy, r, omega, delta, Fxf, tau):
-        rates = scalar_rates(params, Vx, Vy, r, state.psi, omega, state.dFz,
-                             state.theta_r, delta, Fxf, tau)
-        return np.array(rates[:4])
-
-    x0 = [state.Vx, state.Vy, state.r, state.omega]
-    u0 = [inp.delta, inp.Fxf, inp.tau]
-
-    A = np.zeros((6, 6))
-    B = np.zeros((6, 3))
-    for j in range(4):
-        h = _fd_step(x0[j])
-        xp, xm = list(x0), list(x0)
-        xp[j] += h
-        xm[j] -= h
-        A[:4, j] = (body_rates(*xp, *u0) - body_rates(*xm, *u0)) / (2.0 * h)
-    for j in range(3):
-        h = _fd_step(u0[j])
-        up, um = list(u0), list(u0)
-        up[j] += h
-        um[j] -= h
-        B[:4, j] = (body_rates(*x0, *up) - body_rates(*x0, *um)) / (2.0 * h)
+    # Python floats: a reference read from CSV holds numpy scalars, whose
+    # arithmetic gives the same bits many times slower
+    psi, dFz, theta = float(state.psi), float(state.dFz), float(state.theta_r)
+    point = [float(v) for v in (state.Vx, state.Vy, state.r, state.omega,
+                                inp.delta, inp.Fxf, inp.tau)]
+    # body rows by column: the 4 body rates' central differences in each of
+    # the 7 variables [Vx, Vy, r, omega, delta, Fxf, tau]
+    columns = []
+    for j, value in enumerate(point):
+        h = _fd_step(value)
+        plus, minus = list(point), list(point)
+        plus[j] += h
+        minus[j] -= h
+        Vx, Vy, r, omega, delta, Fxf, tau = plus
+        rp = scalar_rates(params, Vx, Vy, r, psi, omega, dFz, theta,
+                          delta, Fxf, tau)
+        Vx, Vy, r, omega, delta, Fxf, tau = minus
+        rm = scalar_rates(params, Vx, Vy, r, psi, omega, dFz, theta,
+                          delta, Fxf, tau)
+        columns.append([(rp[i] - rm[i]) / (2.0 * h) for i in range(4)])
 
     # analytic path rows, evaluated at e_ref = 0
     S, C = math.sin(state.dpsi), math.cos(state.dpsi)
-    Vx, Vy = state.Vx, state.Vy
-    A[4] = [-kappa * C, kappa * S, 1.0, 0.0,
-            kappa * (Vx * S + Vy * C), -kappa * kappa * (Vx * C - Vy * S)]
-    A[5] = [S, C, 0.0, 0.0, Vx * C - Vy * S, 0.0]
-    return A, B
+    Vx, Vy = point[0], point[1]
+    # one (6, 9) array [A | B]; dpsi and e enter no body rate
+    AB = np.array([row[:4] + (0.0, 0.0) + row[4:] for row in zip(*columns)]
+                  + [[-kappa * C, kappa * S, 1.0, 0.0,
+                      kappa * (Vx * S + Vy * C),
+                      -kappa * kappa * (Vx * C - Vy * S), 0.0, 0.0, 0.0],
+                     [S, C, 0.0, 0.0, Vx * C - Vy * S, 0.0, 0.0, 0.0, 0.0]])
+    return AB[:, :6], AB[:, 6:]
 
 
 def linearize_stack(params: ParamSet, points) -> tuple[np.ndarray, np.ndarray]:
@@ -260,20 +263,25 @@ class GainSchedule:
         return len(self.s_knots)
 
 
+def nearest_knot(knots, s: float) -> int:
+    """Index of the knot nearest ``s`` in the increasing sequence ``knots``;
+    ties break toward the smaller knot and s outside the knot range (or
+    NaN) clamps to the nearest end."""
+    last = len(knots) - 1
+    if not s < knots[last]:
+        return last
+    i = bisect.bisect_left(knots, s)
+    if i == 0:
+        return 0
+    return i - 1 if s - knots[i - 1] <= knots[i] - s else i
+
+
 def lookup(schedule: GainSchedule, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Nearest-knot lookup; ties break toward the smaller knot and s outside
-    the knot range clamps to the nearest end.
+    """The schedule at its knot nearest ``s`` (:func:`nearest_knot`).
 
     Returns (K, ref_state_row, ref_input_row, knot_index).
     """
-    knots = schedule.s_knots
-    i = int(np.searchsorted(knots, s))
-    if i <= 0:
-        idx = 0
-    elif i >= len(knots):
-        idx = len(knots) - 1
-    else:
-        idx = i - 1 if s - knots[i - 1] <= knots[i] - s else i
+    idx = nearest_knot(schedule.s_knots, s)
     return schedule.K[idx], schedule.ref_states[idx], schedule.ref_inputs[idx], idx
 
 

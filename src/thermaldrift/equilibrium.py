@@ -34,7 +34,8 @@ from .paths import CirclePath
 
 __all__ = ["DriftEquilibrium", "QuasiSteadyTrajectory",
            "find_equilibrium", "quasi_steady_sweep", "dynamic_residual",
-           "thermal_fixed_point"]
+           "thermal_fixed_point", "check_radius", "check_sideslip",
+           "check_arc"]
 
 # Newton settings.  The residual tolerance is well below the 1e-8 contract so
 # that downstream forward-integration checks start from machine-level rest.
@@ -46,6 +47,9 @@ _TOL_STEP = 1e-12
 # the ambient temperature) and the bracket width it stops at, degC
 _FIXED_POINT_HI = 119.0
 _FIXED_POINT_TOL = 1e-10
+
+#: default arc-length spacing of the sweep's nodes, m
+_DS = 0.25
 
 
 @dataclass(frozen=True)
@@ -129,6 +133,28 @@ def _default_guess(radius: float, params: ParamSet) -> np.ndarray:
     ])
 
 
+def check_radius(radius: float) -> None:
+    """Raise ValueError unless an equilibrium can be solved on ``radius``."""
+    if abs(radius) < 5.0:
+        raise ValueError("|radius| must be at least 5 m")
+
+
+def check_sideslip(beta_target: float) -> None:
+    """Raise ValueError unless an equilibrium can be solved at
+    ``beta_target`` (rad)."""
+    if abs(beta_target) >= math.radians(80.0):
+        raise ValueError("|beta_target| must be below 80 deg")
+
+
+def check_arc(total_arc: float, ds: float = _DS) -> None:
+    """Raise ValueError unless a sweep can take ``total_arc`` in steps of
+    ``ds``."""
+    if ds <= 0.0:
+        raise ValueError("ds must be positive")
+    if total_arc < ds:
+        raise ValueError(f"total_arc must be at least one step ({ds:g} m)")
+
+
 def find_equilibrium(params: ParamSet, radius: float, beta_target: float,
                      theta_r: float, guess=None,
                      limits: ActuatorLimits | None = None) -> DriftEquilibrium:
@@ -138,10 +164,8 @@ def find_equilibrium(params: ParamSet, radius: float, beta_target: float,
     rate by V = r * radius and the sideslip is pinned to ``beta_target``.
     The front braking force is not used and stays at zero.
     """
-    if abs(radius) < 5.0:
-        raise ValueError("|radius| must be at least 5 m")
-    if abs(beta_target) >= math.radians(80.0):
-        raise ValueError("|beta_target| must be below 80 deg")
+    check_radius(radius)
+    check_sideslip(beta_target)
     mu_r = friction_coefficient(params.thermal, theta_r)
     limits = limits or default_limits()
 
@@ -312,7 +336,7 @@ class QuasiSteadyTrajectory:
 
 
 def quasi_steady_sweep(params: ParamSet, radius: float, beta_target: float,
-                       theta0: float, total_arc: float, ds: float = 0.25, *,
+                       theta0: float, total_arc: float, ds: float = _DS, *,
                        thermal: bool = True, mu_const: float | None = None,
                        limits: ActuatorLimits | None = None) -> QuasiSteadyTrajectory:
     """Sweep equilibria along a circle while the tread temperature evolves.
@@ -323,10 +347,7 @@ def quasi_steady_sweep(params: ParamSet, radius: float, beta_target: float,
     the temperature at ``theta0`` instead.  With a frozen temperature every
     node shares node 0's equilibrium, which is solved once.
     """
-    if ds <= 0.0:
-        raise ValueError("ds must be positive")
-    if total_arc < ds:
-        raise ValueError("total_arc must be at least one step")
+    check_arc(total_arc, ds)
     thp = params.thermal
     if mu_const is not None:
         theta0 = (mu_const - thp.mu_r0) / thp.mu_r1

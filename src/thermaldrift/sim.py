@@ -19,13 +19,11 @@ from ._fork import fork_map
 from .control import (
     GainSchedule,
     linearize,  # noqa: F401  kept: perfbench/layers.py wraps sim.linearize
-    lookup,
+    nearest_knot,
 )
 from .errors import ModelDomainError, SimulationError
-from .integrate import rk4_floats
 from .limits import ActuatorLimits, default_limits
 from .model import (
-    ControlInput,
     VehicleState,
     friction_coefficient,
     scalar_rates,
@@ -89,30 +87,43 @@ class SimResult:
         return self.series[:, SIM_COLUMNS.index(name)]
 
 
-def _plant_rates(y, params: ParamSet, inp: ControlInput) -> tuple:
-    """Rates of the 9 floats [Vx, Vy, r, psi, omega, dFz, X, Y, theta]."""
-    Vx, Vy, r, psi, omega, dFz, _, _, theta = y
-    dVx, dVy, dr, domega, ddFz, dtheta, dX, dY, _ = scalar_rates(
-        params, Vx, Vy, r, psi, omega, dFz, theta, inp.delta, inp.Fxf, inp.tau)
-    return dVx, dVy, dr, r, domega, ddFz, dX, dY, dtheta
+def _plant_step(plant: ParamSet, y, h: float, delta: float, Fxf: float,
+                tau: float) -> list:
+    """One RK4 step of the plant's 9 floats [Vx, Vy, r, psi, omega, dFz, X,
+    Y, theta] at a held input.
 
-
-def _control(scenario: Scenario, y, e, s, dpsi):
-    """Clamped input (delta, Fxf, tau) and the reference rows, as floats.
-
-    The gain product stays one numpy matmul: a Python dot sums in another
-    order and moves the series.
+    Written out in :func:`~thermaldrift.integrate.rk4`'s operation order, so
+    the two give the same bits: the stages read ``a + hh*k`` (the last one
+    ``a + h*k``) and the step is ``a + h6*(k1 + 2.0*k2 + 2.0*k3 + k4)``.
+    psi's rate is the stage's own r; X and Y get no stage values, because
+    no rate reads them.
     """
-    K, ref_x, ref_u, _ = lookup(scenario.schedule, s)
-    ref_x, ref_u = ref_x.tolist(), ref_u.tolist()
-    du = (K @ np.array([y[0] - ref_x[0], y[1] - ref_x[1], y[2] - ref_x[2],
-                        y[4] - ref_x[3], wrap_angle(dpsi - ref_x[8]),
-                        e - ref_x[6]])).tolist()
-    lim = scenario.limits
-    u = (min(max(ref_u[0] - du[0], lim.delta_min), lim.delta_max),
-         min(max(ref_u[1] - du[1], lim.Fxf_min), lim.Fxf_max),
-         min(max(ref_u[2] - du[2], lim.tau_min), lim.tau_max))
-    return u, ref_x, ref_u
+    Vx, Vy, r, psi, omega, dFz, X, Y, theta = y
+    hh = 0.5 * h
+    vx1, vy1, r1, w1, fz1, th1, x1, y1, _ = scalar_rates(
+        plant, Vx, Vy, r, psi, omega, dFz, theta, delta, Fxf, tau)
+    ra = r + hh * r1
+    vx2, vy2, r2, w2, fz2, th2, x2, y2, _ = scalar_rates(
+        plant, Vx + hh * vx1, Vy + hh * vy1, ra, psi + hh * r,
+        omega + hh * w1, dFz + hh * fz1, theta + hh * th1, delta, Fxf, tau)
+    rb = r + hh * r2
+    vx3, vy3, r3, w3, fz3, th3, x3, y3, _ = scalar_rates(
+        plant, Vx + hh * vx2, Vy + hh * vy2, rb, psi + hh * ra,
+        omega + hh * w2, dFz + hh * fz2, theta + hh * th2, delta, Fxf, tau)
+    rc = r + h * r3
+    vx4, vy4, r4, w4, fz4, th4, x4, y4, _ = scalar_rates(
+        plant, Vx + h * vx3, Vy + h * vy3, rc, psi + h * rb,
+        omega + h * w3, dFz + h * fz3, theta + h * th3, delta, Fxf, tau)
+    h6 = h / 6.0
+    return [Vx + h6 * (vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4),
+            Vy + h6 * (vy1 + 2.0 * vy2 + 2.0 * vy3 + vy4),
+            r + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4),
+            psi + h6 * (r + 2.0 * ra + 2.0 * rb + rc),
+            omega + h6 * (w1 + 2.0 * w2 + 2.0 * w3 + w4),
+            dFz + h6 * (fz1 + 2.0 * fz2 + 2.0 * fz3 + fz4),
+            X + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4),
+            Y + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4),
+            theta + h6 * (th1 + 2.0 * th2 + 2.0 * th3 + th4)]
 
 
 def run(scenario: Scenario) -> SimResult:
@@ -120,6 +131,8 @@ def run(scenario: Scenario) -> SimResult:
 
     A sideslip error beyond 60 degrees or a model-domain failure terminates
     the run with a diagnostic partial result rather than an exception.
+    The feedback at each step comes from the schedule's knot nearest the
+    projected arc length (:func:`~thermaldrift.control.nearest_knot`).
     """
     st = scenario.initial_state
     y = [float(v) for v in (st.Vx, st.Vy, st.r, st.psi, st.omega, st.dFz,
@@ -127,6 +140,14 @@ def run(scenario: Scenario) -> SimResult:
     h = _H_SIM
     plant = scenario.plant
     thp = plant.thermal
+    lim = scenario.limits
+    # the schedule as Python values, read once per run
+    sched = scenario.schedule
+    knots = sched.s_knots.tolist()
+    gains = list(sched.K)
+    ref_states = sched.ref_states.tolist()
+    ref_inputs = sched.ref_inputs.tolist()
+    ref_mus = [friction_coefficient(thp, ref_x[5]) for ref_x in ref_states]
     n_max = int(math.ceil(_T_MAX / h)) + 1
     rows = np.empty((n_max, len(SIM_COLUMNS)))
     n = 0
@@ -139,12 +160,19 @@ def run(scenario: Scenario) -> SimResult:
         e, s, phi = _project(scenario.path, X, Y, s_hint)
         s_hint = s
         dpsi = wrap_angle(psi - phi)
-        u, ref_x, ref_u = _control(scenario, y, e, s, dpsi)
-        inp = ControlInput(*u)
+        k = nearest_knot(knots, s)
+        ref_x, ref_u = ref_states[k], ref_inputs[k]
+        # one numpy matmul: a Python dot sums in another order
+        du = (gains[k] @ np.array([
+            Vx - ref_x[0], Vy - ref_x[1], r - ref_x[2], omega - ref_x[3],
+            wrap_angle(dpsi - ref_x[8]), e - ref_x[6]])).tolist()
+        delta = min(max(ref_u[0] - du[0], lim.delta_min), lim.delta_max)
+        Fxf = min(max(ref_u[1] - du[1], lim.Fxf_min), lim.Fxf_max)
+        tau = min(max(ref_u[2] - du[2], lim.tau_min), lim.tau_max)
         mu = friction_coefficient(thp, theta)
-        ref_mu = friction_coefficient(thp, ref_x[5])
-        rows[n] = (t, s, e, dpsi, Vx, Vy, r, omega, dFz, theta, mu, *u,
-                   ref_x[6], ref_x[8], *ref_x[:6], ref_mu, *ref_u)
+        rows[n] = (t, s, e, dpsi, Vx, Vy, r, omega, dFz, theta, mu,
+                   delta, Fxf, tau, ref_x[6], ref_x[8], *ref_x[:6],
+                   ref_mus[k], *ref_u)
         n += 1
 
         beta = math.atan2(Vy, Vx)
@@ -156,7 +184,7 @@ def run(scenario: Scenario) -> SimResult:
         if s >= scenario.s_final:
             break
         try:
-            y = rk4_floats(_plant_rates, y, h, plant, inp)
+            y = _plant_step(plant, y, h, delta, Fxf, tau)
         except ModelDomainError as exc:
             status, detail = "domain_error", f"at t={t:.3f} s, s={s:.2f} m: {exc}"
             break
@@ -240,12 +268,18 @@ def pole_trace(schedule: GainSchedule, A: np.ndarray,
 
 
 def _match(prev: np.ndarray, eig: np.ndarray) -> np.ndarray:
-    """Greedy nearest-neighbor assignment of eigenvalues to existing traces."""
-    remaining = list(eig)
+    """Greedy nearest-neighbor assignment of eigenvalues to existing traces.
+
+    Trace by trace, in order, takes the nearest eigenvalue not yet taken;
+    of equally near ones, the first in ``eig``'s order.
+    """
+    dist = np.abs(prev[:, None] - eig[None, :]).tolist()
+    remaining = list(range(len(eig)))
     out = np.empty_like(prev)
-    for i, p in enumerate(prev):
-        j = int(np.argmin([abs(p - q) for q in remaining]))
-        out[i] = remaining.pop(j)
+    for i, row in enumerate(dist):
+        j = min(remaining, key=row.__getitem__)
+        remaining.remove(j)
+        out[i] = eig[j]
     return out
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from thermaldrift.control import LqrWeights, build_schedule
 from thermaldrift.equilibrium import find_equilibrium, quasi_steady_sweep
+from thermaldrift.figure8 import plan_figure8
 from thermaldrift.params import default_params
 from thermaldrift.paths import CirclePath
 from thermaldrift.sim import Scenario, compare
@@ -64,6 +65,13 @@ def transition(params):
     traj = solve_transition(problem, guess=initial_guess(problem, x_target))
     elapsed = time.perf_counter() - t0
     return problem, traj, elapsed
+
+
+@pytest.fixture(scope="session")
+def figure8_plan(params):
+    """A short figure-8 plan: 10 m circles around the transition."""
+    return plan_figure8(params, radius=RADIUS, beta=BETA, theta0=THETA0,
+                        arc1=10.0, arc2=10.0)
 
 
 @pytest.fixture(scope="session")

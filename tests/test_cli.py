@@ -171,6 +171,24 @@ def test_non_finite_option_is_config_error(tmp_path, capsys, command, option):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, option, message", [
+    ("plan-steady", ["--arc", "-5"], "--arc -5: total_arc must be at least"),
+    ("plan-steady", ["--arc", "0.1"], "--arc 0.1: total_arc must be at least"),
+    ("plan-steady", ["--radius", "3"], "--radius 3: |radius| must be at least"),
+    ("plan-steady", ["--beta", "85"], "--beta 85: |beta_target| must be below"),
+    ("plan-figure8", ["--arc", "-5"], "--arc -5: total_arc must be at least"),
+], ids=["steady_arc_negative", "steady_arc_short", "steady_radius",
+        "steady_beta", "figure8_arc"])
+def test_out_of_range_option_is_config_error(tmp_path, capsys, command,
+                                             option, message):
+    """A number outside the planner's range is a configuration error that
+    names its option, not a planner failure, and nothing is written."""
+    rc = main([command, "--out", str(tmp_path / "out"), *option])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_steady_compare_csvs_match_in_process_runs(tmp_path, monkeypatch):
     """With its runs and CSV writes in forked workers, simulate --scenario
     steady-compare writes each sim_*.csv byte for byte as save_sim(run(sc))

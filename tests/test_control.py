@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from thermaldrift import csvio
 from thermaldrift.control import (
     GainSchedule,
     LqrWeights,
@@ -15,11 +16,14 @@ from thermaldrift.control import (
     lookup,
     lqr_gain,
     lqr_gains,
+    nearest_knot,
     spectral_abscissa,
 )
+from thermaldrift.equilibrium import find_equilibrium
 from thermaldrift.errors import ScheduleError, SolverError
 from thermaldrift.model import vehicle_derivatives
 
+import loop_oracle
 from conftest import BETA, RADIUS, THETA0
 
 
@@ -157,6 +161,50 @@ def test_schedule_falls_back_to_scipy(params, monkeypatch, caplog):
 # linearization
 # ---------------------------------------------------------------------------
 
+def _linearization_points(params, steady_plans, figure8_plan, tmp_path):
+    """Every knot of the thermal plan, also as read back from CSV (numpy
+    scalars), and of the figure-8 plan (its transition has nonzero dpsi),
+    plus seeded points around drift equilibria with braking, heading and
+    curvature set."""
+    thermal = steady_plans["thermal"]
+    csvio.save_quasi_steady(thermal, tmp_path / "trajectory.csv")
+    loaded = csvio.load_quasi_steady(tmp_path / "trajectory.csv")
+    points = [plan.sample(0.25 * k) for plan in (thermal, loaded)
+              for k in range(thermal.n_nodes)]
+    assert type(points[-1][0].Vx) is np.float64
+    points += [figure8_plan.sample(float(s))
+               for s in figure8_plan.schedule.s_knots]
+    rng = np.random.default_rng(3)
+    for sign in (1.0, -1.0):
+        for theta in (0.0, 40.0, 90.0):
+            eq = find_equilibrium(params, sign * RADIUS, sign * BETA, theta)
+            st, u = eq.state(), eq.input()
+            for _ in range(20):
+                f = rng.uniform(0.9, 1.1, size=5)
+                points.append((
+                    st.replace(Vx=st.Vx * f[0], Vy=st.Vy * f[1],
+                               r=st.r * f[2], omega=st.omega * f[3],
+                               psi=rng.uniform(-math.pi, math.pi),
+                               dpsi=rng.uniform(-0.3, 0.3)),
+                    u.replace(delta=u.delta * f[4],
+                              Fxf=rng.uniform(-3000.0, 0.0),
+                              tau=rng.uniform(-500.0, 1500.0)),
+                    rng.uniform(-0.1, 0.1)))
+    return points
+
+
+def test_linearize_equals_loop_oracle(params, steady_plans, figure8_plan,
+                                     tmp_path):
+    """The float differences give the ndarray differences' bits."""
+    points = _linearization_points(params, steady_plans, figure8_plan,
+                                   tmp_path)
+    for point in points:
+        A, B = linearize(params, *point)
+        A0, B0 = loop_oracle.linearize(params, *point)
+        assert A.shape == (6, 6) and B.shape == (6, 3)
+        assert A.tobytes() == A0.tobytes() and B.tobytes() == B0.tobytes()
+
+
 def test_linearize_cross_check(params, eq_nominal):
     """Central differences vs an independent forward scheme at h/10."""
     st, u, kappa = nominal_point(eq_nominal)
@@ -258,6 +306,29 @@ def test_lookup_rules(params, steady_schedules):
     # clamping
     assert lookup(sched, -5.0)[3] == 0
     assert lookup(sched, 1e9)[3] == len(sched) - 1
+    assert lookup(sched, math.nan)[3] == len(sched) - 1
+
+
+def test_nearest_knot_matches_searchsorted_rule(steady_schedules):
+    """The bisect rule on a list of knots equals the searchsorted form of
+    the same rule on the ndarray, at knots, midpoints, just beside both,
+    outside the range and at NaN."""
+    knots = steady_schedules["thermal"].s_knots
+
+    def by_searchsorted(s):
+        i = int(np.searchsorted(knots, s))
+        if i <= 0:
+            return 0
+        if i >= len(knots):
+            return len(knots) - 1
+        return i - 1 if s - knots[i - 1] <= knots[i] - s else i
+
+    mids = 0.5 * (knots[:-1] + knots[1:])
+    probes = np.concatenate([knots, mids, np.nextafter(mids, -np.inf),
+                             np.nextafter(mids, np.inf), [-5.0, 1e9, np.nan]])
+    as_list = knots.tolist()
+    for s in probes.tolist():
+        assert nearest_knot(as_list, s) == by_searchsorted(s)
 
 
 def test_schedule_validation():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import thermaldrift
+from thermaldrift import cli
 
 SRC = Path(thermaldrift.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -44,9 +45,11 @@ def test_src_does_not_import_tests():
     assert offenders == []
 
 
-def test_benchmark_wrappers_install_and_restore(monkeypatch):
+def test_benchmark_wrappers_install_and_restore(monkeypatch, tmp_path):
     """Every package attribute the benchmark's tracer wraps exists: both
-    hook sets install, and restore() puts each original back."""
+    hook sets install, and restore() puts each original back.  With the
+    tracer installed, plan-steady and a one-scenario simulate (run inline,
+    not forked) record calls in each per-layer row they exercise."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     layers = importlib.import_module("layers")
     tracer = importlib.import_module("tracer")
@@ -60,12 +63,20 @@ def test_benchmark_wrappers_install_and_restore(monkeypatch):
                       if getattr(m, name) is not value)
 
     patcher = tracer.Patcher()
+    tr = tracer.Tracer()
+    out = str(tmp_path / "out")
     try:
         layers.install_capture(patcher, types.SimpleNamespace())
-        layers.install_trace(patcher, tracer.Tracer())
+        layers.install_trace(patcher, tr)
         wrapped = replaced()
+        assert cli.main(["plan-steady", "--out", out, "--arc", "20"]) == 0
+        assert cli.main(["simulate", "--out", out]) == 0
     finally:
         patcher.restore()
     assert "thermaldrift.sim.run" in wrapped
     assert "thermaldrift.control.linearize" in wrapped
     assert replaced() == []
+    calls = {name: stat[0] for name, stat in tr.stats.items()}
+    for name in ("sim.run", "paths.project", "control.linearize",
+                 "csvio.write"):
+        assert calls.get(name, 0) > 0, name

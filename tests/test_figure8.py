@@ -18,10 +18,9 @@ _S = REF_STATE_FIELDS.index("s")
 _XY = [REF_STATE_FIELDS.index("X"), REF_STATE_FIELDS.index("Y")]
 
 
-@pytest.fixture(scope="module")
-def plan(params):
-    return plan_figure8(params, radius=RADIUS, beta=BETA, theta0=THETA0,
-                        arc1=10.0, arc2=10.0)
+@pytest.fixture
+def plan(figure8_plan):
+    return figure8_plan
 
 
 def _on_circle(circle, s_local, xy):

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -397,11 +396,16 @@ def test_scalar_rates_match_helper_chain_on_run_states(monkeypatch):
     """Every point the simulator's RK4 stages and the sweep's Newton
     Jacobians evaluate, in one short closed-loop run and one sweep."""
     seen_sim, seen_eq = [], []
-    plant_rates, residual = sim._plant_rates, equilibrium.dynamic_residual
+    kernel, residual = sim.scalar_rates, equilibrium.dynamic_residual
 
-    def recording_plant_rates(y, params, inp):
-        seen_sim.append((y.copy(), inp))
-        return plant_rates(y, params, inp)
+    def recording_kernel(params, Vx, Vy, r, psi, omega, dFz, theta_r, delta,
+                         Fxf, tau):
+        rates = kernel(params, Vx, Vy, r, psi, omega, dFz, theta_r, delta,
+                       Fxf, tau)
+        seen_sim.append((VehicleState(Vx=Vx, Vy=Vy, r=r, omega=omega,
+                                      dFz=dFz, theta_r=theta_r, psi=psi),
+                         ControlInput(delta=delta, Fxf=Fxf, tau=tau), rates))
+        return rates
 
     def recording_residual(params, Vx, Vy, r, omega, dFz, theta_r, delta,
                            tau):
@@ -410,7 +414,7 @@ def test_scalar_rates_match_helper_chain_on_run_states(monkeypatch):
                         ControlInput(delta=delta, Fxf=0.0, tau=tau)))
         return residual(params, Vx, Vy, r, omega, dFz, theta_r, delta, tau)
 
-    monkeypatch.setattr(sim, "_plant_rates", recording_plant_rates)
+    monkeypatch.setattr(sim, "scalar_rates", recording_kernel)
     monkeypatch.setattr(equilibrium, "dynamic_residual", recording_residual)
     traj = quasi_steady_sweep(P, 15.0, math.radians(-40.0), 30.0, 3.0)
     res = sim.run(sim.Scenario(
@@ -421,15 +425,9 @@ def test_scalar_rates_match_helper_chain_on_run_states(monkeypatch):
     assert res.status == "finished"
     assert len(seen_sim) > 1000 and len(seen_eq) > 100
 
-    for y, inp in seen_sim:
-        state = VehicleState(Vx=y[0], Vy=y[1], r=y[2], omega=y[4], dFz=y[5],
-                             theta_r=y[8], psi=y[3], X=y[6], Y=y[7])
+    for state, inp, rates in seen_sim:
         assert_pinned(P, state, inp)
-        dVx, dVy, dr, domega, ddFz, dtheta, dX, dY, _ = \
-            helper_chain_rates(P, state, inp)
-        assert np.array_equal(
-            plant_rates(y, P, inp),
-            [dVx, dVy, dr, y[2], domega, ddFz, dX, dY, dtheta])
+        assert rates == helper_chain_rates(P, state, inp)
     for state, inp in seen_eq:
         assert_pinned(P, state, inp)
 

@@ -14,7 +14,7 @@ from thermaldrift.control import (
 from thermaldrift import sim
 from thermaldrift.errors import ModelDomainError, SimulationError
 from thermaldrift.figure8 import plan_figure8
-from thermaldrift.integrate import rk4, rk4_floats
+from thermaldrift.integrate import rk4
 from thermaldrift.model import ControlInput, VehicleState
 from thermaldrift.paths import CirclePath
 from thermaldrift.sim import (
@@ -27,6 +27,7 @@ from thermaldrift.sim import (
     run,
 )
 
+import loop_oracle
 from conftest import ARC, RADIUS, THETA0
 from model_oracle import heat_generation, tire_forces
 
@@ -56,8 +57,8 @@ def test_run_deterministic(params, steady_plans, steady_schedules):
 
 
 def _ndarray_plant_rates(y, params, inp):
-    """``sim._plant_rates`` on an ndarray state, for ``integrate.rk4``."""
-    return np.array(sim._plant_rates(y.tolist(), params, inp))
+    """The plant's 9 rates on an ndarray state, for ``integrate.rk4``."""
+    return np.array(loop_oracle.plant_rates(y.tolist(), params, inp))
 
 
 def test_float_step_matches_rk4_on_run_states(params, steady_plans,
@@ -66,12 +67,12 @@ def test_float_step_matches_rk4_on_run_states(params, steady_plans,
     ndarray twin of the plant rates, bit for bit."""
     steps = []
 
-    def recording_step(f, y, h, plant, inp):
-        y_next = rk4_floats(f, y, h, plant, inp)
-        steps.append((y, h, inp, y_next))
+    def recording_step(plant, y, h, delta, Fxf, tau, _fn=sim._plant_step):
+        y_next = _fn(plant, y, h, delta, Fxf, tau)
+        steps.append((y, h, ControlInput(delta, Fxf, tau), y_next))
         return y_next
 
-    monkeypatch.setattr(sim, "rk4_floats", recording_step)
+    monkeypatch.setattr(sim, "_plant_step", recording_step)
     traj = steady_plans["thermal"]
     res = run(short_scenario(
         params, steady_plans, steady_schedules, s_final=10.0,
@@ -84,22 +85,18 @@ def test_float_step_matches_rk4_on_run_states(params, steady_plans,
         assert np.array(y_next).tobytes() == ref.tobytes()
 
 
-def _raising_stage(step, rates, y, h, params, inp):
-    """(stage, exception type, message) of one RK4 step that must raise."""
-    calls = []
-
-    def counted(y, params, inp):
-        calls.append(y)
-        return rates(y, params, inp)
-
+def _raising_stage(step, count):
+    """(stage, exception type, message) of one RK4 step that must raise;
+    ``count()`` is the number of rate evaluations made so far."""
     with pytest.raises(ModelDomainError) as info:
-        step(counted, y, h, params, inp)
-    return len(calls), type(info.value), str(info.value)
+        step()
+    return count(), type(info.value), str(info.value)
 
 
 @pytest.mark.parametrize("Vx, h, stage", [(0.3, 0.05, 1), (0.55, 0.1, 2),
                                           (0.55, 0.05, 3), (0.6, 0.05, 4)])
-def test_float_step_raises_as_rk4(params, eq_nominal, Vx, h, stage):
+def test_float_step_raises_as_rk4(params, eq_nominal, monkeypatch, Vx, h,
+                                  stage):
     """Full braking near the slip-model floor: an RK4 stage leaves the
     model's domain, and the float step raises the exception integrate.rk4
     raises, with its message, at the same stage."""
@@ -107,10 +104,54 @@ def test_float_step_raises_as_rk4(params, eq_nominal, Vx, h, stage):
     k = Vx / st.Vx
     y = [Vx, k * st.Vy, k * st.r, 0.0, k * st.omega, 0.0, 0.0, 0.0, THETA0]
     inp = ControlInput(delta=eq_nominal.delta, Fxf=-8000.0, tau=-1000.0)
-    raised = _raising_stage(rk4_floats, sim._plant_rates, y, h, params, inp)
-    assert raised == _raising_stage(rk4, _ndarray_plant_rates, np.array(y),
-                                    h, params, inp)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(sim, "scalar_rates", counted(sim.scalar_rates))
+    raised = _raising_stage(
+        lambda: sim._plant_step(params, y, h, inp.delta, inp.Fxf, inp.tau),
+        lambda: len(calls))
+    calls.clear()
+    assert raised == _raising_stage(
+        lambda: rk4(counted(_ndarray_plant_rates), np.array(y), h, params,
+                    inp),
+        lambda: len(calls))
     assert raised[0] == stage
+
+
+@pytest.mark.parametrize("plan, s_final, status", [
+    ("thermal", 30.0, "finished"),
+    ("mu0.73", 30.0, "finished"),
+    ("mu0.8", 60.0, "domain_error"),
+])
+def test_run_matches_loop_oracle(params, steady_plans, steady_schedules,
+                                 plan, s_final, status):
+    """run() on the thermal plant equals the loop oracle: series bits,
+    status, detail and metrics."""
+    sc = short_scenario(
+        params, steady_plans, steady_schedules, name=plan,
+        schedule=steady_schedules[plan], s_final=s_final,
+        initial_state=steady_plans[plan].sample(0.0)[0].replace(
+            theta_r=THETA0))
+    got, want = run(sc), loop_oracle.run(sc)
+    assert got.status == status
+    assert got.series.tobytes() == want.series.tobytes()
+    assert replace(got, series=None) == replace(want, series=None)
+
+
+def test_figure8_run_matches_loop_oracle(params, figure8_plan):
+    """The figure-8 plan's own scenario (composite path, transition
+    schedule) equals the loop oracle too."""
+    sc = figure8_plan.scenario(params, THETA0)
+    got, want = run(sc), loop_oracle.run(sc)
+    assert len(got.series) > 1000
+    assert got.series.tobytes() == want.series.tobytes()
+    assert replace(got, series=None) == replace(want, series=None)
 
 
 def test_metrics_recomputable(steady_results):
@@ -246,7 +287,7 @@ def _pole_trace_per_knot(schedule, plant, plant_ref):
     for i in range(len(knots)):
         A, B = linearize(plant, *plant_ref.sample(float(knots[i])))
         eig = closed_loop_poles(A, B, schedule.K[i])
-        poles[i] = eig if prev is None else _match(prev, eig)
+        poles[i] = eig if prev is None else loop_oracle.match(prev, eig)
         prev = poles[i]
     return poles
 
@@ -261,6 +302,32 @@ def test_pole_trace_matches_per_knot_loop(steady_schedules, steady_plans,
     trace = pole_trace(sched, *_plant_lin(params, plan, sched))
     oracle = _pole_trace_per_knot(sched, params, plan)
     np.testing.assert_allclose(trace.poles, oracle, rtol=0.0, atol=1e-10)
+
+
+def test_match_equals_loop_oracle():
+    """Seeded spectra of conjugate pairs against previous traces on an
+    integer grid (exact distance ties, repeated eigenvalues, 0.0 against
+    -0.0 imaginary parts) or normally spread: the matrix form picks what
+    the loop picks, bit for bit."""
+    rng = np.random.default_rng(7)
+    tied = 0
+    for case in range(400):
+        if case % 2:
+            half = rng.normal(size=3) + 1j * np.abs(rng.normal(size=3))
+            prev = rng.normal(size=6) + 1j * rng.normal(size=6)
+        else:
+            half = rng.integers(-2, 3, size=3) + 1j * rng.integers(0, 3, size=3)
+            prev = rng.integers(-2, 3, size=6) + 1j * rng.integers(-2, 3, size=6)
+        if case % 4 < 2:
+            prev = prev.real + 0j   # a real trace is as near to both conjugates
+        eig = rng.permutation(np.concatenate([half, half.conj()]))
+        dist = np.abs(prev[:, None] - eig[None, :])
+        tied += any(len(set(row.tolist())) < 6 for row in dist)
+        got = _match(prev, eig)
+        assert got.tobytes() == loop_oracle.match(prev, eig).tobytes()
+        assert sorted(got.tolist(), key=lambda z: (z.real, z.imag)) == \
+            sorted(eig.tolist(), key=lambda z: (z.real, z.imag))
+    assert tied > 250
 
 
 def test_pole_trace_rejects_wrong_stack(steady_schedules, params, eq_nominal):
