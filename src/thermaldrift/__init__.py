@@ -5,7 +5,6 @@ from .control import (
     LqrWeights,
     build_schedule,
     linearize,
-    lookup,
     lqr_gain,
 )
 from .equilibrium import (
@@ -54,7 +53,7 @@ __all__ = [
     "TransitionProblem", "VehicleParams", "VehicleState", "build_schedule",
     "compare", "default_limits", "default_params", "find_equilibrium",
     "friction_coefficient", "initial_guess", "linearize", "load_params",
-    "load_planner_config", "lookup", "lqr_gain", "plan_figure8", "pole_trace",
+    "load_planner_config", "lqr_gain", "plan_figure8", "pole_trace",
     "quasi_steady_sweep", "run", "save_params", "solve_transition",
     "thermal_derivative", "thermal_fixed_point", "vehicle_derivatives",
 ]

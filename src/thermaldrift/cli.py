@@ -102,6 +102,9 @@ def _check_geometry(args) -> None:
 
 def cmd_plan_steady(args) -> int:
     _check_geometry(args)
+    if args.mu_const is not None and args.mu_const <= 0.0:
+        raise ConfigError(f"--mu-const {args.mu_const:g}: the friction "
+                          "coefficient must be positive")
     params, planner = _load_inputs(args)
     beta = math.radians(args.beta)
     traj = quasi_steady_sweep(params, args.radius, beta, args.theta0,

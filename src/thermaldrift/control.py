@@ -35,9 +35,7 @@ __all__ = [
     "lqr_gain",
     "lqr_gains",
     "build_schedule",
-    "lookup",
     "nearest_knot",
-    "closed_loop_poles",
     "spectral_abscissa",
     "REF_STATE_FIELDS",
 ]
@@ -165,10 +163,6 @@ def spectral_abscissa(M: np.ndarray) -> float:
     return float(np.max(np.real(np.linalg.eigvals(M))))
 
 
-def closed_loop_poles(A: np.ndarray, B: np.ndarray, K: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvals(A - B @ K)
-
-
 def lqr_gain(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
              R: np.ndarray) -> np.ndarray:
     """Continuous-time infinite-horizon LQR gain via the algebraic Riccati
@@ -274,15 +268,6 @@ def nearest_knot(knots, s: float) -> int:
     if i == 0:
         return 0
     return i - 1 if s - knots[i - 1] <= knots[i] - s else i
-
-
-def lookup(schedule: GainSchedule, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The schedule at its knot nearest ``s`` (:func:`nearest_knot`).
-
-    Returns (K, ref_state_row, ref_input_row, knot_index).
-    """
-    idx = nearest_knot(schedule.s_knots, s)
-    return schedule.K[idx], schedule.ref_states[idx], schedule.ref_inputs[idx], idx
 
 
 def _linearization_key(st: VehicleState, u: ControlInput,

@@ -256,11 +256,10 @@ def find_equilibrium(params: ParamSet, radius: float, beta_target: float,
     if not limits.delta_min <= delta <= limits.delta_max:
         raise BoundsError(
             f"equilibrium steering {math.degrees(delta):.1f} deg exceeds "
-            "the steering limit", bound_name="delta")
+            "the steering limit")
     if not limits.tau_min <= tau <= limits.tau_max:
         raise BoundsError(
-            f"equilibrium torque {tau:.0f} N m exceeds the torque limit",
-            bound_name="tau")
+            f"equilibrium torque {tau:.0f} N m exceeds the torque limit")
     return DriftEquilibrium(
         radius=radius, beta=beta_target, theta_r=theta_r, mu_r=mu_r,
         r=r, omega=omega, dFz=dFz, delta=delta, tau=tau,

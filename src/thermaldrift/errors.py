@@ -32,17 +32,13 @@ class ConvergenceError(SolverError):
 class BoundsError(SolverError):
     """A converged solution violates an actuator bound."""
 
-    def __init__(self, message, bound_name=None):
-        super().__init__(message)
-        self.bound_name = bound_name
-
 
 class InfeasibleError(SolverError):
     """The requested operating condition cannot be met by the tires."""
 
 
 class ScheduleError(ThermalDriftError):
-    """Gain-schedule construction or lookup failed."""
+    """Gain-schedule construction failed."""
 
 
 class SimulationError(ThermalDriftError):

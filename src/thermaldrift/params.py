@@ -9,7 +9,8 @@ to J/K and W/K at load time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -99,9 +100,6 @@ class ParamSet:
     tire: TireParams
     thermal: ThermalParams
 
-    def with_tire(self, **kwargs) -> "ParamSet":
-        return replace(self, tire=replace(self.tire, **kwargs))
-
 
 def default_params() -> ParamSet:
     """Identified full-size test vehicle parameter set."""
@@ -152,7 +150,8 @@ _KEYMAP = {
 
 
 def parse_keyvalue(path) -> dict:
-    """Parse a flat ``key value`` text file.  '#' starts a comment."""
+    """Parse a flat ``key value`` text file of finite numbers.  '#' starts a
+    comment."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -166,9 +165,13 @@ def parse_keyvalue(path) -> dict:
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
-                values[key] = float(text)
+                value = float(text)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad number {text!r} for {key!r}") from exc
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"{path}:{lineno}: {key} must be a finite number, got {text!r}")
+            values[key] = value
     return values
 
 

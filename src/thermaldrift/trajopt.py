@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .errors import ConfigError, ConvergenceError, InfeasibleError
 from .integrate import rk4
@@ -397,7 +396,6 @@ class _Transcription:
         self.nz = self.nx + self.nu + 1
         self.ng = 2 + (1 if problem.y_center_target is not None else 0)
         self.nc = N * IX.n + self.ng
-        self._sparse_idx = None
 
     # -- packing ----------------------------------------------------------
     def pack(self, X, U, h):
@@ -528,37 +526,26 @@ class _Transcription:
         """(rows, cols) of the constraint Jacobian entries, in the order of
         :meth:`jac_data`: the D, identity, E, Fh and G blocks."""
         N = self.N
-        if self._sparse_idx is None:
-            kk, ii, jj = np.indices((N, IX.n, IX.n))
-            rows_D = (kk * IX.n + ii).ravel()
-            cols_D = (kk * IX.n + jj).ravel()
-            rows_I = np.arange(N * IX.n)
-            cols_I = rows_I + IX.n
-            kk, ii, jj = np.indices((N, IX.n, 2))
-            rows_E = (kk * IX.n + ii).ravel()
-            cols_E = (self.nx + kk * 2 + jj).ravel()
-            rows_h = np.arange(N * IX.n)
-            cols_h = np.full(N * IX.n, self.nz - 1)
-            rows_G = np.repeat(N * IX.n + np.arange(self.ng), IX.n)
-            cols_G = np.tile(self.nx - IX.n + np.arange(IX.n), self.ng)
-            self._sparse_idx = (
-                np.concatenate([rows_D, rows_I, rows_E, rows_h, rows_G]),
+        kk, ii, jj = np.indices((N, IX.n, IX.n))
+        rows_D = (kk * IX.n + ii).ravel()
+        cols_D = (kk * IX.n + jj).ravel()
+        rows_I = np.arange(N * IX.n)
+        cols_I = rows_I + IX.n
+        kk, ii, jj = np.indices((N, IX.n, 2))
+        rows_E = (kk * IX.n + ii).ravel()
+        cols_E = (self.nx + kk * 2 + jj).ravel()
+        rows_h = np.arange(N * IX.n)
+        cols_h = np.full(N * IX.n, self.nz - 1)
+        rows_G = np.repeat(N * IX.n + np.arange(self.ng), IX.n)
+        cols_G = np.tile(self.nx - IX.n + np.arange(IX.n), self.ng)
+        return (np.concatenate([rows_D, rows_I, rows_E, rows_h, rows_G]),
                 np.concatenate([cols_D, cols_I, cols_E, cols_h, cols_G]))
-        return self._sparse_idx
 
     def jac_data(self, jac):
         """Values of the Jacobian entries listed by :meth:`jac_pattern`."""
         D, E, Fh, G = jac
         return np.concatenate([D.ravel(), np.ones(self.N * IX.n), E.ravel(),
                                Fh.ravel(), G.ravel()])
-
-    def jac_sparse(self, z):
-        """Assembled scipy.sparse constraint Jacobian in scaled coordinates
-        (the reference the banded Newton solve is tested against)."""
-        rows, cols = self.jac_pattern()
-        return scipy.sparse.csr_matrix(
-            (self.jac_data(self.jacobian(z)), (rows, cols)),
-            shape=(self.nc, self.nz))
 
     def hessian_pattern(self):
         """z indices of the Lagrangian Hessian blocks: (N, 12) per stage
@@ -1010,9 +997,6 @@ def solve_transition(problem: TransitionProblem, guess) -> DynamicTrajectory:
     tr = _Transcription(problem)
     X0, U0, h0 = guess
     z = tr.pack(np.asarray(X0, float), np.asarray(U0, float), float(h0))
-    lb, ub = tr.bounds()
-    z = np.clip(z, lb, ub)
-
     feasible = _interior_point(tr, z, feasibility=True)
     res = _interior_point(tr, feasible.z)
     if not res.converged:

@@ -2,9 +2,9 @@
 matching: the oracles their float-only and numpy forms in the package are
 pinned to, with ``==``.
 
-* :func:`run` steps the closed loop through ``control.lookup``, a
-  :class:`ControlInput` per step and :func:`rk4_floats` over
-  :func:`plant_rates`;
+* :func:`run` steps the closed loop with the schedule indexed at
+  ``control.nearest_knot``, a :class:`ControlInput` per step and
+  :func:`rk4_floats` over :func:`plant_rates`;
 * :func:`linearize` takes each finite-difference column as an ndarray
   difference of two ndarray rate vectors;
 * :func:`match` scans the remaining eigenvalues with ``abs`` for every
@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from thermaldrift.control import _fd_step, lookup
+from thermaldrift.control import _fd_step, nearest_knot
 from thermaldrift.errors import ModelDomainError
 from thermaldrift.model import ControlInput, friction_coefficient, scalar_rates
 from thermaldrift.paths import wrap_angle
@@ -44,8 +44,10 @@ def rk4_floats(f, y, h, *args):
 
 
 def _control(scenario, y, e, s, dpsi):
-    K, ref_x, ref_u, _ = lookup(scenario.schedule, s)
-    ref_x, ref_u = ref_x.tolist(), ref_u.tolist()
+    sched = scenario.schedule
+    i = nearest_knot(sched.s_knots, s)
+    K = sched.K[i]
+    ref_x, ref_u = sched.ref_states[i].tolist(), sched.ref_inputs[i].tolist()
     du = (K @ np.array([y[0] - ref_x[0], y[1] - ref_x[1], y[2] - ref_x[2],
                         y[4] - ref_x[3], wrap_angle(dpsi - ref_x[8]),
                         e - ref_x[6]])).tolist()

@@ -138,13 +138,16 @@ def test_gains_without_rows_is_config_error(tmp_path, capsys):
     ("plan-steady", "delta_min 50\n", [], "planner.txt: "),
     ("plan-figure8", "k_s 200\n", ["--k-s", "-1"],
      "--k-s -1: cost weights must be non-negative"),
-], ids=["h_bounds", "delta_bounds", "k_s_option"])
+    ("plan-figure8", "k_s nan\n", [], "planner.txt:1: k_s must be a finite"),
+    ("plan-steady", "delta_max inf\n", [],
+     "planner.txt:1: delta_max must be a finite"),
+], ids=["h_bounds", "delta_bounds", "k_s_option", "k_s_nan", "delta_max_inf"])
 def test_planner_values_out_of_order_are_config_error(tmp_path, capsys,
                                                       command, settings,
                                                       option, named):
-    """A planner value out of order or range, from the planner file or an
-    option, is a configuration error that names where it came from, not a
-    planner failure, and nothing is written."""
+    """A planner value out of order, out of range or not finite, from the
+    planner file or an option, is a configuration error that names where it
+    came from, not a planner failure, and nothing is written."""
     cfg = tmp_path / "planner.txt"
     cfg.write_text(settings)
     rc = main([command, "--out", str(tmp_path / "out"), "--arc", "5",
@@ -176,9 +179,14 @@ def test_non_finite_option_is_config_error(tmp_path, capsys, command, option):
     ("plan-steady", ["--arc", "0.1"], "--arc 0.1: total_arc must be at least"),
     ("plan-steady", ["--radius", "3"], "--radius 3: |radius| must be at least"),
     ("plan-steady", ["--beta", "85"], "--beta 85: |beta_target| must be below"),
+    ("plan-steady", ["--mu-const", "0"],
+     "--mu-const 0: the friction coefficient must be positive"),
+    ("plan-steady", ["--mu-const", "-1"],
+     "--mu-const -1: the friction coefficient must be positive"),
     ("plan-figure8", ["--arc", "-5"], "--arc -5: total_arc must be at least"),
 ], ids=["steady_arc_negative", "steady_arc_short", "steady_radius",
-        "steady_beta", "figure8_arc"])
+        "steady_beta", "steady_mu_const_zero", "steady_mu_const_negative",
+        "figure8_arc"])
 def test_out_of_range_option_is_config_error(tmp_path, capsys, command,
                                              option, message):
     """A number outside the planner's range is a configuration error that
@@ -227,6 +235,21 @@ def test_infeasible_plan_is_planner_failure(tmp_path, capsys):
                "--beta", "-75", "--arc", "5"])
     assert rc == 2
     assert capsys.readouterr().err != ""
+
+
+def test_equilibrium_beyond_limit_is_planner_failure(tmp_path, capsys):
+    """A sweep whose equilibrium needs more torque than the planner file
+    allows fails at its first node, naming the node and the limit, and
+    nothing is written."""
+    cfg = tmp_path / "planner.txt"
+    cfg.write_text("tau_max 1\n")
+    rc = main(["plan-steady", "--out", str(tmp_path / "out"), "--arc", "5",
+               "--planner-config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "planner failure: sweep node 0 (s=0.00 m): equilibrium torque 2154 "
+        "N m exceeds the torque limit\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.slow

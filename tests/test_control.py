@@ -10,10 +10,8 @@ from thermaldrift.control import (
     GainSchedule,
     LqrWeights,
     build_schedule,
-    closed_loop_poles,
     linearize,
     linearize_stack,
-    lookup,
     lqr_gain,
     lqr_gains,
     nearest_knot,
@@ -292,21 +290,21 @@ def test_single_knot_schedule(params, eq_nominal):
 
     sched = build_schedule(params, OneNode())
     assert len(sched) == 1
-    K, ref_x, ref_u, idx = lookup(sched, 1234.5)
-    assert idx == 0
+    assert nearest_knot(sched.s_knots, 1234.5) == 0
 
 
 def test_lookup_rules(params, steady_schedules):
     sched = steady_schedules["thermal"]
+    knots = sched.s_knots
     # exact knot
-    assert lookup(sched, 1.0)[3] == 4
+    assert nearest_knot(knots, 1.0) == 4
     # midpoint ties toward the smaller knot
-    assert lookup(sched, 1.125)[3] == 4
-    assert lookup(sched, 1.1251)[3] == 5
+    assert nearest_knot(knots, 1.125) == 4
+    assert nearest_knot(knots, 1.1251) == 5
     # clamping
-    assert lookup(sched, -5.0)[3] == 0
-    assert lookup(sched, 1e9)[3] == len(sched) - 1
-    assert lookup(sched, math.nan)[3] == len(sched) - 1
+    assert nearest_knot(knots, -5.0) == 0
+    assert nearest_knot(knots, 1e9) == len(sched) - 1
+    assert nearest_knot(knots, math.nan) == len(sched) - 1
 
 
 def test_nearest_knot_matches_searchsorted_rule(steady_schedules):
@@ -347,12 +345,3 @@ def test_weight_validation():
         LqrWeights(Q_diag=np.array([-1.0, 1, 1, 1, 1, 1]))
     with pytest.raises(ValueError):
         LqrWeights(R_diag=np.array([0.0, 1.0, 1.0]))
-
-
-def test_closed_loop_poles_shape(params, eq_nominal):
-    A, B = linearize(params, *nominal_point(eq_nominal))
-    w = LqrWeights()
-    K = lqr_gain(A, B, w.Q, w.R)
-    poles = closed_loop_poles(A, B, K)
-    assert poles.shape == (6,)
-    assert np.max(poles.real) < 0.0

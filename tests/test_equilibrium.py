@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ from thermaldrift.equilibrium import (
     quasi_steady_sweep,
     thermal_fixed_point,
 )
-from thermaldrift.errors import ConvergenceError, InfeasibleError, SolverError
+from thermaldrift.errors import (
+    BoundsError,
+    ConvergenceError,
+    InfeasibleError,
+    SolverError,
+)
+from thermaldrift.limits import default_limits
 from thermaldrift.model import thermal_derivative
 
 from conftest import BETA, RADIUS, THETA0
@@ -128,6 +135,21 @@ def test_failure_classification(params, radius, beta_deg, theta, error,
     with pytest.raises(SolverError) as info:
         find_equilibrium(params, radius, math.radians(beta_deg), theta)
     assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("sign, limit, message", [
+    (1.0, dict(tau_max=1000.0),
+     "equilibrium torque 2154 N m exceeds the torque limit"),
+    (-1.0, dict(delta_max=math.radians(10.0)),
+     "equilibrium steering 20.1 deg exceeds the steering limit"),
+], ids=["torque", "steering"])
+def test_equilibrium_beyond_limit(params, sign, limit, message):
+    """A converged equilibrium outside the actuator limits raises
+    BoundsError naming the limit (the mirrored circle steers positive)."""
+    with pytest.raises(BoundsError) as info:
+        find_equilibrium(params, sign * RADIUS, sign * BETA, THETA0,
+                         limits=replace(default_limits(), **limit))
     assert str(info.value) == message
 
 

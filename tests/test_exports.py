@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 import types
 from pathlib import Path
 
@@ -15,6 +16,12 @@ SRC = Path(thermaldrift.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 PERFBENCH = TESTS.parent / "perfbench"
 MODULES = sorted(info.name for info in pkgutil.iter_modules(thermaldrift.__path__))
+
+#: an import that a package module keeps only for the benchmark's tracer:
+#: (imported name, "<module>.<name>" the comment says is wrapped)
+KEPT_FOR_TRACER = re.compile(
+    r"^\s*(\w+),?\s+# noqa: F401  "
+    r"kept: perfbench/layers\.py wraps (\w+\.\w+)$", re.MULTILINE)
 
 
 @pytest.mark.parametrize("name", ["thermaldrift"]
@@ -75,6 +82,15 @@ def test_benchmark_wrappers_install_and_restore(monkeypatch, tmp_path):
         patcher.restore()
     assert "thermaldrift.sim.run" in wrapped
     assert "thermaldrift.control.linearize" in wrapped
+    # each import kept for a wrapper names its own module's attribute, and
+    # the tracer wraps it; once it no longer does, the import goes
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    kept = [(f"thermaldrift.{stem}.{name}", f"thermaldrift.{target}")
+            for stem, text in sorted(sources.items())
+            for name, target in KEPT_FOR_TRACER.findall(text)]
+    assert len(kept) == sum(text.count("kept: perfbench/layers.py")
+                            for text in sources.values())
+    assert [t for attr, t in kept if attr != t or t not in wrapped] == []
     assert replaced() == []
     calls = {name: stat[0] for name, stat in tr.stats.items()}
     for name in ("sim.run", "paths.project", "control.linearize",

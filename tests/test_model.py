@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -466,8 +467,8 @@ GUARDS = [
      r"rear slip ratio -1\.\d+ <= -1"),
     ("mu_r <= 0", P, dict(theta_r=300.0), ModelDomainError,
      r"friction map gives mu_r=-0\.\d+ at theta=300\.0 degC"),
-    ("C_alpha <= 0", P.with_tire(C_alpha0=-1e6), {}, ModelDomainError,
-     r"front cornering stiffness -\d+\.\d N/rad non-positive"),
+    ("C_alpha <= 0", replace(P, tire=replace(P.tire, C_alpha0=-1e6)), {},
+     ModelDomainError, r"front cornering stiffness -\d+\.\d N/rad non-positive"),
     ("loads before floor", P, dict(Vx=0.3, dFz=_STATIC_FRONT + 1.0),
      DegenerateLoadError, r"axle load non-positive \(F_zf=-1\.0 N"),
     ("floor before friction", P, dict(Vx=0.3, theta_r=300.0),

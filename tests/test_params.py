@@ -65,10 +65,13 @@ def test_missing_key_is_named(tmp_path):
 
 
 def test_bad_number_reports_line(tmp_path):
+    """A value that is not a finite number is a configuration error naming
+    its line, for the parameter and planner files alike."""
     path = tmp_path / "params.txt"
-    path.write_text("mass 1496\nIz twelve\n")
-    with pytest.raises(ConfigError, match=r":2"):
-        parse_keyvalue(path)
+    for text in ("twelve", "nan", "inf", "-inf"):
+        path.write_text(f"mass 1496\nIz {text}\n")
+        with pytest.raises(ConfigError, match=r":2: "):
+            parse_keyvalue(path)
 
 
 def test_duplicate_key_rejected(tmp_path):
