@@ -2,7 +2,6 @@
 
 from .control import (
     GainSchedule,
-    LqrWeights,
     build_schedule,
     linearize,
     lqr_gain,
@@ -47,7 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActuatorLimits", "ControlInput", "DriftEquilibrium", "DynamicTrajectory",
-    "Figure8Plan", "GainSchedule", "LqrWeights", "ParamSet", "PlannerConfig",
+    "Figure8Plan", "GainSchedule", "ParamSet", "PlannerConfig",
     "PoleTrace", "QuasiSteadyTrajectory", "Scenario", "SimResult",
     "ThermalDriftError", "ThermalParams", "TireParams",
     "TransitionProblem", "VehicleParams", "VehicleState", "build_schedule",

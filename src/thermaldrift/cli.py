@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import csvio
 from ._fork import fork_map
-from .control import LqrWeights, build_schedule, linearize_stack
+from .control import build_schedule, linearize_stack
 from .equilibrium import (
     check_arc,
     check_radius,
@@ -23,7 +23,8 @@ from .equilibrium import (
 )
 from .errors import ConfigError, SimulationError, SolverError, ThermalDriftError
 from .figure8 import Figure8Plan, plan_figure8
-from .params import default_params, load_params
+from .model import friction_coefficient
+from .params import ThermalParams, default_params, load_params
 from .sim import Scenario, compare, comparison_table, pole_trace
 from .trajopt import IX, PlannerConfig, load_planner_config
 
@@ -81,6 +82,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_inputs(args):
+    """The parameter set and planner settings, after checking --theta0
+    against the friction map's declared range."""
+    lo, hi = ThermalParams.THETA_RANGE
+    if not lo <= args.theta0 <= hi:
+        raise ConfigError(f"--theta0 {args.theta0:g}: the tread temperature "
+                          f"must lie in the friction map's range {lo:g} to "
+                          f"{hi:g} degC")
     params = load_params(args.params) if args.params else default_params()
     planner = (load_planner_config(args.planner_config)
                if args.planner_config else PlannerConfig())
@@ -100,17 +108,31 @@ def _check_geometry(args) -> None:
             raise ConfigError(f"{option} {value:g}: {exc}") from None
 
 
+def _check_mu_const(mu: float, thermal: ThermalParams) -> None:
+    """--mu-const must be a friction coefficient the map gives over its
+    declared temperature range."""
+    if mu <= 0.0:
+        raise ConfigError(f"--mu-const {mu:g}: the friction coefficient "
+                          "must be positive")
+    lo, hi = sorted(friction_coefficient(thermal, theta)
+                    for theta in thermal.THETA_RANGE)
+    if not lo <= mu <= hi:
+        t_lo, t_hi = thermal.THETA_RANGE
+        raise ConfigError(f"--mu-const {mu:g}: outside the friction map's "
+                          f"range {lo:.3f} to {hi:.3f} over {t_lo:g} to "
+                          f"{t_hi:g} degC")
+
+
 def cmd_plan_steady(args) -> int:
     _check_geometry(args)
-    if args.mu_const is not None and args.mu_const <= 0.0:
-        raise ConfigError(f"--mu-const {args.mu_const:g}: the friction "
-                          "coefficient must be positive")
     params, planner = _load_inputs(args)
+    if args.mu_const is not None:
+        _check_mu_const(args.mu_const, params.thermal)
     beta = math.radians(args.beta)
     traj = quasi_steady_sweep(params, args.radius, beta, args.theta0,
                               args.arc, mu_const=args.mu_const,
                               limits=planner.limits)
-    schedule = build_schedule(params, traj, weights=LqrWeights.tracking())
+    schedule = build_schedule(params, traj)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     csvio.save_quasi_steady(traj, out / "trajectory.csv")
@@ -146,8 +168,7 @@ def cmd_plan_figure8(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"--k-s {args.k_s:g}: {exc}") from None
     plan = plan_figure8(params, radius=args.radius, beta=beta,
-                        theta0=args.theta0, arc1=args.arc, arc2=args.arc,
-                        planner=planner, weights=LqrWeights.tracking())
+                        theta0=args.theta0, arc=args.arc, planner=planner)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     csvio.save_quasi_steady(plan.steady1, out / "trajectory_steady1.csv")
@@ -197,8 +218,8 @@ def cmd_simulate(args) -> int:
                 mtraj = quasi_steady_sweep(
                     params, ref.radius, ref.beta_target, args.theta0, arc,
                     mu_const=mu, limits=planner.limits)
-                plans.append((f"mu{mu:g}", mtraj, build_schedule(
-                    params, mtraj, weights=LqrWeights.tracking())))
+                plans.append((f"mu{mu:g}", mtraj,
+                              build_schedule(params, mtraj)))
         scenarios = [Scenario(
             name=name, schedule=schedule, path=ref.circle, plant=params,
             initial_state=plan.sample(0.0)[0].replace(theta_r=args.theta0),

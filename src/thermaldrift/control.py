@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -27,7 +27,8 @@ from .model import (
 from .params import ParamSet
 
 __all__ = [
-    "LqrWeights",
+    "LQR_Q",
+    "LQR_R",
     "LqrStack",
     "GainSchedule",
     "linearize",
@@ -113,50 +114,26 @@ def linearize_stack(params: ParamSet, points) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-@dataclass(frozen=True)
-class LqrWeights:
-    """Diagonal LQR cost matrices, parameterized as inverse-square scales."""
-
-    Q_diag: np.ndarray = field(default_factory=lambda: np.array([
-        0.5 ** -2,                  # longitudinal velocity, (m/s)^-2
-        1.0 ** -2,                  # lateral velocity, (m/s)^-2
-        0.6 ** -2,                  # yaw rate, (rad/s)^-2
-        10.0 ** -2,                 # wheel speed, (rad/s)^-2
-        math.radians(10.0) ** -2,   # heading error, rad^-2
-        0.2 ** -2,                  # lateral error, m^-2
-    ]))
-    R_diag: np.ndarray = field(default_factory=lambda: np.array([
-        math.radians(2.0) ** -2,    # steering angle, rad^-2
-        500.0 ** -2,                # front braking force, N^-2
-        500.0 ** -2,                # rear torque, (N m)^-2
-    ]))
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.Q_diag) < 0.0):
-            raise ValueError("state weights must be non-negative")
-        if np.any(np.asarray(self.R_diag) <= 0.0):
-            raise ValueError("input weights must be positive")
-
-    @classmethod
-    def tracking(cls) -> "LqrWeights":
-        """Stiffer lateral-tracking preset (e scale 0.05 m, heading 5 deg).
-
-        The default weights leave ~0.1 m of lateral lag while the tread heats
-        up quickly from a cold start and the reference equilibrium moves;
-        this preset tightens the path-error channels for runs where that
-        transient matters.  Input weights are unchanged.
-        """
-        Q = np.array([0.5 ** -2, 1.0 ** -2, 0.6 ** -2, 10.0 ** -2,
-                      math.radians(5.0) ** -2, 0.05 ** -2])
-        return cls(Q_diag=Q)
-
-    @property
-    def Q(self) -> np.ndarray:
-        return np.diag(self.Q_diag)
-
-    @property
-    def R(self) -> np.ndarray:
-        return np.diag(self.R_diag)
+#: LQR state weights on [Vx, Vy, r, omega, dpsi, e], as inverse-square
+#: scales.  Heading and lateral error are weighted at 5 deg and 0.05 m: the
+#: looser 10 deg / 0.2 m weights leave about 0.1 m of lateral lag while the
+#: tread heats up quickly from a cold start and the reference equilibrium
+#: moves.
+LQR_Q = np.diag([
+    0.5 ** -2,                  # longitudinal velocity, (m/s)^-2
+    1.0 ** -2,                  # lateral velocity, (m/s)^-2
+    0.6 ** -2,                  # yaw rate, (rad/s)^-2
+    10.0 ** -2,                 # wheel speed, (rad/s)^-2
+    math.radians(5.0) ** -2,    # heading error, rad^-2
+    0.05 ** -2,                 # lateral error, m^-2
+])
+#: LQR input weights on [delta, Fxf, tau], as inverse-square scales
+LQR_R = np.diag([
+    math.radians(2.0) ** -2,    # steering angle, rad^-2
+    500.0 ** -2,                # front braking force, N^-2
+    500.0 ** -2,                # rear torque, (N m)^-2
+])
+LQR_Q.flags.writeable = LQR_R.flags.writeable = False
 
 
 def spectral_abscissa(M: np.ndarray) -> float:
@@ -278,9 +255,9 @@ def _linearization_key(st: VehicleState, u: ControlInput,
                      st.dpsi, kappa, u.delta, u.Fxf, u.tau]).tobytes()
 
 
-def build_schedule(params: ParamSet, traj,
-                   weights: LqrWeights | None = None) -> GainSchedule:
-    """Linearize and solve the LQR problem at every 0.25 m of arc length.
+def build_schedule(params: ParamSet, traj) -> GainSchedule:
+    """Linearize and solve the LQR problem (weights :data:`LQR_Q` and
+    :data:`LQR_R`) at every 0.25 m of arc length.
 
     ``traj`` must provide ``s_span()`` and ``sample(s)`` (the three
     reference types ``QuasiSteadyTrajectory``, ``DynamicTrajectory`` and
@@ -290,7 +267,6 @@ def build_schedule(params: ParamSet, traj,
     a point that fails its checks there is solved again by
     :func:`lqr_gain`.
     """
-    weights = weights or LqrWeights()
     s_lo, s_hi = traj.s_span()
     n = max(int(math.floor((s_hi - s_lo) / _KNOT_SPACING + 1e-9)) + 1, 1)
     knots = s_lo + _KNOT_SPACING * np.arange(n)
@@ -305,12 +281,12 @@ def build_schedule(params: ParamSet, traj,
             first.append(i)
         which[i] = j
     A, B = linearize_stack(params, [points[i] for i in first])
-    sol = lqr_gains(A, B, weights.Q, weights.R)
+    sol = lqr_gains(A, B, LQR_Q, LQR_R)
     K = sol.K
     fallback = np.flatnonzero(~sol.ok)
     for j in fallback:
         try:
-            K[j] = lqr_gain(A[j], B[j], weights.Q, weights.R)
+            K[j] = lqr_gain(A[j], B[j], LQR_Q, LQR_R)
         except SolverError as exc:
             raise ScheduleError(
                 f"gain design failed at s={knots[first[j]]:.2f} m: {exc}"

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import GainSchedule, LqrWeights, build_schedule
+from .control import GainSchedule, build_schedule
 from .equilibrium import QuasiSteadyTrajectory, find_equilibrium, quasi_steady_sweep
 from .model import VehicleState
 from .paths import CirclePath, CompositePath, PolylinePath
@@ -65,7 +65,7 @@ class Figure8Plan:
     @property
     def s_break1(self) -> float:
         """Arc length where the transition takes over from circle 1 (the
-        hand-over at ``arc1``, which need not be a sweep node)."""
+        hand-over at ``arc``, which need not be a sweep node)."""
         return float(self.transition.s[0])
 
     @property
@@ -116,21 +116,22 @@ class Figure8Plan:
 
 def plan_figure8(params: ParamSet, radius: float = 15.0,
                  beta: float = math.radians(-40.0), theta0: float = 30.0,
-                 arc1: float = 70.0, arc2: float = 70.0, *,
-                 planner: PlannerConfig | None = None,
-                 weights: LqrWeights | None = None) -> Figure8Plan:
+                 arc: float = 70.0, *,
+                 planner: PlannerConfig | None = None) -> Figure8Plan:
     """Plan the full figure-8 reference and its gain schedule.
 
-    ``planner`` (default :class:`~thermaldrift.trajopt.PlannerConfig()`)
-    sets the transition's cost weights, step count and step-duration
-    bounds, and the actuator limits of every segment; ``weights`` are the
-    schedule's LQR weights.
+    Each circle is driven for ``arc`` metres of steady arc; the transition
+    takes over from circle 1 at s = ``arc``.  ``planner`` (default
+    :class:`~thermaldrift.trajopt.PlannerConfig()`) sets the transition's
+    cost weights, step count and step-duration bounds, and the actuator
+    limits of every segment.  The schedule is :func:`build_schedule`'s, on
+    the one set of LQR weights every pipeline uses.
     """
     planner = planner or PlannerConfig()
     limits = planner.limits
-    steady1 = quasi_steady_sweep(params, radius, beta, theta0, arc1,
+    steady1 = quasi_steady_sweep(params, radius, beta, theta0, arc,
                                  limits=limits)
-    st, inp, _ = steady1.sample(arc1)
+    st, inp, _ = steady1.sample(arc)
     x_initial = np.array([st.Vx, st.Vy, st.r, st.psi, st.omega, st.dFz,
                           st.X, st.Y, inp.delta, inp.tau, st.theta_r, st.s])
 
@@ -154,9 +155,8 @@ def plan_figure8(params: ParamSet, radius: float = 15.0,
     transition = solve_transition(problem, initial_guess(problem, x_target))
 
     theta2 = float(transition.states[-1, IX.theta])
-    steady2 = quasi_steady_sweep(params, radius2, beta2, theta2, arc2,
+    steady2 = quasi_steady_sweep(params, radius2, beta2, theta2, arc,
                                  limits=limits)
 
     plan = Figure8Plan(steady1, transition, steady2)
-    return replace(plan, schedule=build_schedule(params, plan,
-                                                 weights=weights))
+    return replace(plan, schedule=build_schedule(params, plan))

@@ -41,7 +41,7 @@ from .model import (
     scalar_rates,
     vehicle_derivatives,  # noqa: F401  kept: perfbench/layers.py wraps trajopt.vehicle_derivatives
 )
-from .params import ParamSet, parse_keyvalue
+from .params import ParamSet, ThermalParams, parse_keyvalue
 
 __all__ = [
     "IX",
@@ -419,7 +419,7 @@ class _Transcription:
         Xu = np.full((N + 1, IX.n), np.inf)
         Xl[:, IX.Vx], Xu[:, IX.Vx] = 2.0, 30.0          # keep the model sane
         Xl[:, IX.omega], Xu[:, IX.omega] = 1.0, 400.0
-        Xl[:, IX.theta], Xu[:, IX.theta] = 0.0, 120.0
+        Xl[:, IX.theta], Xu[:, IX.theta] = ThermalParams.THETA_RANGE
         Xl[:, IX.delta], Xu[:, IX.delta] = lim.delta_min, lim.delta_max
         Xl[:, IX.tau], Xu[:, IX.tau] = lim.tau_min, lim.tau_max
         Xl[0], Xu[0] = p.x_initial, p.x_initial        # pinned initial state

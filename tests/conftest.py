@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from thermaldrift.control import LqrWeights, build_schedule
+from thermaldrift.control import build_schedule
 from thermaldrift.equilibrium import find_equilibrium, quasi_steady_sweep
 from thermaldrift.figure8 import plan_figure8
 from thermaldrift.params import default_params
@@ -71,7 +71,7 @@ def transition(params):
 def figure8_plan(params):
     """A short figure-8 plan: 10 m circles around the transition."""
     return plan_figure8(params, radius=RADIUS, beta=BETA, theta0=THETA0,
-                        arc1=10.0, arc2=10.0)
+                        arc=10.0)
 
 
 @pytest.fixture(scope="session")
@@ -88,8 +88,7 @@ def steady_plans(params):
 
 @pytest.fixture(scope="session")
 def steady_schedules(params, steady_plans):
-    weights = LqrWeights.tracking()
-    return {name: build_schedule(params, traj, weights=weights)
+    return {name: build_schedule(params, traj)
             for name, traj in steady_plans.items()}
 
 

@@ -14,7 +14,8 @@ import scipy.linalg
 
 from thermaldrift import csvio
 from thermaldrift.control import (
-    LqrWeights,
+    LQR_Q,
+    LQR_R,
     linearize,
     linearize_stack,
     lqr_gain,
@@ -205,13 +206,12 @@ def test_criterion_7_lqr(params, eq_nominal, steady_schedules, steady_plans):
     # independent algebraic-Riccati residual at the nominal operating point
     A, B = linearize(params, eq_nominal.state(), eq_nominal.input(),
                      1.0 / RADIUS)
-    for w in (LqrWeights(), LqrWeights.tracking()):
-        K = lqr_gain(A, B, w.Q, w.R)
-        P = scipy.linalg.solve_continuous_are(A, B, w.Q, w.R)
-        resid = (A.T @ P + P @ A + w.Q
-                 - P @ B @ np.linalg.solve(w.R, B.T @ P))
-        assert np.linalg.norm(resid) / max(1.0, np.linalg.norm(P)) < 1e-8
-        assert spectral_abscissa(A - B @ K) < 0.0
+    K = lqr_gain(A, B, LQR_Q, LQR_R)
+    P = scipy.linalg.solve_continuous_are(A, B, LQR_Q, LQR_R)
+    resid = (A.T @ P + P @ A + LQR_Q
+             - P @ B @ np.linalg.solve(LQR_R, B.T @ P))
+    assert np.linalg.norm(resid) / max(1.0, np.linalg.norm(P)) < 1e-8
+    assert spectral_abscissa(A - B @ K) < 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 from thermaldrift import cli, csvio, figure8
 from thermaldrift.cli import main
-from thermaldrift.control import linearize_stack
+from thermaldrift.control import build_schedule, linearize_stack
 from thermaldrift.figure8 import Figure8Plan
 from thermaldrift.limits import default_limits
 from thermaldrift.params import default_params, save_params
@@ -31,6 +31,9 @@ def test_plan_steady_writes_outputs(tmp_path):
     assert traj.n_nodes == int(round(20.0 / 0.25)) + 1
     summary = (out / "summary.txt").read_text()
     assert "thermal" in summary
+    # the package's schedule along the written plan is the one shipped
+    assert np.array_equal(build_schedule(default_params(), traj).K,
+                          csvio.load_gains(out / "gains.csv").K)
 
 
 def test_plan_steady_mu_const_inputs_constant(tmp_path):
@@ -183,17 +186,59 @@ def test_non_finite_option_is_config_error(tmp_path, capsys, command, option):
      "--mu-const 0: the friction coefficient must be positive"),
     ("plan-steady", ["--mu-const", "-1"],
      "--mu-const -1: the friction coefficient must be positive"),
+    ("plan-steady", ["--mu-const", "0.5"],
+     "--mu-const 0.5: outside the friction map's range 0.594 to 1.070 over "
+     "0 to 120 degC"),
+    ("plan-steady", ["--mu-const", "1.2"],
+     "--mu-const 1.2: outside the friction map's range 0.594 to 1.070 over "
+     "0 to 120 degC"),
+    ("plan-steady", ["--theta0", "150"],
+     "--theta0 150: the tread temperature must lie in the friction map's "
+     "range 0 to 120 degC"),
     ("plan-figure8", ["--arc", "-5"], "--arc -5: total_arc must be at least"),
+    ("plan-figure8", ["--theta0", "-1"],
+     "--theta0 -1: the tread temperature must lie in the friction map's "
+     "range 0 to 120 degC"),
+    ("simulate", ["--theta0", "120.5"],
+     "--theta0 120.5: the tread temperature must lie in the friction map's "
+     "range 0 to 120 degC"),
 ], ids=["steady_arc_negative", "steady_arc_short", "steady_radius",
         "steady_beta", "steady_mu_const_zero", "steady_mu_const_negative",
-        "figure8_arc"])
+        "steady_mu_const_low", "steady_mu_const_high", "steady_theta0",
+        "figure8_arc", "figure8_theta0", "simulate_theta0"])
 def test_out_of_range_option_is_config_error(tmp_path, capsys, command,
                                              option, message):
-    """A number outside the planner's range is a configuration error that
-    names its option, not a planner failure, and nothing is written."""
+    """A number outside the planner's or the friction map's range is a
+    configuration error that names its option, not a planner failure, and
+    nothing is written."""
     rc = main([command, "--out", str(tmp_path / "out"), *option])
     assert rc == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("option", [["--theta0", "0"], ["--theta0", "120"],
+                                    ["--mu-const", "1.07"]],
+                         ids=["theta0_low", "theta0_high", "mu_const_high"])
+def test_option_at_friction_map_edge_plans(tmp_path, option):
+    """Both ends of the friction map's declared range are accepted."""
+    rc = main(["plan-steady", "--out", str(tmp_path / "out"), "--arc", "1",
+               *option])
+    assert rc == 0
+
+
+def test_mu_const_range_follows_params(tmp_path, capsys):
+    """--mu-const is checked against the map of the loaded parameter file:
+    mu_r0 1.2 moves the range to 0.724 to 1.200."""
+    pfile = tmp_path / "params.txt"
+    params = default_params()
+    save_params(replace(params, thermal=replace(params.thermal, mu_r0=1.2)),
+                pfile)
+    rc = main(["plan-steady", "--out", str(tmp_path / "out"), "--arc", "1",
+               "--params", str(pfile), "--mu-const", "0.7"])
+    assert rc == 1
+    assert ("--mu-const 0.7: outside the friction map's range 0.724 to 1.200"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
@@ -254,7 +299,7 @@ def test_equilibrium_beyond_limit_is_planner_failure(tmp_path, capsys):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("arc", [["--arc", "10"], []], ids=["arc10", "default"])
-def test_plan_figure8(tmp_path, arc):
+def test_plan_figure8(tmp_path, request, arc):
     out = tmp_path / "out"
     rc = main(["plan-figure8", "--out", str(out), *arc])
     assert rc == 0
@@ -269,6 +314,11 @@ def test_plan_figure8(tmp_path, arc):
     assert float(summary["terminal_residual"]) < 1e-6
     transition = csvio.load_dynamic(out / "trajectory_transition.csv")
     assert transition.n_outer < _IPM_MAX_ITER
+    if arc:
+        # the conftest plan is the same 10 m course, planned in-process
+        plan = request.getfixturevalue("figure8_plan")
+        assert np.array_equal(csvio.load_gains(out / "gains.csv").K,
+                              plan.schedule.K)
 
 
 @pytest.mark.slow

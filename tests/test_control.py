@@ -7,8 +7,9 @@ import scipy.linalg
 
 from thermaldrift import csvio
 from thermaldrift.control import (
+    LQR_Q,
+    LQR_R,
     GainSchedule,
-    LqrWeights,
     build_schedule,
     linearize,
     linearize_stack,
@@ -48,14 +49,13 @@ def test_lqr_rejects_unstabilizable():
 
 def test_full_gain_stabilizes(params, eq_nominal):
     A, B = linearize(params, *nominal_point(eq_nominal))
-    w = LqrWeights()
-    K = lqr_gain(A, B, w.Q, w.R)
+    K = lqr_gain(A, B, LQR_Q, LQR_R)
     assert spectral_abscissa(A - B @ K) < 0.0
     # independent Riccati residual check
-    P = scipy.linalg.solve_continuous_are(A, B, w.Q, w.R)
-    K_ref = np.linalg.solve(w.R, B.T @ P)
+    P = scipy.linalg.solve_continuous_are(A, B, LQR_Q, LQR_R)
+    K_ref = np.linalg.solve(LQR_R, B.T @ P)
     assert np.allclose(K, K_ref, atol=1e-8)
-    resid = A.T @ P + P @ A - P @ B @ K_ref + w.Q
+    resid = A.T @ P + P @ A - P @ B @ K_ref + LQR_Q
     assert np.linalg.norm(resid) / max(1.0, np.linalg.norm(P)) < 1e-8
     # perturbed linear closed loop decays
     x = np.full(6, 0.05)
@@ -71,21 +71,20 @@ def test_batched_gains_match_scipy(params, steady_plans, steady_schedules,
     """The batched Hamiltonian solve against scipy's CARE solver, knot by
     knot, on the 300 m schedules (1201 knots each)."""
     sched = steady_schedules[name]
-    w = LqrWeights.tracking()
     plan = steady_plans[name]
     A, B = linearize_stack(params,
                            [plan.sample(float(s)) for s in sched.s_knots])
-    sol = lqr_gains(A, B, w.Q, w.R)
+    sol = lqr_gains(A, B, LQR_Q, LQR_R)
     assert sol.ok.all()
     np.testing.assert_array_equal(sched.K, sol.K)  # no scipy fallback
     K_err = np.empty(len(sched))
     resid = np.empty(len(sched))
     for i in range(len(sched)):
-        P_ref = scipy.linalg.solve_continuous_are(A[i], B[i], w.Q, w.R)
-        K_ref = np.linalg.solve(w.R, B[i].T @ P_ref)
+        P_ref = scipy.linalg.solve_continuous_are(A[i], B[i], LQR_Q, LQR_R)
+        K_ref = np.linalg.solve(LQR_R, B[i].T @ P_ref)
         K_err[i] = np.linalg.norm(sol.K[i] - K_ref) / np.linalg.norm(K_ref)
         P = sol.P[i]
-        r = A[i].T @ P + P @ A[i] - P @ B[i] @ sol.K[i] + w.Q
+        r = A[i].T @ P + P @ A[i] - P @ B[i] @ sol.K[i] + LQR_Q
         resid[i] = np.linalg.norm(r) / max(1.0, np.linalg.norm(P))
     assert K_err.max() <= 1e-9
     assert resid.max() <= 1e-8
@@ -142,13 +141,12 @@ def test_schedule_falls_back_to_scipy(params, monkeypatch, caplog):
                                 abscissa=sol.abscissa, ok=ok)
 
     monkeypatch.setattr(control, "lqr_gains", lqr_gains_rejecting_one)
-    w = LqrWeights()
     with caplog.at_level(logging.DEBUG, logger="thermaldrift.control"):
-        sched = build_schedule(params, traj, weights=w)
+        sched = build_schedule(params, traj)
     A, B = linearize_stack(params,
                            [traj.sample(float(s)) for s in sched.s_knots])
     np.testing.assert_array_equal(sched.K[bad],
-                                  lqr_gain(A[bad], B[bad], w.Q, w.R))
+                                  lqr_gain(A[bad], B[bad], LQR_Q, LQR_R))
     assert np.isfinite(sched.K).all()
     lines = [r.getMessage() for r in caplog.records
              if r.name == "thermaldrift.control"]
@@ -339,9 +337,3 @@ def test_schedule_validation():
                      ref_states=np.zeros((2, 12)), ref_inputs=np.zeros((2, 3)),
                      kappa=np.zeros(2))
 
-
-def test_weight_validation():
-    with pytest.raises(ValueError):
-        LqrWeights(Q_diag=np.array([-1.0, 1, 1, 1, 1, 1]))
-    with pytest.raises(ValueError):
-        LqrWeights(R_diag=np.array([0.0, 1.0, 1.0]))

@@ -68,10 +68,10 @@ def test_transition_rows_equal_the_transition(plan):
 
 
 def test_sample_is_continuous_across_both_breaks(params):
-    """With a circle-1 arc off the 0.25 m node grid, the transition takes
-    over at arc1 itself, so X, Y do not jump at either break."""
+    """With a steady arc off the 0.25 m node grid, the transition takes
+    over at the arc itself, so X, Y do not jump at either break."""
     plan = plan_figure8(params, radius=RADIUS, beta=BETA, theta0=THETA0,
-                        arc1=10.1, arc2=10.0)
+                        arc=10.1)
     assert plan.s_break1 == 10.1
     eps = 1e-6
     for s_break in (plan.s_break1, plan.s_break2):

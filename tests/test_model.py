@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermaldrift import equilibrium, sim
-from thermaldrift.control import LqrWeights, build_schedule
+from thermaldrift.control import build_schedule
 from thermaldrift.equilibrium import find_equilibrium, quasi_steady_sweep
 from thermaldrift.errors import (
     DegenerateLoadError,
@@ -419,7 +419,7 @@ def test_scalar_rates_match_helper_chain_on_run_states(monkeypatch):
     monkeypatch.setattr(equilibrium, "dynamic_residual", recording_residual)
     traj = quasi_steady_sweep(P, 15.0, math.radians(-40.0), 30.0, 3.0)
     res = sim.run(sim.Scenario(
-        name="pin", schedule=build_schedule(P, traj, LqrWeights.tracking()),
+        name="pin", schedule=build_schedule(P, traj),
         path=CirclePath(15.0), plant=P,
         initial_state=traj.sample(0.0)[0].replace(theta_r=20.0, Vy=-5.5),
         s_final=3.0))

@@ -5,11 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from thermaldrift.control import (
-    LqrWeights,
-    linearize,
-    linearize_stack,
-)
+from thermaldrift.control import linearize, linearize_stack
 from thermaldrift import sim
 from thermaldrift.errors import ModelDomainError, SimulationError
 from thermaldrift.figure8 import plan_figure8
@@ -209,6 +205,18 @@ def test_open_loop_unstable(params, steady_plans, steady_schedules):
     assert closed.max_abs_e < 0.1
 
 
+def test_time_limit_ends_run(params, steady_plans, steady_schedules,
+                             monkeypatch):
+    """A run that has not reached s_final by the simulated-time cap ends in
+    domain_error after its last permitted step."""
+    monkeypatch.setattr(sim, "_T_MAX", 0.05)
+    res = run(short_scenario(params, steady_plans, steady_schedules,
+                             s_final=5.0))
+    assert res.status == "domain_error"
+    assert res.detail == "time limit 0.05 s reached before s_final"
+    assert len(res.series) == 51
+
+
 def test_compare_reports_failures_inline(params, steady_plans,
                                          steady_schedules):
     good = short_scenario(params, steady_plans, steady_schedules)
@@ -342,7 +350,7 @@ def test_figure8_closed_loop_tracks(params):
     """The README's figure-8 plan, tracked on the thermal plant as
     ``thermaldrift simulate`` tracks a plan-figure8 directory (and so
     ``scripts/run_figure8.py``), reaches the end of the course."""
-    plan = plan_figure8(params, theta0=THETA0, weights=LqrWeights.tracking())
+    plan = plan_figure8(params, theta0=THETA0)
     res = run(plan.scenario(params, THETA0))
     assert res.status == "finished", res.detail
     assert res.max_abs_e < 0.05
