@@ -25,18 +25,15 @@ def main() -> int:
     ap.add_argument("--theta0", type=float, default=30.0, help="degC")
     ap.add_argument("--arc", type=float, default=70.0,
                     help="steady arc per circle, m")
-    ap.add_argument("--k-s", type=float, default=None,
-                    help="m^-2 (default: the planner's)")
     ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
         out = args.out or Path(tmp)
         common = ["--out", str(out), "--theta0", str(args.theta0)]
-        k_s = [] if args.k_s is None else ["--k-s", str(args.k_s)]
         code = cli.main(["plan-figure8", "--arc", str(args.arc),
                          "--radius", str(args.radius),
-                         "--beta", str(args.beta), *k_s, *common])
+                         "--beta", str(args.beta), *common])
         if code != 0:
             return code
         code = cli.main(["simulate", *common])

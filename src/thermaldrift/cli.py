@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import csvio
@@ -68,8 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     geometry(p)
     p.add_argument("--arc", type=float, default=70.0,
                    help="steady arc length per circle, m")
-    p.add_argument("--k-s", type=float, default=None,
-                   help="override the transition-distance weight, m^-2")
 
     # the plan kind, arc, radius and sideslip come from the planned files
     p = sub.add_parser("simulate", help="closed-loop simulation of the plan "
@@ -162,11 +159,6 @@ def cmd_plan_figure8(args) -> int:
     _check_geometry(args)
     params, planner = _load_inputs(args)
     beta = math.radians(args.beta)
-    if args.k_s is not None:
-        try:
-            planner = replace(planner, k_s=args.k_s)
-        except ValueError as exc:
-            raise ConfigError(f"--k-s {args.k_s:g}: {exc}") from None
     plan = plan_figure8(params, radius=args.radius, beta=beta,
                         theta0=args.theta0, arc=args.arc, planner=planner)
     out = args.out
@@ -234,8 +226,7 @@ def cmd_simulate(args) -> int:
             csvio.load_dynamic(out / "trajectory_transition.csv"),
             csvio.load_quasi_steady(out / "trajectory_steady2.csv"),
             csvio.load_gains(out / "gains.csv"))
-        scenarios = [replace(ref.scenario(params, args.theta0),
-                             limits=planner.limits)]
+        scenarios = [ref.scenario(params, args.theta0, planner.limits)]
 
     results = compare(scenarios)
 

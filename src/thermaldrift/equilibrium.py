@@ -48,7 +48,7 @@ _TOL_STEP = 1e-12
 _FIXED_POINT_HI = 119.0
 _FIXED_POINT_TOL = 1e-10
 
-#: default arc-length spacing of the sweep's nodes, m
+#: arc-length spacing of the sweep's nodes, m
 _DS = 0.25
 
 
@@ -146,13 +146,11 @@ def check_sideslip(beta_target: float) -> None:
         raise ValueError("|beta_target| must be below 80 deg")
 
 
-def check_arc(total_arc: float, ds: float = _DS) -> None:
+def check_arc(total_arc: float) -> None:
     """Raise ValueError unless a sweep can take ``total_arc`` in steps of
-    ``ds``."""
-    if ds <= 0.0:
-        raise ValueError("ds must be positive")
-    if total_arc < ds:
-        raise ValueError(f"total_arc must be at least one step ({ds:g} m)")
+    ``_DS``."""
+    if total_arc < _DS:
+        raise ValueError(f"total_arc must be at least one step ({_DS:g} m)")
 
 
 def find_equilibrium(params: ParamSet, radius: float, beta_target: float,
@@ -335,7 +333,7 @@ class QuasiSteadyTrajectory:
 
 
 def quasi_steady_sweep(params: ParamSet, radius: float, beta_target: float,
-                       theta0: float, total_arc: float, ds: float = _DS, *,
+                       theta0: float, total_arc: float, *,
                        thermal: bool = True, mu_const: float | None = None,
                        limits: ActuatorLimits | None = None) -> QuasiSteadyTrajectory:
     """Sweep equilibria along a circle while the tread temperature evolves.
@@ -346,7 +344,8 @@ def quasi_steady_sweep(params: ParamSet, radius: float, beta_target: float,
     the temperature at ``theta0`` instead.  With a frozen temperature every
     node shares node 0's equilibrium, which is solved once.
     """
-    check_arc(total_arc, ds)
+    check_arc(total_arc)
+    ds = _DS
     thp = params.thermal
     if mu_const is not None:
         theta0 = (mu_const - thp.mu_r0) / thp.mu_r1

@@ -6,9 +6,9 @@ mirrored circle (opposite turn direction, opposite sideslip, lateral circle
 centers aligned), and the second circle continues quasi-steadily from the
 transition's terminal temperature, on a circle placed at the transition's
 terminal pose.  Each steady arc carries the circle it is driven on, so the
-plan samples its three segments on one continuous arc length: the plan is
-the reference its gain schedule is designed along, and ``path`` is the
-simulator's centerline over the same arc length.
+plan samples and projects onto its three segments on one continuous arc
+length: the plan is both the reference its gain schedule is designed along
+and the simulator's centerline.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import numpy as np
 from .control import GainSchedule, build_schedule
 from .equilibrium import QuasiSteadyTrajectory, find_equilibrium, quasi_steady_sweep
 from .model import VehicleState
-from .paths import CirclePath, CompositePath, PolylinePath
+from .limits import ActuatorLimits
+from .paths import CirclePath, PolylinePath
 from .params import ParamSet
 from .sim import Scenario
 from .trajopt import (
@@ -43,8 +44,9 @@ class Figure8Plan:
 
     The plan places circle 2 itself (from ``steady2``'s radius), so a planned
     and a reloaded plan drive one circle.  It is the s-indexed reference
-    (``s_span``/``sample``) its gain ``schedule`` is designed along;
-    ``schedule`` is None only while :func:`plan_figure8` builds it.
+    (``s_span``/``sample``) its gain ``schedule`` is designed along, and the
+    centerline (``project``) the closed loop tracks; ``schedule`` is None
+    only while :func:`plan_figure8` builds it.
     """
 
     steady1: QuasiSteadyTrajectory
@@ -61,6 +63,12 @@ class Figure8Plan:
                              phi0=chi_N)
         object.__setattr__(self, "steady2",
                            replace(self.steady2, circle=circle2))
+        # (geometry, offset, length) of each segment, in _segment's order
+        polyline = PolylinePath(self.transition.states[:, [IX.X, IX.Y]])
+        object.__setattr__(self, "_course", (
+            (self.steady1.circle, 0.0, self.s_break1),
+            (polyline, self.s_break1, self.transition_length),
+            (circle2, self.s_break2, float(self.steady2.s[-1]))))
 
     @property
     def s_break1(self) -> float:
@@ -84,34 +92,57 @@ class Figure8Plan:
     def s_span(self) -> tuple[float, float]:
         return 0.0, self.total_arc
 
+    def _segment(self, s: float) -> int:
+        """The segment that owns course arc length s: 0 (circle 1) before
+        ``s_break1``, 1 (the transition) up to and including ``s_break2``,
+        2 (circle 2) after."""
+        if s < self.s_break1:
+            return 0
+        return 1 if s <= self.s_break2 else 2
+
     def sample(self, s: float):
         """Reference (state, input, curvature) at course arc length s."""
-        if s < self.s_break1:
+        i = self._segment(s)
+        if i == 0:
             return self.steady1.sample(s)
-        if s <= self.s_break2:
+        if i == 1:
             return self.transition.sample(s)
         state, inp, kappa = self.steady2.sample(s - self.s_break2)
         return state.replace(s=s), inp, kappa
 
-    def path(self) -> CompositePath:
-        """Simulator centerline: arc 1, planned transition, arc 2."""
-        pts = self.transition.states[:, [IX.X, IX.Y]]
-        return CompositePath([
-            (self.steady1.circle, self.s_break1),
-            (PolylinePath(pts), self.transition_length),
-            (self.steady2.circle, float(self.steady2.s[-1])),
-        ])
+    def project(self, X: float, Y: float, s_hint: float) -> tuple[float, float, float]:
+        """Project onto the course near ``s_hint``; returns (s, e, tangent).
+
+        The hint's segment and its neighbours are the candidates, each
+        clamped to its own length; the nearest foot wins, and on a tie
+        within 1e-12 m the earlier segment.
+        """
+        i = self._segment(s_hint)
+        best = None
+        for seg, lo, length in self._course[max(i - 1, 0):i + 2]:
+            s_loc, e, tang = seg.project(X, Y, s_hint - lo)
+            s_loc = min(max(s_loc, 0.0), length)
+            px, py, _ = seg.pose(s_loc)
+            dist = math.hypot(X - px, Y - py)
+            if best is None or dist < best[0] - 1e-12:
+                best = (dist, lo + s_loc, e, tang)
+        return best[1:]
+
+    def path(self) -> Figure8Plan:
+        """The simulator's centerline, which is the plan itself."""
+        return self
 
     def initial_state(self, theta0: float) -> VehicleState:
         return self.steady1.sample(0.0)[0].replace(theta_r=theta0)
 
-    def scenario(self, plant: ParamSet, theta0: float) -> Scenario:
-        """Closed-loop run of the whole course on ``plant``, starting from a
-        tread at ``theta0`` and stopping 0.5 m before the course ends."""
-        return Scenario(name="figure8", schedule=self.schedule,
-                        path=self.path(), plant=plant,
-                        initial_state=self.initial_state(theta0),
-                        s_final=self.total_arc - 0.5)
+    def scenario(self, plant: ParamSet, theta0: float,
+                 limits: ActuatorLimits) -> Scenario:
+        """Closed-loop run of the whole course on ``plant`` with the feedback
+        clamped to ``limits``, starting from a tread at ``theta0`` and
+        stopping 0.5 m before the course ends."""
+        return Scenario(name="figure8", schedule=self.schedule, path=self,
+                        plant=plant, initial_state=self.initial_state(theta0),
+                        s_final=self.total_arc - 0.5, limits=limits)
 
 
 def plan_figure8(params: ParamSet, radius: float = 15.0,

@@ -1,8 +1,10 @@
-"""Reference path geometry: circles, planned transition polylines, composites.
+"""Reference path geometry: circles and planned transition polylines.
 
 A path maps arc length s to a pose and supports closed-form (circle) or
 local (polyline) projection of an inertial position back to (s, e, tangent).
 The lateral error e is positive to the left of the tangent direction.
+The figure-8 course, two circles joined by a polyline, is
+:class:`~thermaldrift.figure8.Figure8Plan`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CirclePath", "PolylinePath", "CompositePath", "wrap_angle"]
+__all__ = ["CirclePath", "PolylinePath", "wrap_angle"]
 
 
 def wrap_angle(angle: float) -> float:
@@ -108,46 +110,4 @@ class PolylinePath:
         tang = float(self._tangent[i])
         dx, dy = p - feet[i]
         e = float(-math.sin(tang) * dx + math.cos(tang) * dy)
-        return s, e, tang
-
-
-class CompositePath:
-    """Concatenation of path segments into one continuous arc length."""
-
-    def __init__(self, segments):
-        """``segments``: iterable of (segment, length) pairs; each segment
-        has ``pose`` and ``project``."""
-        self.segments = []
-        s0 = 0.0
-        for seg, length in segments:
-            if length <= 0.0:
-                raise ValueError("segment length must be positive")
-            self.segments.append((seg, s0, s0 + length))
-            s0 += length
-        self.length = s0
-
-    def _locate(self, s: float) -> int:
-        for i, (_, lo, hi) in enumerate(self.segments):
-            if s < hi or i == len(self.segments) - 1:
-                return i
-        return len(self.segments) - 1
-
-    def pose(self, s: float) -> tuple[float, float, float]:
-        seg, lo, _ = self.segments[self._locate(s)]
-        return seg.pose(s - lo)
-
-    def project(self, X: float, Y: float, s_hint: float) -> tuple[float, float, float]:
-        """Project near the hinted arc length, allowing segment hand-off."""
-        i = self._locate(s_hint)
-        candidates = {i, max(i - 1, 0), min(i + 1, len(self.segments) - 1)}
-        best = None
-        for j in sorted(candidates):
-            seg, lo, hi = self.segments[j]
-            s_loc, e, tang = seg.project(X, Y, s_hint - lo)
-            s_loc = min(max(s_loc, 0.0), hi - lo)
-            px, py, _ = seg.pose(s_loc)
-            dist = math.hypot(X - px, Y - py)
-            if best is None or dist < best[0] - 1e-12:
-                best = (dist, lo + s_loc, e, tang)
-        _, s, e, tang = best
         return s, e, tang

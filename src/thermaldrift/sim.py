@@ -60,7 +60,7 @@ class Scenario:
 
     name: str
     schedule: GainSchedule
-    path: object                    # CirclePath / CompositePath-like
+    path: object                    # CirclePath or Figure8Plan: project()
     plant: ParamSet
     initial_state: VehicleState
     s_final: float

@@ -136,25 +136,23 @@ def test_gains_without_rows_is_config_error(tmp_path, capsys):
     assert "gains.csv: no data rows" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, settings, option, named", [
-    ("plan-figure8", "h_min 0.2\nh_max 0.1\n", [], "planner.txt: "),
-    ("plan-steady", "delta_min 50\n", [], "planner.txt: "),
-    ("plan-figure8", "k_s 200\n", ["--k-s", "-1"],
-     "--k-s -1: cost weights must be non-negative"),
-    ("plan-figure8", "k_s nan\n", [], "planner.txt:1: k_s must be a finite"),
-    ("plan-steady", "delta_max inf\n", [],
+@pytest.mark.parametrize("command, settings, named", [
+    ("plan-figure8", "h_min 0.2\nh_max 0.1\n", "planner.txt: "),
+    ("plan-steady", "delta_min 50\n", "planner.txt: "),
+    ("plan-figure8", "k_s nan\n", "planner.txt:1: k_s must be a finite"),
+    ("plan-steady", "delta_max inf\n",
      "planner.txt:1: delta_max must be a finite"),
-], ids=["h_bounds", "delta_bounds", "k_s_option", "k_s_nan", "delta_max_inf"])
+], ids=["h_bounds", "delta_bounds", "k_s_nan", "delta_max_inf"])
 def test_planner_values_out_of_order_are_config_error(tmp_path, capsys,
                                                       command, settings,
-                                                      option, named):
-    """A planner value out of order, out of range or not finite, from the
-    planner file or an option, is a configuration error that names where it
-    came from, not a planner failure, and nothing is written."""
+                                                      named):
+    """A planner-file value out of order, out of range or not finite is a
+    configuration error that names where it came from, not a planner
+    failure, and nothing is written."""
     cfg = tmp_path / "planner.txt"
     cfg.write_text(settings)
     rc = main([command, "--out", str(tmp_path / "out"), "--arc", "5",
-               "--planner-config", str(cfg), *option])
+               "--planner-config", str(cfg)])
     assert rc == 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -165,9 +163,7 @@ def test_planner_values_out_of_order_are_config_error(tmp_path, capsys,
     ("plan-steady", ["--beta", "nan"]),
     ("plan-steady", ["--mu-const", "nan"]),
     ("plan-figure8", ["--radius", "nan"]),
-    ("plan-figure8", ["--k-s", "inf"]),
-], ids=["steady_arc", "steady_beta", "steady_mu_const", "figure8_radius",
-        "figure8_k_s"])
+], ids=["steady_arc", "steady_beta", "steady_mu_const", "figure8_radius"])
 def test_non_finite_option_is_config_error(tmp_path, capsys, command, option):
     """An infinite or NaN number on the command line is a configuration
     error naming its option, and nothing is written."""
@@ -338,7 +334,7 @@ def test_simulate_figure8_plan(tmp_path, monkeypatch, capsys):
     assert main(["plan-figure8", "--out", str(out), "--arc", "20"]) == 0
     assert main(["simulate", "--out", str(out)]) == 0
     (plan,) = planned
-    expected = run(plan.scenario(default_params(), 30.0))
+    expected = run(plan.scenario(default_params(), 30.0, default_limits()))
     assert expected.status == "finished"
     series = csvio.load_sim(out / "sim_figure8.csv").series
     assert np.array_equal(series, expected.series)
@@ -364,8 +360,7 @@ class _TransitionPosed(Exception):
 
 
 def test_plan_figure8_passes_planner_config(tmp_path, monkeypatch):
-    """Every planner-file setting reaches the transition problem, and
-    --k-s overrides the file's k_s."""
+    """Every planner-file setting reaches the transition problem."""
     posed = []
 
     def record(problem, guess):
@@ -378,13 +373,13 @@ def test_plan_figure8_passes_planner_config(tmp_path, monkeypatch):
                    "k_dtau 50\nk_s 300\nddelta_max 80\ndtau_max 2.5\n")
     with pytest.raises(_TransitionPosed):
         main(["plan-figure8", "--out", str(tmp_path / "out"), "--arc", "10",
-              "--planner-config", str(cfg), "--k-s", "2000"])
+              "--planner-config", str(cfg)])
     (problem,) = posed
     assert problem.N == 40
     assert (problem.h_min, problem.h_max) == (0.02, 0.08)
     assert problem.k_ddelta == 2e4
     assert problem.k_dtau == 50 * 1e-6          # (kN m/s)^-2 -> (N m/s)^-2
-    assert problem.k_s == 2000.0
+    assert problem.k_s == 300.0
     assert problem.limits == replace(default_limits(),
                                      ddelta_max=80 * math.pi / 180.0,
                                      dtau_max=2500.0)

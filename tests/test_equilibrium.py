@@ -189,10 +189,14 @@ def test_fixed_point_is_thermally_stationary(params):
         pytest.approx(0.0, abs=1e-6)
 
 
-def test_sweep_step_refinement(params):
-    coarse = quasi_steady_sweep(params, RADIUS, BETA, THETA0, 40.0, ds=0.5)
-    fine = quasi_steady_sweep(params, RADIUS, BETA, THETA0, 40.0, ds=0.25)
-    finest = quasi_steady_sweep(params, RADIUS, BETA, THETA0, 40.0, ds=0.125)
+def test_sweep_step_refinement(params, monkeypatch):
+    def sweep(ds):
+        monkeypatch.setattr(equilibrium, "_DS", ds)
+        traj = quasi_steady_sweep(params, RADIUS, BETA, THETA0, 40.0)
+        assert traj.ds == ds
+        return traj
+
+    coarse, fine, finest = sweep(0.5), sweep(0.25), sweep(0.125)
     e1 = abs(coarse.theta[-1] - finest.theta[-1])
     e2 = abs(fine.theta[-1] - finest.theta[-1])
     assert e2 < e1  # first-order update converges under refinement
@@ -225,6 +229,4 @@ def test_sweep_error_names_node(params):
 
 def test_sweep_validation(params):
     with pytest.raises(ValueError):
-        quasi_steady_sweep(params, RADIUS, BETA, THETA0, 10.0, ds=-0.1)
-    with pytest.raises(ValueError):
-        quasi_steady_sweep(params, RADIUS, BETA, THETA0, 0.1, ds=0.25)
+        quasi_steady_sweep(params, RADIUS, BETA, THETA0, 0.1)

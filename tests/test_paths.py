@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from thermaldrift.paths import CirclePath, CompositePath, PolylinePath, wrap_angle
+from thermaldrift.paths import CirclePath, PolylinePath, wrap_angle
+from thermaldrift.trajopt import IX
 
 
 def test_wrap_angle():
@@ -53,20 +54,34 @@ def test_polyline_straight_segment():
     assert phi == pytest.approx(math.pi / 2.0)
 
 
-def test_composite_dispatch():
-    seg1 = CirclePath(15.0)
-    pts = np.array([seg1.pose(10.0)[:2], np.array(seg1.pose(10.0)[:2])
-                    + 5.0 * np.array([math.cos(seg1.pose(10.0)[2]),
-                                      math.sin(seg1.pose(10.0)[2])])])
-    seg2 = PolylinePath(pts)
-    path = CompositePath([(seg1, 10.0), (seg2, 5.0)])
-    # inside segment 1
-    x, y, _ = seg1.pose(4.0)
-    s, e, _ = path.project(x, y, s_hint=4.0)
-    assert s == pytest.approx(4.0, abs=1e-9)
-    assert e == pytest.approx(0.0, abs=1e-9)
-    # inside segment 2 (s continues past the break)
-    x, y, _ = seg2.pose(2.0)
-    s, e, _ = path.project(x, y, s_hint=11.5)
-    assert s == pytest.approx(12.0, abs=1e-6)
-    assert e == pytest.approx(0.0, abs=1e-6)
+def test_figure8_course_projection(figure8_plan):
+    """The figure-8 plan is its own centerline: points that ``sample``
+    places on either circle project back to their s, points on the
+    transition project onto its polyline, and both breaks belong to the
+    transition for ``sample`` and ``project`` alike."""
+    plan = figure8_plan
+    assert plan.path() is plan
+    for s in np.concatenate([np.linspace(0.0, plan.s_break1, 9)[:-1],
+                             np.linspace(plan.s_break2, plan.total_arc, 9)[1:]]):
+        st = plan.sample(float(s))[0]
+        s2, e, _ = plan.project(st.X, st.Y, float(s))
+        assert s2 == pytest.approx(s, abs=1e-6)
+        assert e == pytest.approx(0.0, abs=1e-6)
+
+    # the polyline's arc length is the sum of its chords from s_break1; it
+    # falls short of the planned distance transition.s (by 1.5 mm at
+    # s_break2 on this plan), so the closed loop's s lags the plan's there
+    pts = plan.transition.states[:, [IX.X, IX.Y]]
+    chord_s = plan.s_break1 + np.concatenate(
+        [[0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))])
+    for k in range(0, len(pts), 7):
+        s2, e, _ = plan.project(*pts[k], float(plan.transition.s[k]))
+        assert s2 == pytest.approx(chord_s[k], abs=1e-6)
+        assert e == pytest.approx(0.0, abs=1e-6)
+
+    for s_break in (plan.s_break1, plan.s_break2):
+        assert plan._segment(s_break) == 1
+        got, want = plan.sample(s_break), plan.transition.sample(s_break)
+        assert got[0] == want[0] and got[2] == want[2]
+    assert plan._segment(np.nextafter(plan.s_break1, 0.0)) == 0
+    assert plan._segment(np.nextafter(plan.s_break2, np.inf)) == 2

@@ -10,6 +10,7 @@ from thermaldrift import sim
 from thermaldrift.errors import ModelDomainError, SimulationError
 from thermaldrift.figure8 import plan_figure8
 from thermaldrift.integrate import rk4
+from thermaldrift.limits import default_limits
 from thermaldrift.model import ControlInput, VehicleState
 from thermaldrift.paths import CirclePath
 from thermaldrift.sim import (
@@ -140,9 +141,9 @@ def test_run_matches_loop_oracle(params, steady_plans, steady_schedules,
 
 
 def test_figure8_run_matches_loop_oracle(params, figure8_plan):
-    """The figure-8 plan's own scenario (composite path, transition
-    schedule) equals the loop oracle too."""
-    sc = figure8_plan.scenario(params, THETA0)
+    """The figure-8 plan's own scenario (the plan as its own path, the
+    transition's schedule) equals the loop oracle too."""
+    sc = figure8_plan.scenario(params, THETA0, default_limits())
     got, want = run(sc), loop_oracle.run(sc)
     assert len(got.series) > 1000
     assert got.series.tobytes() == want.series.tobytes()
@@ -351,6 +352,6 @@ def test_figure8_closed_loop_tracks(params):
     ``thermaldrift simulate`` tracks a plan-figure8 directory (and so
     ``scripts/run_figure8.py``), reaches the end of the course."""
     plan = plan_figure8(params, theta0=THETA0)
-    res = run(plan.scenario(params, THETA0))
+    res = run(plan.scenario(params, THETA0, default_limits()))
     assert res.status == "finished", res.detail
     assert res.max_abs_e < 0.05
