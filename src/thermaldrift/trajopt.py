@@ -21,6 +21,13 @@ re-integrates the inputs with the scalar RK4 step and takes least-norm input
 corrections from the same Jacobian and banded factorization.  The returned
 states are that exact re-integration of the returned inputs, so the
 dynamics defects are zero by construction.
+
+The constraints and their finite-difference derivatives evaluate the
+vehicle model over whole stencils at once (:func:`_rk4_batch`).  The
+stencils are laid out components first, ``(12, stages, points)``, so each
+state component is one contiguous slab.  The batched model is elementwise,
+so a lane's bits do not depend on the layout, and the model equals its
+row-last form, kept in the tests as the oracle, bit for bit.
 """
 
 from __future__ import annotations
@@ -99,55 +106,63 @@ def rk4_step(params: ParamSet, x: np.ndarray, u: np.ndarray, h: float) -> np.nda
 # ---------------------------------------------------------------------------
 
 def _rates_batch(x: np.ndarray, params: ParamSet, u: np.ndarray) -> np.ndarray:
-    """Vectorized twin of :func:`extended_rates` over leading axes.
+    """Vectorized twin of :func:`extended_rates`, components first.
 
-    Mildly guarded (speed floor, load clipping) so that intermediate
-    optimizer iterates cannot leave the model's domain; the guards are
-    inactive at any physically sensible solution, which the final scalar
-    re-integration verifies.  It stays separate from the scalar model
-    because on a single row it costs several times what the simulator's
-    scalar path does; it pays off only over the transcription's many rows.
+    ``x`` is ``(12, ...)`` and ``u`` is ``(2, ...)``: ``x[IX.Vx]`` is one
+    contiguous slab of a C-ordered stencil, and the rates come back in the
+    same layout.  Every operation is elementwise, so a lane's rates do not
+    depend on its place in the batch.  Mildly guarded (speed floor, load
+    clipping) so that intermediate optimizer iterates cannot leave the
+    model's domain; the guards are inactive at any physically sensible
+    solution, which the final scalar re-integration verifies.  It stays
+    separate from the scalar model because on a single row it costs several
+    times what the simulator's scalar path does; it pays off only over the
+    transcription's many rows.
     """
     vp, tp, thp = params.vehicle, params.tire, params.thermal
-    Vx = np.maximum(x[..., IX.Vx], 1.0)
-    Vy = x[..., IX.Vy]
-    r = x[..., IX.r]
-    psi = x[..., IX.psi]
-    omega = x[..., IX.omega]
-    dFz = x[..., IX.dFz]
-    delta = x[..., IX.delta]
-    tau = x[..., IX.tau]
-    theta = x[..., IX.theta]
+    Vx = np.maximum(x[IX.Vx], 1.0)
+    Vy = x[IX.Vy]
+    r = x[IX.r]
+    psi = x[IX.psi]
+    omega = x[IX.omega]
+    dFz = x[IX.dFz]
+    delta = x[IX.delta]
+    tau = x[IX.tau]
+    theta = x[IX.theta]
 
     mg = vp.m * vp.g
-    F_zf = np.clip(vp.b * mg / vp.L - dFz, 1.0, mg)
-    F_zr = np.clip(vp.a * mg / vp.L + dFz, 1.0, mg)
+    F_zf = np.minimum(np.maximum(vp.b * mg / vp.L - dFz, 1.0), mg)
+    F_zr = np.minimum(np.maximum(vp.a * mg / vp.L + dFz, 1.0), mg)
 
     alpha_f = np.arctan((Vy + vp.a * r) / Vx) - delta
     C_alpha = np.maximum(tp.C_alpha1 * F_zf + tp.C_alpha0, 1e3)
     F_ymax = tp.mu_f * F_zf
-    tan_af = np.tan(np.clip(alpha_f, -1.5, 1.5))
-    tan_slide = 3.0 * F_ymax / C_alpha
-    cubic = (-C_alpha * tan_af
-             + C_alpha ** 2 / (3.0 * F_ymax) * np.abs(tan_af) * tan_af
-             - C_alpha ** 3 / (27.0 * F_ymax ** 2) * tan_af ** 3)
-    F_yf = np.where(np.abs(tan_af) > tan_slide,
-                    -F_ymax * np.sign(alpha_f), cubic)
+    tan_af = np.tan(np.minimum(np.maximum(alpha_f, -1.5), 1.5))
+    # the Fiala cubic only where the front grips (a NaN lane counts as
+    # gripping): numpy's pow is far slower for the negative bases of its cube
+    grip = ~(np.abs(tan_af) > 3.0 * F_ymax / C_alpha)
+    F_yf = -F_ymax * np.sign(alpha_f)
+    Cg, Fg, tg = C_alpha[grip], F_ymax[grip], tan_af[grip]
+    F_yf[grip] = (-Cg * tg
+                  + Cg ** 2 / (3.0 * Fg) * np.abs(tg) * tg
+                  - Cg ** 3 / (27.0 * Fg ** 2) * tg ** 3)
 
     alpha_r = np.arctan((Vy - vp.b * r) / Vx)
+    tan_ar = np.tan(alpha_r)
     kappa_r = np.arctan((vp.Re * omega - Vx) / Vx)
     kp1 = np.maximum(kappa_r + 1.0, 0.05)
     mu_r = np.maximum(thp.mu_r1 * theta + thp.mu_r0, 0.05)
     gx = tp.Cx * kappa_r / kp1
-    gy = tp.Cy * np.tan(alpha_r) / kp1
+    gy = tp.Cy * tan_ar / kp1
     f = np.hypot(gx, gy)
     limit = mu_r * F_zr
     F = np.where(f <= 3.0 * limit,
                  f - f * f / (3.0 * limit) + f ** 3 / (27.0 * limit * limit),
                  limit)
-    f_safe = np.where(f > 0.0, f, 1.0)
-    F_xr = np.where(f > 0.0, F * gx / f_safe, 0.0)
-    F_yr = np.where(f > 0.0, -F * gy / f_safe, 0.0)
+    slipping = f > 0.0
+    f_safe = np.where(slipping, f, 1.0)
+    F_xr = np.where(slipping, F * gx / f_safe, 0.0)
+    F_yr = np.where(slipping, -F * gy / f_safe, 0.0)
 
     sin_d, cos_d = np.sin(delta), np.cos(delta)
     dVx = (-F_yf * sin_d + F_xr) / vp.m + r * Vy
@@ -156,29 +171,31 @@ def _rates_batch(x: np.ndarray, params: ParamSet, u: np.ndarray) -> np.ndarray:
     domega = (tau - vp.Re * F_xr) / vp.J
     ddFz = -vp.Kz * (dFz - (vp.h_cg / vp.L) * (F_xr - F_yf * sin_d))
     V_sx = Vx * kappa_r
-    V_sy = -Vx * np.tan(alpha_r)
+    V_sy = -Vx * tan_ar
     Q = thp.alpha_tire * (V_sx * F_xr + V_sy * F_yr) + thp.eps_tire * F_zr * Vx
     dtheta = (Q - thp.KA_tire * (theta - thp.theta_out)) / thp.C_tire
 
+    sin_p, cos_p = np.sin(psi), np.cos(psi)
     out = np.empty_like(x)
-    out[..., IX.Vx] = dVx
-    out[..., IX.Vy] = dVy
-    out[..., IX.r] = dr
-    out[..., IX.psi] = r
-    out[..., IX.omega] = domega
-    out[..., IX.dFz] = ddFz
-    out[..., IX.X] = Vx * np.cos(psi) - Vy * np.sin(psi)
-    out[..., IX.Y] = Vx * np.sin(psi) + Vy * np.cos(psi)
-    out[..., IX.delta] = u[..., 0]
-    out[..., IX.tau] = u[..., 1]
-    out[..., IX.theta] = dtheta
-    out[..., IX.s] = np.hypot(Vx, Vy)
+    out[IX.Vx] = dVx
+    out[IX.Vy] = dVy
+    out[IX.r] = dr
+    out[IX.psi] = r
+    out[IX.omega] = domega
+    out[IX.dFz] = ddFz
+    out[IX.X] = Vx * cos_p - Vy * sin_p
+    out[IX.Y] = Vx * sin_p + Vy * cos_p
+    out[IX.delta] = u[0]
+    out[IX.tau] = u[1]
+    out[IX.theta] = dtheta
+    out[IX.s] = np.hypot(Vx, Vy)
     return out
 
 
 def _rk4_batch(params, x, u, h):
-    """Batched RK4 step; ``h`` broadcasts over the leading axes."""
-    return rk4(_rates_batch, x, np.asarray(h)[..., None], params, u)
+    """Batched RK4 step, components first: ``x`` is ``(12, ...)``, ``u`` is
+    ``(2, ...)`` and ``h`` broadcasts over the trailing axes."""
+    return rk4(_rates_batch, x, h, params, u)
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +485,9 @@ class _Transcription:
     # -- constraints ------------------------------------------------------
     def constraints(self, z):
         X, U, h = self.unpack(z)
-        phi = _rk4_batch(self.p.params, X[:-1], U, h)
-        defects = (X[1:] - phi) / _X_SCALE
+        phi = _rk4_batch(self.p.params, np.ascontiguousarray(X[:-1].T),
+                         np.ascontiguousarray(U.T), h)
+        defects = (X[1:] - phi.T) / _X_SCALE
         return np.concatenate([defects.ravel(),
                                _terminal_residual(self.p, X[-1])])
 
@@ -484,31 +502,32 @@ class _Transcription:
         N = self.N
         eps = 1e-6
         n_pert = 2 * IX.n + 2 * 2 + 2
-        xb = np.repeat(X[:-1, None, :], n_pert, axis=1)
-        ub = np.repeat(U[:, None, :], n_pert, axis=1)
+        # components first: states (12, N, n_pert), inputs (2, N, n_pert)
+        xb = np.repeat(X[:-1].T[:, :, None], n_pert, axis=2)
+        ub = np.repeat(U.T[:, :, None], n_pert, axis=2)
         hb = np.full((N, n_pert), h)
         col = 0
         for j in range(IX.n):
-            xb[:, col, j] += eps * _X_SCALE[j]
-            xb[:, col + 1, j] -= eps * _X_SCALE[j]
+            xb[j, :, col] += eps * _X_SCALE[j]
+            xb[j, :, col + 1] -= eps * _X_SCALE[j]
             col += 2
         for j in range(2):
-            ub[:, col, j] += eps * _U_SCALE[j]
-            ub[:, col + 1, j] -= eps * _U_SCALE[j]
+            ub[j, :, col] += eps * _U_SCALE[j]
+            ub[j, :, col + 1] -= eps * _U_SCALE[j]
             col += 2
         hb[:, col] += eps * _H_SCALE
         hb[:, col + 1] -= eps * _H_SCALE
-        phi = _rk4_batch(self.p.params, xb, ub, hb) / _X_SCALE
+        phi = _rk4_batch(self.p.params, xb, ub, hb) / _X_SCALE[:, None, None]
         D = np.empty((N, IX.n, IX.n))
         E = np.empty((N, IX.n, 2))
         col = 0
         for j in range(IX.n):
-            D[:, :, j] = -(phi[:, col] - phi[:, col + 1]) / (2.0 * eps)
+            D[:, :, j] = -(phi[:, :, col] - phi[:, :, col + 1]).T / (2.0 * eps)
             col += 2
         for j in range(2):
-            E[:, :, j] = -(phi[:, col] - phi[:, col + 1]) / (2.0 * eps)
+            E[:, :, j] = -(phi[:, :, col] - phi[:, :, col + 1]).T / (2.0 * eps)
             col += 2
-        Fh = -(phi[:, col] - phi[:, col + 1]) / (2.0 * eps)
+        Fh = -(phi[:, :, col] - phi[:, :, col + 1]).T / (2.0 * eps)
 
         xN = X[-1]
         G = np.empty((self.ng, IX.n))
@@ -573,11 +592,15 @@ class _Transcription:
         E = np.eye(nv) * eps
         # stencil: centre, +e_i, -e_i, e_i + e_j (i < j)
         O = np.concatenate([np.zeros((1, nv)), E, -E, E[iu] + E[ju]])
-        xb = np.repeat(X[:-1, None, :], O.shape[0], axis=1)
-        xb[..., _CURVED] += O[None, :, :_CURVED.size] * _X_SCALE[_CURVED]
-        ub = U[:, None, :] + O[None, :, _CURVED.size:-1] * _U_SCALE
-        hb = h + O[None, :, -1] * _H_SCALE
-        phi = _rk4_batch(self.p.params, xb, ub, hb) / _X_SCALE
+        # components first: states (12, N, M), inputs (2, N, M)
+        xb = np.repeat(X[:-1].T[:, :, None], O.shape[0], axis=2)
+        xb[_CURVED] += (O[:, :_CURVED.size] * _X_SCALE[_CURVED]).T[:, None, :]
+        ub = U.T[:, :, None] + (O[:, _CURVED.size:-1] * _U_SCALE).T[:, None, :]
+        hb = h + O[:, -1] * _H_SCALE
+        # contiguous in (k, m, i) order: einsum's order of summation over i
+        # depends on the memory layout
+        phi = np.ascontiguousarray(
+            _rk4_batch(self.p.params, xb, ub, hb).transpose(1, 2, 0)) / _X_SCALE
         psi = -np.einsum("kmi,ki->km", phi, lam[:N * IX.n].reshape(N, IX.n))
         c0 = psi[:, :1]
         plus, minus = psi[:, 1:1 + nv], psi[:, 1 + nv:1 + 2 * nv]
@@ -1012,9 +1035,9 @@ def solve_transition(problem: TransitionProblem, guess) -> DynamicTrajectory:
     _, U, h = tr.unpack(z)
     states, U, h = _polish(tr, U, h)
     term = _terminal_residual(problem, states[-1])
-    defect = np.max(np.abs((states[1:] -
-                            _rk4_batch(problem.params, states[:-1], U, h))
-                           / _X_SCALE))
+    phi = _rk4_batch(problem.params, np.ascontiguousarray(states[:-1].T),
+                     np.ascontiguousarray(U.T), h)
+    defect = np.max(np.abs((states[1:] - phi.T) / _X_SCALE))
     _check_limits(problem, states, U)
 
     input_cost, distance_cost = tr.cost_terms(states, U)

@@ -12,6 +12,11 @@ state and input; :func:`heat_generation` gives the tread heating power.
 package once built it, through :class:`VehicleState` and
 :class:`ControlInput` values, for pinning the float-only residual of
 :func:`thermaldrift.equilibrium.find_equilibrium` to it.
+
+:func:`rates_batch_rows` is the transcription's batched kernel laid out row
+last, ``(..., 12)``, with the cubic evaluated on every lane, as the package
+once computed it; the components-first
+:func:`thermaldrift.trajopt._rates_batch` equals it bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from thermaldrift.model import (
     scalar_rates,
 )
 from thermaldrift.params import ParamSet, ThermalParams, TireParams, VehicleParams
+from thermaldrift.trajopt import IX
 
 
 @dataclass(frozen=True)
@@ -217,3 +223,74 @@ def sweep_residual(radius: float, beta_target: float):
         return state_residual(params, state,
                               ControlInput(delta=delta, Fxf=0.0, tau=tau))
     return residual
+
+
+def rates_batch_rows(x: np.ndarray, params: ParamSet, u: np.ndarray) -> np.ndarray:
+    """The extended-state rates over leading axes: ``x`` is ``(..., 12)``
+    and ``u`` is ``(..., 2)``."""
+    vp, tp, thp = params.vehicle, params.tire, params.thermal
+    Vx = np.maximum(x[..., IX.Vx], 1.0)
+    Vy = x[..., IX.Vy]
+    r = x[..., IX.r]
+    psi = x[..., IX.psi]
+    omega = x[..., IX.omega]
+    dFz = x[..., IX.dFz]
+    delta = x[..., IX.delta]
+    tau = x[..., IX.tau]
+    theta = x[..., IX.theta]
+
+    mg = vp.m * vp.g
+    F_zf = np.clip(vp.b * mg / vp.L - dFz, 1.0, mg)
+    F_zr = np.clip(vp.a * mg / vp.L + dFz, 1.0, mg)
+
+    alpha_f = np.arctan((Vy + vp.a * r) / Vx) - delta
+    C_alpha = np.maximum(tp.C_alpha1 * F_zf + tp.C_alpha0, 1e3)
+    F_ymax = tp.mu_f * F_zf
+    tan_af = np.tan(np.clip(alpha_f, -1.5, 1.5))
+    tan_slide = 3.0 * F_ymax / C_alpha
+    cubic = (-C_alpha * tan_af
+             + C_alpha ** 2 / (3.0 * F_ymax) * np.abs(tan_af) * tan_af
+             - C_alpha ** 3 / (27.0 * F_ymax ** 2) * tan_af ** 3)
+    F_yf = np.where(np.abs(tan_af) > tan_slide,
+                    -F_ymax * np.sign(alpha_f), cubic)
+
+    alpha_r = np.arctan((Vy - vp.b * r) / Vx)
+    kappa_r = np.arctan((vp.Re * omega - Vx) / Vx)
+    kp1 = np.maximum(kappa_r + 1.0, 0.05)
+    mu_r = np.maximum(thp.mu_r1 * theta + thp.mu_r0, 0.05)
+    gx = tp.Cx * kappa_r / kp1
+    gy = tp.Cy * np.tan(alpha_r) / kp1
+    f = np.hypot(gx, gy)
+    limit = mu_r * F_zr
+    F = np.where(f <= 3.0 * limit,
+                 f - f * f / (3.0 * limit) + f ** 3 / (27.0 * limit * limit),
+                 limit)
+    f_safe = np.where(f > 0.0, f, 1.0)
+    F_xr = np.where(f > 0.0, F * gx / f_safe, 0.0)
+    F_yr = np.where(f > 0.0, -F * gy / f_safe, 0.0)
+
+    sin_d, cos_d = np.sin(delta), np.cos(delta)
+    dVx = (-F_yf * sin_d + F_xr) / vp.m + r * Vy
+    dVy = (F_yf * cos_d + F_yr) / vp.m - r * Vx
+    dr = (vp.a * F_yf * cos_d - vp.b * F_yr) / vp.Iz
+    domega = (tau - vp.Re * F_xr) / vp.J
+    ddFz = -vp.Kz * (dFz - (vp.h_cg / vp.L) * (F_xr - F_yf * sin_d))
+    V_sx = Vx * kappa_r
+    V_sy = -Vx * np.tan(alpha_r)
+    Q = thp.alpha_tire * (V_sx * F_xr + V_sy * F_yr) + thp.eps_tire * F_zr * Vx
+    dtheta = (Q - thp.KA_tire * (theta - thp.theta_out)) / thp.C_tire
+
+    out = np.empty_like(x)
+    out[..., IX.Vx] = dVx
+    out[..., IX.Vy] = dVy
+    out[..., IX.r] = dr
+    out[..., IX.psi] = r
+    out[..., IX.omega] = domega
+    out[..., IX.dFz] = ddFz
+    out[..., IX.X] = Vx * np.cos(psi) - Vy * np.sin(psi)
+    out[..., IX.Y] = Vx * np.sin(psi) + Vy * np.cos(psi)
+    out[..., IX.delta] = u[..., 0]
+    out[..., IX.tau] = u[..., 1]
+    out[..., IX.theta] = dtheta
+    out[..., IX.s] = np.hypot(Vx, Vy)
+    return out

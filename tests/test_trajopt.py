@@ -26,6 +26,7 @@ from thermaldrift.trajopt import (
 )
 
 from conftest import BETA, RADIUS, make_transition_problem
+from model_oracle import rates_batch_rows
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +103,104 @@ def test_batched_rates_match_scalar_model(rows):
                 st0.omega * f[3], st0.dFz * f[4], px, py, delta, tau, theta,
                 s]
         U[k] = [ddelta, dtau]
-    batch = trajopt._rates_batch(X, P, U)
+    batch = trajopt._rates_batch(X.T, P, U.T)
     for k in range(len(rows)):
         ref = extended_rates(X[k], P, U[k])
-        assert np.all(np.abs(batch[k] - ref)
+        assert np.all(np.abs(batch[:, k] - ref)
                       <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def _bits(a):
+    """The float64 bit patterns of ``a``: == on them also tells -0.0 from
+    0.0 and compares NaNs."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _corner_rows():
+    """(X, U) rows, one per branch of the batched kernel, around the
+    R = 15 m, 30 degC equilibrium: the front gripping and sliding at either
+    sign of alpha_f, the rear rolling with the road (kappa_r = alpha_r = 0,
+    so f == 0), the speed floor, and each axle load at either clip."""
+    vp = P.vehicle
+    eq = EQUILIBRIA[1]
+    st0 = eq.state()
+    base = np.array([st0.Vx, st0.Vy, st0.r, 0.3, st0.omega, st0.dFz, 1.0,
+                     -2.0, eq.delta, eq.tau, 30.0, 5.0])
+    heading = math.atan((st0.Vy + vp.a * st0.r) / st0.Vx)
+    rows = []
+    for alpha_f in (0.02, -0.02, 0.5, -0.5):
+        rows.append(base.copy())
+        rows[-1][IX.delta] = heading - alpha_f
+    rows.append(base.copy())
+    rows[-1][IX.Vx] = vp.Re * st0.omega
+    rows[-1][IX.Vy] = vp.b * st0.r
+    for j, value in ((IX.Vx, 0.5), (IX.Vx, -3.0), (IX.dFz, 2e4),
+                     (IX.dFz, -2e4)):
+        rows.append(base.copy())
+        rows[-1][j] = value
+    X = np.array(rows)
+    U = np.tile([0.3, -800.0], (len(rows), 1))
+    return X, U
+
+
+CORNER_X, CORNER_U = _corner_rows()
+
+
+def test_corner_rows_reach_every_branch():
+    """The corner rows do what :func:`_corner_rows` says, by the kernel's
+    own branch conditions."""
+    vp, tp = P.vehicle, P.tire
+    X = CORNER_X
+    Vx = np.maximum(X[:, IX.Vx], 1.0)
+    mg = vp.m * vp.g
+    F_zf = np.clip(vp.b * mg / vp.L - X[:, IX.dFz], 1.0, mg)
+    F_zr = np.clip(vp.a * mg / vp.L + X[:, IX.dFz], 1.0, mg)
+    alpha_f = (np.arctan((X[:, IX.Vy] + vp.a * X[:, IX.r]) / Vx)
+               - X[:, IX.delta])
+    C_alpha = np.maximum(tp.C_alpha1 * F_zf + tp.C_alpha0, 1e3)
+    slide = np.abs(np.tan(alpha_f)) > 3.0 * tp.mu_f * F_zf / C_alpha
+    front = set(zip(np.sign(alpha_f)[:4], slide[:4]))
+    assert front == {(1.0, False), (-1.0, False), (1.0, True), (-1.0, True)}
+    rest = ((vp.Re * X[:, IX.omega] - Vx == 0.0)
+            & (X[:, IX.Vy] - vp.b * X[:, IX.r] == 0.0))
+    assert np.any(rest) and np.any(X[:, IX.Vx] < 1.0)
+    for load in (F_zf, F_zr):
+        assert np.any(load == 1.0) and np.any(load == mg)
+
+
+_wide_row = st.tuples(
+    st.floats(-3.0, 30.0), st.floats(-20.0, 20.0), st.floats(-3.0, 3.0),
+    st.floats(-2.0 * math.pi, 2.0 * math.pi), st.floats(4.0, 400.0),
+    st.floats(-2e4, 2e4), st.floats(-100.0, 100.0), st.floats(-100.0, 100.0),
+    st.floats(-0.4, 0.4), st.floats(LIM.tau_min, LIM.tau_max),
+    st.floats(0.0, 150.0), st.floats(0.0, 100.0),
+    st.floats(LIM.ddelta_min, LIM.ddelta_max),
+    st.floats(LIM.dtau_min, LIM.dtau_max),
+    st.booleans())
+
+
+@given(st.lists(_wide_row, min_size=1, max_size=64))
+@settings(max_examples=200, deadline=None)
+def test_batched_rates_match_row_oracle(rows):
+    """The components-first ``_rates_batch`` equals the row-last oracle
+    bit for bit, on the corner rows followed by drawn ones.  The draws run
+    past the speed floor and both load clips.  The steering column is drawn
+    as the front slip angle, within 0.4 rad of either sign, so the front
+    both grips and slides; with the last flag set, a row's rear rolls with
+    the road (Vx = Re omega and Vy = b r, so f == 0)."""
+    vp = P.vehicle
+    drawn = np.array(rows, dtype=float)
+    rest = drawn[:, -1] == 1.0
+    drawn[rest, IX.Vx] = vp.Re * drawn[rest, IX.omega]
+    drawn[rest, IX.Vy] = vp.b * drawn[rest, IX.r]
+    drawn[:, IX.delta] = (np.arctan((drawn[:, IX.Vy] + vp.a * drawn[:, IX.r])
+                                    / np.maximum(drawn[:, IX.Vx], 1.0))
+                          - drawn[:, IX.delta])
+    X = np.concatenate([CORNER_X, drawn[:, :IX.n]])
+    U = np.concatenate([CORNER_U, drawn[:, IX.n:IX.n + 2]])
+    got = trajopt._rates_batch(np.ascontiguousarray(X.T), P,
+                               np.ascontiguousarray(U.T))
+    assert np.array_equal(_bits(got.T), _bits(rates_batch_rows(X, P, U)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +448,29 @@ def test_lagrangian_hessian_matches_second_differences(iterates):
         assert quad == pytest.approx(fd, rel=1e-2)
 
 
+def test_rk4_batch_matches_oracle_on_hessian_stencil(iterates):
+    """On the criterion-6 Hessian stencil five steps into the optimality
+    phase (100 stages by 91 points), the components-first ``_rk4_batch``
+    equals ``integrate.rk4`` over the row-last oracle bit for bit."""
+    tr, points = iterates
+    X, U, h = tr.unpack(points["mid-solve"][0])
+    nc = trajopt._CURVED.size
+    nv = nc + 3
+    iu, ju = np.triu_indices(nv, 1)
+    E = np.eye(nv) * 1e-4
+    O = np.concatenate([np.zeros((1, nv)), E, -E, E[iu] + E[ju]])
+    xb = np.repeat(X[:-1, None, :], O.shape[0], axis=1)
+    xb[..., trajopt._CURVED] += (O[None, :, :nc]
+                                 * trajopt._X_SCALE[trajopt._CURVED])
+    ub = U[:, None, :] + O[None, :, nc:-1] * trajopt._U_SCALE
+    hb = h + O[None, :, -1] * trajopt._H_SCALE
+    ref = rk4(rates_batch_rows, xb, hb[..., None], tr.p.params, ub)
+    got = trajopt._rk4_batch(tr.p.params,
+                             np.ascontiguousarray(xb.transpose(2, 0, 1)),
+                             np.ascontiguousarray(ub.transpose(2, 0, 1)), hb)
+    assert np.array_equal(_bits(got.transpose(1, 2, 0)), _bits(ref))
+
+
 # ---------------------------------------------------------------------------
 # terminal polish
 # ---------------------------------------------------------------------------
@@ -369,12 +486,12 @@ def _shooting_step(problem, U, h):
     p = np.append(U.ravel(), h) / p_scale
 
     def terminal_states(P):
-        x = np.repeat(problem.x_initial[None, :], P.shape[0], axis=0)
+        x = np.repeat(problem.x_initial[:, None], P.shape[0], axis=1)
         Ub = P[:, :-1].reshape(-1, N, 2) * trajopt._U_SCALE
         for k in range(N):
-            x = trajopt._rk4_batch(problem.params, x, Ub[:, k],
+            x = trajopt._rk4_batch(problem.params, x, Ub[:, k].T,
                                    P[:, -1] * trajopt._H_SCALE)
-        return x
+        return x.T
 
     def residual(xN):
         return trajopt._terminal_residual(problem, xN)
