@@ -4,7 +4,17 @@ from __future__ import annotations
 
 import os
 
-__all__ = ["fork_map"]
+__all__ = ["WorkerExitError", "fork_map"]
+
+
+class WorkerExitError(RuntimeError):
+    """A forked worker exited before sending its result; ``index`` is its
+    item's place in the input."""
+
+    def __init__(self, index: int, exitcode: int):
+        super().__init__(f"worker for item {index} exited with code "
+                         f"{exitcode} before sending its result")
+        self.index = index
 
 
 def fork_map(fn, items) -> list:
@@ -18,8 +28,9 @@ def fork_map(fn, items) -> list:
     inline and starts no process.
 
     The results come back in input order.  When ``fn`` raised for an item,
-    or a child exited without sending its result, the first such failure in
-    input order is raised after every child has finished.
+    or a child exited without sending its result (:class:`WorkerExitError`),
+    the first such failure in input order is raised after every child has
+    finished.
 
     Fork rather than spawn: a spawned worker would have to re-import the
     package and unpickle the caller's objects.  numpy's OpenBLAS shuts its
@@ -59,9 +70,7 @@ def fork_map(fn, items) -> list:
                         pass
                 proc.join()
                 if replies[i] is None:
-                    replies[i] = (False, RuntimeError(
-                        f"worker for item {i} exited with code "
-                        f"{proc.exitcode} before sending its result"))
+                    replies[i] = (False, WorkerExitError(i, proc.exitcode))
     finally:
         for reader, (_, proc) in running.items():
             proc.terminate()

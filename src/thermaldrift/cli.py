@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import csvio
-from ._fork import fork_map
+from ._fork import WorkerExitError, fork_map
 from .control import build_schedule, linearize_stack
 from .equilibrium import (
     check_arc,
@@ -234,8 +234,12 @@ def cmd_simulate(args) -> int:
         csvio.save_sim(results[name], out / f"sim_{name}.csv")
 
     # the series reach the writers by fork, so they are not pickled again
-    fork_map(save, [name for name, res in results.items()
-                    if not isinstance(res, Exception)])
+    names = [name for name, res in results.items()
+             if not isinstance(res, Exception)]
+    try:
+        fork_map(save, names)
+    except WorkerExitError as exc:
+        raise SimulationError(f"{names[exc.index]}: {exc}") from None
     # all schedules span the plan's arc on the same knots, and are judged
     # against one linearization of the plant at the operating points it
     # actually visits on the plan

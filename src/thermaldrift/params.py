@@ -4,13 +4,21 @@ Internally everything is SI (N, m, s, J, W, rad) except temperatures, which
 stay in deg C because the thermal model is affine in temperature.  The
 parameter file carries heat capacity in kJ/K and conductance in kW/K (the
 conventional units for these quantities on a datasheet); they are converted
-to J/K and W/K at load time.
+to J/K and W/K at load time by moving the decimal point, exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    InvalidOperation,
+)
 
 from .errors import ConfigError
 
@@ -123,35 +131,39 @@ def default_params() -> ParamSet:
     return ParamSet(vehicle, tire, thermal)
 
 
-# file key -> (group, attribute, scale applied when loading)
+#: a decimal context that never rounds, so a decimal point moves exactly
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+# file key -> (group, attribute, power of ten applied when loading)
 _KEYMAP = {
-    "mass":       ("vehicle", "m", 1.0),
-    "Iz":         ("vehicle", "Iz", 1.0),
-    "a":          ("vehicle", "a", 1.0),
-    "b":          ("vehicle", "b", 1.0),
-    "h_cg":       ("vehicle", "h_cg", 1.0),
-    "Kz":         ("vehicle", "Kz", 1.0),
-    "J":          ("vehicle", "J", 1.0),
-    "Re":         ("vehicle", "Re", 1.0),
-    "g":          ("vehicle", "g", 1.0),
-    "C_alpha0":   ("tire", "C_alpha0", 1.0),
-    "C_alpha1":   ("tire", "C_alpha1", 1.0),
-    "Cx":         ("tire", "Cx", 1.0),
-    "Cy":         ("tire", "Cy", 1.0),
-    "mu_f":       ("tire", "mu_f", 1.0),
-    "mu_r0":      ("thermal", "mu_r0", 1.0),
-    "mu_r1":      ("thermal", "mu_r1", 1.0),
-    "C_tire":     ("thermal", "C_tire", 1e3),   # kJ/K -> J/K
-    "KA_tire":    ("thermal", "KA_tire", 1e3),  # kW/K -> W/K
-    "alpha_tire": ("thermal", "alpha_tire", 1.0),
-    "eps_tire":   ("thermal", "eps_tire", 1.0),
-    "theta_out":  ("thermal", "theta_out", 1.0),
+    "mass":       ("vehicle", "m", 0),
+    "Iz":         ("vehicle", "Iz", 0),
+    "a":          ("vehicle", "a", 0),
+    "b":          ("vehicle", "b", 0),
+    "h_cg":       ("vehicle", "h_cg", 0),
+    "Kz":         ("vehicle", "Kz", 0),
+    "J":          ("vehicle", "J", 0),
+    "Re":         ("vehicle", "Re", 0),
+    "g":          ("vehicle", "g", 0),
+    "C_alpha0":   ("tire", "C_alpha0", 0),
+    "C_alpha1":   ("tire", "C_alpha1", 0),
+    "Cx":         ("tire", "Cx", 0),
+    "Cy":         ("tire", "Cy", 0),
+    "mu_f":       ("tire", "mu_f", 0),
+    "mu_r0":      ("thermal", "mu_r0", 0),
+    "mu_r1":      ("thermal", "mu_r1", 0),
+    "C_tire":     ("thermal", "C_tire", 3),     # kJ/K -> J/K
+    "KA_tire":    ("thermal", "KA_tire", 3),    # kW/K -> W/K
+    "alpha_tire": ("thermal", "alpha_tire", 0),
+    "eps_tire":   ("thermal", "eps_tire", 0),
+    "theta_out":  ("thermal", "theta_out", 0),
 }
 
 
-def parse_keyvalue(path) -> dict:
+def parse_keyvalue(path, number=float) -> dict:
     """Parse a flat ``key value`` text file of finite numbers.  '#' starts a
-    comment."""
+    comment.  ``number`` converts each value's text (``float``, or
+    ``Decimal`` to keep its decimal digits)."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -165,10 +177,11 @@ def parse_keyvalue(path) -> dict:
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
-                value = float(text)
-            except ValueError as exc:
+                value = number(text)
+                finite = math.isfinite(value)
+            except (ValueError, InvalidOperation) as exc:
                 raise ConfigError(f"{path}:{lineno}: bad number {text!r} for {key!r}") from exc
-            if not math.isfinite(value):
+            if not finite:
                 raise ConfigError(
                     f"{path}:{lineno}: {key} must be a finite number, got {text!r}")
             values[key] = value
@@ -177,7 +190,7 @@ def parse_keyvalue(path) -> dict:
 
 def load_params(path) -> ParamSet:
     """Load a parameter set; unknown keys are errors so typos cannot pass."""
-    values = parse_keyvalue(path)
+    values = parse_keyvalue(path, Decimal)
     unknown = sorted(set(values) - set(_KEYMAP))
     if unknown:
         raise ConfigError(f"{path}: unknown parameter keys: {', '.join(unknown)}")
@@ -186,8 +199,8 @@ def load_params(path) -> ParamSet:
         raise ConfigError(f"{path}: missing parameter keys: {', '.join(missing)}")
     groups = {"vehicle": {}, "tire": {}, "thermal": {}}
     for key, value in values.items():
-        group, attr, scale = _KEYMAP[key]
-        groups[group][attr] = value * scale
+        group, attr, places = _KEYMAP[key]
+        groups[group][attr] = float(value.scaleb(places, _EXACT))
     return ParamSet(
         vehicle=VehicleParams(**groups["vehicle"]),
         tire=TireParams(**groups["tire"]),
@@ -196,8 +209,10 @@ def load_params(path) -> ParamSet:
 
 
 def save_params(params: ParamSet, path) -> None:
-    """Write a parameter file that :func:`load_params` reads back exactly."""
+    """Write a parameter file that :func:`load_params` reads back exactly:
+    each value's shortest round-trip digits, with the decimal point moved
+    for the file's units."""
     with open(path, "w") as fh:
-        for key, (group, attr, scale) in _KEYMAP.items():
-            value = getattr(getattr(params, group), attr) / scale
-            fh.write(f"{key} {value!r}\n")
+        for key, (group, attr, places) in _KEYMAP.items():
+            value = Decimal(repr(getattr(getattr(params, group), attr)))
+            fh.write(f"{key} {value.scaleb(-places, _EXACT)}\n")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +38,7 @@ class CirclePath:
     start: tuple[float, float] = (0.0, 0.0)
     phi0: float = 0.0
 
-    @property
+    @cached_property
     def center(self) -> tuple[float, float]:
         # left normal at s=0 is (-sin phi0, cos phi0)
         return (self.start[0] - self.radius * math.sin(self.phi0),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fork import fork_map
+from ._fork import WorkerExitError, fork_map
 from .control import (
     GainSchedule,
     linearize,  # noqa: F401  kept: perfbench/layers.py wraps sim.linearize
@@ -295,11 +295,16 @@ def compare(scenarios: list[Scenario]) -> dict:
     naming it instead.  The scenarios share no state, so they run in forked
     workers, one per core (:func:`~thermaldrift._fork.fork_map`); each
     result is bit-identical to calling :func:`run` on the scenario here.
+    A worker that exits without its result raises a
+    :class:`SimulationError` naming its scenario.
     """
     if not scenarios:
         raise SimulationError("compare needs at least one scenario")
-    return {sc.name: res
-            for sc, res in zip(scenarios, fork_map(_run_reported, scenarios))}
+    try:
+        results = fork_map(_run_reported, scenarios)
+    except WorkerExitError as exc:
+        raise SimulationError(f"{scenarios[exc.index].name}: {exc}") from None
+    return {sc.name: res for sc, res in zip(scenarios, results)}
 
 
 def _run_reported(sc: Scenario):

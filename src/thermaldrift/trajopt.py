@@ -22,12 +22,13 @@ corrections from the same Jacobian and banded factorization.  The returned
 states are that exact re-integration of the returned inputs, so the
 dynamics defects are zero by construction.
 
-The constraints and their finite-difference derivatives evaluate the
-vehicle model over whole stencils at once (:func:`_rk4_batch`).  The
-stencils are laid out components first, ``(12, stages, points)``, so each
-state component is one contiguous slab.  The batched model is elementwise,
-so a lane's bits do not depend on the layout, and the model equals its
-row-last form, kept in the tests as the oracle, bit for bit.
+The constraints and their finite-difference derivatives take every RK4
+step from one evaluator, :meth:`_Transcription.steps`, which steps all
+stages at once under a table of offsets, one row per stencil point, laid
+out components first, ``(12, stages, points)``, so each state component is
+one contiguous slab.  The batched model is elementwise, so a lane's bits do
+not depend on the layout, and it equals its row-last form, kept in the
+tests as the oracle, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -77,11 +79,38 @@ _X_SCALE = np.array([10.0, 10.0, 1.0, 1.0, 30.0, 1e4,
                      10.0, 10.0, 1.0, 1000.0, 100.0, 10.0])
 _U_SCALE = np.array([1.0, 1000.0])
 _H_SCALE = 0.1
+#: the same scales for one stage's 15 variables: its 12 states, 2 inputs and h
+_STAGE_SCALE = np.concatenate([_X_SCALE, _U_SCALE, [_H_SCALE]])
+_NO_OFFSET = np.zeros((1, _STAGE_SCALE.size))
 
 #: extended-state components the RK4 step depends on nonlinearly; X, Y and s
 #: are integrated outputs that no rate depends on
 _CURVED = np.array([IX.Vx, IX.Vy, IX.r, IX.psi, IX.omega, IX.dFz,
                     IX.delta, IX.tau, IX.theta])
+
+
+def _second_stencil(n: int, eps: float) -> np.ndarray:
+    """Offsets of a second-difference stencil over ``n`` variables with step
+    ``eps``: the centre, then +e_i, -e_i and e_i + e_j (i < j)."""
+    iu, ju = np.triu_indices(n, 1)
+    E = np.eye(n) * eps
+    return np.concatenate([np.zeros((1, n)), E, -E, E[iu] + E[ju]])
+
+
+def _second_differences(c, n: int, eps: float, larger_first: bool):
+    """``(..., n, n)`` Hessians from values ``c`` on :func:`_second_stencil`:
+    central differences on the diagonal, forward ones off it, subtracting
+    the +e of the larger index first if ``larger_first``."""
+    iu, ju = np.triu_indices(n, 1)
+    a, b = (ju, iu) if larger_first else (iu, ju)
+    c0, plus = c[..., :1], c[..., 1:1 + n]
+    minus, pair = c[..., 1 + n:1 + 2 * n], c[..., 1 + 2 * n:]
+    H = np.empty(c.shape[:-1] + (n, n))
+    H[..., np.arange(n), np.arange(n)] = (plus - 2.0 * c0 + minus) / eps ** 2
+    off = (pair - plus[..., a] - plus[..., b] + c0) / eps ** 2
+    H[..., iu, ju] = off
+    H[..., ju, iu] = off
+    return H
 
 
 def extended_rates(x: np.ndarray, params: ParamSet, u: np.ndarray) -> np.ndarray:
@@ -330,6 +359,7 @@ class DynamicTrajectory:
     def s_span(self) -> tuple[float, float]:
         return float(self.s[0]), float(self.s[-1])
 
+    @cached_property
     def _course_curvature(self) -> np.ndarray:
         beta = np.arctan2(self.states[:, IX.Vy], self.states[:, IX.Vx])
         chi = np.unwrap(self.states[:, IX.psi] + beta)
@@ -340,7 +370,7 @@ class DynamicTrajectory:
         interpolation over the (strictly increasing) traveled distance."""
         grid = self.s
         x = np.array([np.interp(s, grid, self.states[:, j]) for j in range(IX.n)])
-        kappa = float(np.interp(s, grid, self._course_curvature()))
+        kappa = float(np.interp(s, grid, self._course_curvature))
         beta = math.atan2(x[IX.Vy], x[IX.Vx])
         state = VehicleState(Vx=x[IX.Vx], Vy=x[IX.Vy], r=x[IX.r],
                              omega=x[IX.omega], dFz=x[IX.dFz],
@@ -483,10 +513,18 @@ class _Transcription:
         return d
 
     # -- constraints ------------------------------------------------------
+    def steps(self, X, U, h, offsets):
+        """The RK4 step of every stage under each row of the ``(M, 15)``
+        ``offsets``, components first: ``(12, N, M)``.  Row m moves each
+        stage's 12 states, 2 inputs and h, in physical units."""
+        o = offsets.T[:, None, :]
+        xb = np.ascontiguousarray(X[:-1].T)[:, :, None] + o[:IX.n]
+        ub = np.ascontiguousarray(U.T)[:, :, None] + o[IX.n:-1]
+        return _rk4_batch(self.p.params, xb, ub, h + offsets[:, -1])
+
     def constraints(self, z):
         X, U, h = self.unpack(z)
-        phi = _rk4_batch(self.p.params, np.ascontiguousarray(X[:-1].T),
-                         np.ascontiguousarray(U.T), h)
+        phi = self.steps(X, U, h, _NO_OFFSET)[:, :, 0]
         defects = (X[1:] - phi.T) / _X_SCALE
         return np.concatenate([defects.ravel(),
                                _terminal_residual(self.p, X[-1])])
@@ -499,46 +537,18 @@ class _Transcription:
         G = d terminal / d x_N (ng x 12); the x_{k+1} block is the identity.
         """
         X, U, h = self.unpack(z)
-        N = self.N
         eps = 1e-6
-        n_pert = 2 * IX.n + 2 * 2 + 2
-        # components first: states (12, N, n_pert), inputs (2, N, n_pert)
-        xb = np.repeat(X[:-1].T[:, :, None], n_pert, axis=2)
-        ub = np.repeat(U.T[:, :, None], n_pert, axis=2)
-        hb = np.full((N, n_pert), h)
-        col = 0
-        for j in range(IX.n):
-            xb[j, :, col] += eps * _X_SCALE[j]
-            xb[j, :, col + 1] -= eps * _X_SCALE[j]
-            col += 2
-        for j in range(2):
-            ub[j, :, col] += eps * _U_SCALE[j]
-            ub[j, :, col + 1] -= eps * _U_SCALE[j]
-            col += 2
-        hb[:, col] += eps * _H_SCALE
-        hb[:, col + 1] -= eps * _H_SCALE
-        phi = _rk4_batch(self.p.params, xb, ub, hb) / _X_SCALE[:, None, None]
-        D = np.empty((N, IX.n, IX.n))
-        E = np.empty((N, IX.n, 2))
-        col = 0
-        for j in range(IX.n):
-            D[:, :, j] = -(phi[:, :, col] - phi[:, :, col + 1]).T / (2.0 * eps)
-            col += 2
-        for j in range(2):
-            E[:, :, j] = -(phi[:, :, col] - phi[:, :, col + 1]).T / (2.0 * eps)
-            col += 2
-        Fh = -(phi[:, :, col] - phi[:, :, col + 1]).T / (2.0 * eps)
-
+        n = _STAGE_SCALE.size
+        step = np.eye(n) * eps * _STAGE_SCALE
+        phi = self.steps(X, U, h, np.concatenate([step, -step]))
+        phi = phi / _X_SCALE[:, None, None]
+        d = (-(phi[:, :, :n] - phi[:, :, n:]) / (2.0 * eps)).transpose(1, 0, 2)
+        D, E, Fh = d[:, :, :IX.n], d[:, :, IX.n:-1], d[:, :, -1]
         xN = X[-1]
-        G = np.empty((self.ng, IX.n))
-        for j in range(IX.n):
-            dx = eps * _X_SCALE[j]
-            xp, xm = xN.copy(), xN.copy()
-            xp[j] += dx
-            xm[j] -= dx
-            # the scaled perturbation makes this a scaled-coordinate column
-            G[:, j] = (_terminal_residual(self.p, xp)
-                       - _terminal_residual(self.p, xm)) / (2.0 * eps)
+        # the scaled perturbation makes these scaled-coordinate columns
+        G = np.column_stack([_terminal_residual(self.p, xN + o)
+                             - _terminal_residual(self.p, xN - o)
+                             for o in step[:IX.n, :IX.n]]) / (2.0 * eps)
         return D, E, Fh, G
 
     def jac_pattern(self):
@@ -580,50 +590,29 @@ class _Transcription:
 
         Returns the (N, 12, 12) stage blocks over the variables listed by
         :meth:`hessian_pattern` and the (12, 12) terminal block over x_N,
-        all in scaled coordinates.  X, Y and s enter the RK4 step linearly,
-        so they have no stage block rows.  Diagonal entries use central
-        second differences, off-diagonal ones forward differences.
+        all in scaled coordinates, from :func:`_second_stencil` with a step
+        of 1e-4.  X, Y and s enter the RK4 step linearly, so they have no
+        stage block rows.
         """
         X, U, h = self.unpack(z)
         N = self.N
         eps = 1e-4
-        nv = _CURVED.size + 3
-        iu, ju = np.triu_indices(nv, 1)
-        E = np.eye(nv) * eps
-        # stencil: centre, +e_i, -e_i, e_i + e_j (i < j)
-        O = np.concatenate([np.zeros((1, nv)), E, -E, E[iu] + E[ju]])
-        # components first: states (12, N, M), inputs (2, N, M)
-        xb = np.repeat(X[:-1].T[:, :, None], O.shape[0], axis=2)
-        xb[_CURVED] += (O[:, :_CURVED.size] * _X_SCALE[_CURVED]).T[:, None, :]
-        ub = U.T[:, :, None] + (O[:, _CURVED.size:-1] * _U_SCALE).T[:, None, :]
-        hb = h + O[:, -1] * _H_SCALE
+        cols = np.concatenate([_CURVED, IX.n + np.arange(3)])
+        stencil = _second_stencil(cols.size, eps)
+        offsets = np.zeros((stencil.shape[0], _STAGE_SCALE.size))
+        offsets[:, cols] = stencil
         # contiguous in (k, m, i) order: einsum's order of summation over i
         # depends on the memory layout
-        phi = np.ascontiguousarray(
-            _rk4_batch(self.p.params, xb, ub, hb).transpose(1, 2, 0)) / _X_SCALE
+        phi = np.ascontiguousarray(self.steps(
+            X, U, h, offsets * _STAGE_SCALE).transpose(1, 2, 0)) / _X_SCALE
         psi = -np.einsum("kmi,ki->km", phi, lam[:N * IX.n].reshape(N, IX.n))
-        c0 = psi[:, :1]
-        plus, minus = psi[:, 1:1 + nv], psi[:, 1 + nv:1 + 2 * nv]
-        H = np.empty((N, nv, nv))
-        H[:, np.arange(nv), np.arange(nv)] = (plus - 2.0 * c0 + minus) / eps ** 2
-        off = (psi[:, 1 + 2 * nv:] - plus[:, iu] - plus[:, ju] + c0) / eps ** 2
-        H[:, iu, ju] = off
-        H[:, ju, iu] = off
+        H = _second_differences(psi, cols.size, eps, larger_first=False)
 
         xN = X[-1]
         nu_g = lam[N * IX.n:]
-        def g(d):
-            return nu_g @ _terminal_residual(self.p, xN + d * _X_SCALE)
-        Et = np.eye(IX.n) * eps
-        Ht = np.empty((IX.n, IX.n))
-        g0 = g(0.0)
-        gp = [g(Et[i]) for i in range(IX.n)]
-        for i in range(IX.n):
-            Ht[i, i] = (gp[i] - 2.0 * g0 + g(-Et[i])) / eps ** 2
-            for j in range(i):
-                Ht[i, j] = Ht[j, i] = (g(Et[i] + Et[j]) - gp[i] - gp[j]
-                                       + g0) / eps ** 2
-        return H, Ht
+        g = np.array([nu_g @ _terminal_residual(self.p, xN + o)
+                      for o in _second_stencil(IX.n, eps) * _X_SCALE])
+        return H, _second_differences(g, IX.n, eps, larger_first=True)
 
     def jac_t_vec(self, jac, v):
         """J^T v without forming J; v has one entry per scaled constraint."""
@@ -1035,8 +1024,7 @@ def solve_transition(problem: TransitionProblem, guess) -> DynamicTrajectory:
     _, U, h = tr.unpack(z)
     states, U, h = _polish(tr, U, h)
     term = _terminal_residual(problem, states[-1])
-    phi = _rk4_batch(problem.params, np.ascontiguousarray(states[:-1].T),
-                     np.ascontiguousarray(U.T), h)
+    phi = tr.steps(states, U, h, _NO_OFFSET)[:, :, 0]
     defect = np.max(np.abs((states[1:] - phi.T) / _X_SCALE))
     _check_limits(problem, states, U)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermaldrift import cli, csvio, figure8
+from thermaldrift import cli, csvio, figure8, sim
 from thermaldrift.cli import main
 from thermaldrift.control import build_schedule, linearize_stack
 from thermaldrift.figure8 import Figure8Plan
@@ -269,6 +269,33 @@ def test_steady_compare_csvs_match_in_process_runs(tmp_path, monkeypatch):
             want)
         assert (out / f"poles_{sc.name}.csv").read_bytes() == \
             want.read_bytes(), sc.name
+
+
+@pytest.mark.parametrize("module, name, scenario", [
+    (sim, "run", lambda sc: sc.name),
+    (csvio, "save_sim", lambda result: result.scenario)],
+    ids=["run", "save_sim"])
+def test_dead_worker_is_simulation_failure(tmp_path, monkeypatch, capsys,
+                                           module, name, scenario):
+    """A forked worker of simulate, a scenario's run or its CSV write, that
+    exits without sending its result ends simulate with exit 3 and one line
+    that names the scenario."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    out = tmp_path / "out"
+    assert main(["plan-steady", "--out", str(out), "--arc", "10"]) == 0
+
+    def exit_on_mu08(first, *args, _fn=getattr(module, name)):
+        if scenario(first) == "mu0.8":
+            os._exit(9)
+        return _fn(first, *args)
+
+    monkeypatch.setattr(module, name, exit_on_mu08)
+    capsys.readouterr()
+    assert main(["simulate", "--out", str(out),
+                 "--scenario", "steady-compare"]) == 3
+    assert capsys.readouterr().err == (
+        "simulation failure: mu0.8: worker for item 2 exited with code 9 "
+        "before sending its result\n")
 
 
 def test_infeasible_plan_is_planner_failure(tmp_path, capsys):

@@ -1,4 +1,8 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thermaldrift.errors import ConfigError
 from thermaldrift.params import (
@@ -35,6 +39,24 @@ def test_save_load_round_trip(tmp_path):
     assert q == p
 
 
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(C_tire=_positive, KA_tire=_positive)
+@example(C_tire=4024.0319291453975, KA_tire=762.0)
+@settings(max_examples=300, deadline=None)
+def test_save_load_round_trip_kilo_units(tmp_path_factory, C_tire, KA_tire):
+    """The heat capacity and conductance, which the file holds in kJ/K and
+    kW/K, read back bit for bit at any positive value."""
+    p = default_params()
+    p = replace(p, thermal=replace(p.thermal, C_tire=C_tire, KA_tire=KA_tire))
+    path = tmp_path_factory.mktemp("params") / "params.txt"
+    save_params(p, path)
+    q = load_params(path)
+    assert (q.thermal.C_tire, q.thermal.KA_tire) == (C_tire, KA_tire)
+    assert q == p
+
+
 def test_load_converts_thermal_units(tmp_path):
     p = default_params()
     path = tmp_path / "params.txt"
@@ -66,12 +88,15 @@ def test_missing_key_is_named(tmp_path):
 
 def test_bad_number_reports_line(tmp_path):
     """A value that is not a finite number is a configuration error naming
-    its line, for the parameter and planner files alike."""
+    its line, for the parameter and planner files alike, whether it is read
+    as a float or, as the parameter file is, as a decimal."""
     path = tmp_path / "params.txt"
-    for text in ("twelve", "nan", "inf", "-inf"):
+    for text in ("twelve", "nan", "inf", "-inf", "sNaN", "1e400"):
         path.write_text(f"mass 1496\nIz {text}\n")
         with pytest.raises(ConfigError, match=r":2: "):
             parse_keyvalue(path)
+        with pytest.raises(ConfigError, match=r":2: "):
+            load_params(path)
 
 
 def test_duplicate_key_rejected(tmp_path):

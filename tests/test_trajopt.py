@@ -25,6 +25,7 @@ from thermaldrift.trajopt import (
     solve_transition,
 )
 
+import transcription_oracle
 from conftest import BETA, RADIUS, make_transition_problem
 from model_oracle import rates_batch_rows
 
@@ -469,6 +470,38 @@ def test_rk4_batch_matches_oracle_on_hessian_stencil(iterates):
                              np.ascontiguousarray(xb.transpose(2, 0, 1)),
                              np.ascontiguousarray(ub.transpose(2, 0, 1)), hb)
     assert np.array_equal(_bits(got.transpose(1, 2, 0)), _bits(ref))
+
+
+@pytest.mark.parametrize("point", ["guess", "mid-solve", "optimum"])
+def test_transcription_matches_oracle(iterates, transition, point):
+    """The constraints, the Jacobian blocks D, E, Fh and G, and the Hessian
+    blocks H and Ht, all taken from ``steps``, equal the bodies that built
+    their own stencils bit for bit: at the criterion-6 initial guess, five
+    steps into the optimality phase, and at the optimum.  J^T v from either
+    set of blocks is bit-equal too, so the blocks' memory layout is the old
+    one where a product's order of summation depends on it."""
+    tr, points = iterates
+    rng = np.random.default_rng(11)
+    if point == "optimum":
+        _, traj, _ = transition
+        z = tr.pack(traj.states, traj.inputs, traj.h)
+    else:
+        z = points[point][0]
+    lam = (points[point][1] if point == "mid-solve"
+           else rng.standard_normal(tr.nc))
+    assert np.array_equal(_bits(tr.constraints(z)),
+                          _bits(transcription_oracle.constraints(tr, z)))
+    jac = tr.jacobian(z)
+    want = transcription_oracle.jacobian(tr, z)
+    for name, got, ref in zip("D E Fh G".split(), jac, want):
+        assert np.array_equal(_bits(got), _bits(ref)), name
+    v = rng.standard_normal(tr.nc)
+    assert np.array_equal(_bits(tr.jac_t_vec(jac, v)),
+                          _bits(tr.jac_t_vec(want, v)))
+    got = tr.lagrangian_hessian(z, lam)
+    want = transcription_oracle.lagrangian_hessian(tr, z, lam)
+    for name, a, b in zip(("H", "Ht"), got, want):
+        assert np.array_equal(_bits(a), _bits(b)), name
 
 
 # ---------------------------------------------------------------------------
