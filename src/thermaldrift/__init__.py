@@ -11,7 +11,6 @@ from .equilibrium import (
     QuasiSteadyTrajectory,
     find_equilibrium,
     quasi_steady_sweep,
-    thermal_fixed_point,
 )
 from .errors import ThermalDriftError
 from .figure8 import Figure8Plan, plan_figure8
@@ -20,7 +19,6 @@ from .model import (
     ControlInput,
     VehicleState,
     friction_coefficient,
-    thermal_derivative,
     vehicle_derivatives,
 )
 from .params import (
@@ -54,5 +52,5 @@ __all__ = [
     "friction_coefficient", "initial_guess", "linearize", "load_params",
     "load_planner_config", "lqr_gain", "plan_figure8", "pole_trace",
     "quasi_steady_sweep", "run", "save_params", "solve_transition",
-    "thermal_derivative", "thermal_fixed_point", "vehicle_derivatives",
+    "vehicle_derivatives",
 ]

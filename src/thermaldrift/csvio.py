@@ -115,7 +115,20 @@ def _read(path, columns, kind):
         raise ConfigError(f"{path}: missing header row")
     if not rows:
         raise ConfigError(f"{path}: no data rows after the header")
-    return meta, np.array(rows, dtype=float)
+    data = np.array(rows, dtype=float)
+    finite = np.isfinite(data)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        # the line is looked up only here: after the header, every line
+        # that is neither blank nor a comment is a data row
+        with open(path) as fh:
+            lines = [(lineno, line) for lineno, line in enumerate(fh, start=1)
+                     if line.strip() and not line.startswith("#")]
+        lineno, line = lines[1 + row]
+        cell = line.rstrip("\n").split(",")[col]
+        raise ConfigError(f"{path}:{lineno}: {columns[col]} must be a finite "
+                          f"number, got {cell!r}")
+    return meta, data
 
 
 def _meta_float(meta, key, path):

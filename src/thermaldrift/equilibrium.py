@@ -34,19 +34,13 @@ from .paths import CirclePath
 
 __all__ = ["DriftEquilibrium", "QuasiSteadyTrajectory",
            "find_equilibrium", "quasi_steady_sweep", "dynamic_residual",
-           "thermal_fixed_point", "check_radius", "check_sideslip",
-           "check_arc"]
+           "check_radius", "check_sideslip", "check_arc"]
 
 # Newton settings.  The residual tolerance is well below the 1e-8 contract so
 # that downstream forward-integration checks start from machine-level rest.
 _MAX_ITER = 100
 _TOL_RESIDUAL = 1e-10
 _TOL_STEP = 1e-12
-
-# thermal fixed-point bisection: upper end of the bracket (the lower end is
-# the ambient temperature) and the bracket width it stops at, degC
-_FIXED_POINT_HI = 119.0
-_FIXED_POINT_TOL = 1e-10
 
 #: arc-length spacing of the sweep's nodes, m
 _DS = 0.25
@@ -98,14 +92,6 @@ def dynamic_residual(params: ParamSet, Vx: float, Vy: float, r: float,
     dV = (Vx * dVx + Vy * dVy) / V
     dbeta = (Vx * dVy - Vy * dVx) / (V * V)
     return np.array([dr, dV, dbeta, domega, ddFz])
-
-
-def _heat_rates(params: ParamSet, eq: DriftEquilibrium) -> tuple[float, float]:
-    """Tread heating power Q and temperature rate at an equilibrium."""
-    st = eq.state()
-    rates = scalar_rates(params, st.Vx, st.Vy, st.r, st.psi, st.omega,
-                         st.dFz, st.theta_r, eq.delta, 0.0, eq.tau)
-    return rates[8], rates[5]
 
 
 def _rear_saturated(params: ParamSet, state: VehicleState,
@@ -264,33 +250,6 @@ def find_equilibrium(params: ParamSet, radius: float, beta_target: float,
         residual_norm=norm)
 
 
-def thermal_fixed_point(params: ParamSet, radius: float,
-                        beta_target: float) -> DriftEquilibrium:
-    """Equilibrium whose tread temperature is also stationary.
-
-    Bisects the thermal rate over the temperature between the ambient
-    temperature and 119 degC; the returned equilibrium has all dynamic-state
-    derivatives and the temperature derivative at zero.
-    """
-    def theta_rate(theta: float) -> float:
-        eq = find_equilibrium(params, radius, beta_target, theta)
-        return _heat_rates(params, eq)[1]
-
-    a, b = params.thermal.theta_out, _FIXED_POINT_HI
-    fa, fb = theta_rate(a), theta_rate(b)
-    if fa * fb > 0.0:
-        raise ConvergenceError(
-            f"no thermal fixed point bracketed in [{a}, {b}] degC")
-    while b - a > _FIXED_POINT_TOL:
-        m = 0.5 * (a + b)
-        fm = theta_rate(m)
-        if fa * fm <= 0.0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return find_equilibrium(params, radius, beta_target, 0.5 * (a + b))
-
-
 @dataclass(frozen=True)
 class QuasiSteadyTrajectory:
     """Arc-length grid of drifting equilibria with an evolving temperature,
@@ -369,7 +328,12 @@ def quasi_steady_sweep(params: ParamSet, radius: float, beta_target: float,
             except (ConvergenceError, InfeasibleError, BoundsError) as exc:
                 raise type(exc)(
                     f"sweep node {k} (s={s[k]:.2f} m): {exc}") from exc
-            Q_k, dtheta = _heat_rates(params, eq)
+            # the tread heating power and temperature rate at the node
+            st = eq.state()
+            rates = scalar_rates(params, st.Vx, st.Vy, st.r, st.psi,
+                                 st.omega, st.dFz, st.theta_r, eq.delta, 0.0,
+                                 eq.tau)
+            Q_k, dtheta = rates[8], rates[5]
         theta[k] = theta_k
         Q[k] = Q_k
         equilibria.append(eq)

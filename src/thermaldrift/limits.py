@@ -29,7 +29,7 @@ class ActuatorLimits:
                        (self.tau_min, self.tau_max),
                        (self.dtau_min, self.dtau_max),
                        (self.Fxf_min, self.Fxf_max)):
-            if lo >= hi:
+            if not lo < hi:
                 raise ValueError("actuator limit bounds out of order")
 
 

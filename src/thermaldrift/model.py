@@ -6,14 +6,14 @@ whose friction coefficient is an affine function of the tread temperature,
 and a lumped-parameter tread energy balance.  All functions here are pure;
 state and parameters are immutable values.
 
-:func:`scalar_rates` is the one implementation of the tire physics: a
-float-only function for the body and pose rates and the tread heating power
-that the simulator, the equilibrium solve and sweep, the linearization and
-the transition's scalar re-integration call.  :func:`vehicle_derivatives`
-is its adapter for :class:`VehicleState` values; it adds the path rates and
-returns :class:`StateRates`.  :func:`friction_coefficient` and
-:func:`thermal_derivative` state the friction map and the energy balance on
-their own.
+:func:`scalar_rates` is the one implementation of the tire physics and of
+the tread energy balance: a float-only function for the body and pose
+rates, the tread temperature rate and the tread heating power that the
+simulator, the equilibrium solve and sweep, the linearization and the
+transition's scalar re-integration call.  :func:`vehicle_derivatives` is
+its adapter for :class:`VehicleState` values; it adds the path rates and
+returns :class:`StateRates`.  :func:`friction_coefficient` states the
+friction map on its own.
 
 Sign conventions: x forward, y left, yaw positive counter-clockwise.  A
 positive slip quantity produces a tire force through the brush law such that
@@ -40,7 +40,6 @@ __all__ = [
     "ControlInput",
     "StateRates",
     "friction_coefficient",
-    "thermal_derivative",
     "scalar_rates",
     "vehicle_derivatives",
 ]
@@ -124,11 +123,6 @@ def friction_coefficient(thp: ThermalParams, theta_r: float) -> float:
             f"friction map gives mu_r={mu_r:.4f} at theta={theta_r:.1f} degC"
         )
     return mu_r
-
-
-def thermal_derivative(thp: ThermalParams, theta_r: float, Q_tire: float) -> float:
-    """Tread temperature rate from the lumped energy balance, K/s."""
-    return (Q_tire - thp.KA_tire * (theta_r - thp.theta_out)) / thp.C_tire
 
 
 def scalar_rates(params: ParamSet, Vx: float, Vy: float, r: float, psi: float,

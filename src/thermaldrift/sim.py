@@ -67,7 +67,7 @@ class Scenario:
     limits: ActuatorLimits = field(default_factory=default_limits)
 
     def __post_init__(self):
-        if self.s_final <= self.initial_state.s:
+        if not self.s_final > self.initial_state.s:
             raise ValueError("s_final must lie ahead of the initial state")
 
 

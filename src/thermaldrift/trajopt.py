@@ -239,7 +239,7 @@ def _check_settings(k_ddelta, k_dtau, k_s, n_steps, h_min, h_max):
         raise ValueError("the step count must be at least 2")
     if not (h_min > 0.0 and h_min < h_max):
         raise ValueError("step-duration bounds out of order")
-    if min(k_ddelta, k_dtau, k_s) < 0.0:
+    if not (k_ddelta >= 0.0 and k_dtau >= 0.0 and k_s >= 0.0):
         raise ValueError("cost weights must be non-negative")
 
 
@@ -315,12 +315,13 @@ class TransitionProblem:
     x_initial: np.ndarray       # (12,) extended state at hand-over
     kappa_final: float          # 1/m, signed curvature of the next circle
     beta_final: float           # rad
-    k_ddelta: float = 1e4       # (rad/s)^-2
-    k_dtau: float = 1e-4        # (N m/s)^-2
-    k_s: float = 200.0          # m^-2, transition-distance weight
-    N: int = 100
-    h_min: float = 0.01         # s
-    h_max: float = 0.1          # s
+    # the settings and their units are PlannerConfig's, defaults included
+    k_ddelta: float = PlannerConfig.k_ddelta
+    k_dtau: float = PlannerConfig.k_dtau
+    k_s: float = PlannerConfig.k_s  # transition-distance weight
+    N: int = PlannerConfig.n_steps
+    h_min: float = PlannerConfig.h_min
+    h_max: float = PlannerConfig.h_max
     limits: ActuatorLimits = field(default_factory=default_limits)
     y_center_target: float | None = None  # figure-8: lateral center alignment
 

@@ -6,7 +6,12 @@ quantities separately, in the order the kernel inlines them, so that the
 kernel can be pinned to them bit for bit and each law can be tested on its
 own (load conservation, the Fiala saturation, the friction circle, the sign
 of the slip heating).  :func:`tire_forces` evaluates the whole chain at a
-state and input; :func:`heat_generation` gives the tread heating power.
+state and input; :func:`heat_generation` gives the tread heating power and
+:func:`thermal_derivative` the lumped energy balance's temperature rate.
+
+:func:`thermal_fixed_point` bisects the kernel's temperature rate over the
+tread temperature of the drift equilibria on one circle, for the
+equilibrium whose temperature is also stationary.
 
 :func:`sweep_residual` is the equilibrium Newton residual built the way the
 package once built it, through :class:`VehicleState` and
@@ -26,7 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from thermaldrift.equilibrium import DriftEquilibrium, find_equilibrium
 from thermaldrift.errors import (
+    ConvergenceError,
     DegenerateLoadError,
     ModelDomainError,
     VelocityFloorError,
@@ -175,6 +182,46 @@ def heat_generation(thp: ThermalParams, Vx: float,
     V_sy = -Vx * math.tan(alpha_r)   # ~ -(Vy - b*r), opposes the axle slide
     slip_power = V_sx * F_xr + V_sy * F_yr
     return thp.alpha_tire * slip_power + thp.eps_tire * F_zr * Vx
+
+
+def thermal_derivative(thp: ThermalParams, theta_r: float, Q_tire: float) -> float:
+    """Tread temperature rate from the lumped energy balance, K/s."""
+    return (Q_tire - thp.KA_tire * (theta_r - thp.theta_out)) / thp.C_tire
+
+
+#: thermal fixed-point bisection: upper end of the bracket (the lower end is
+#: the ambient temperature) and the bracket width it stops at, degC
+_FIXED_POINT_HI = 119.0
+_FIXED_POINT_TOL = 1e-10
+
+
+def thermal_fixed_point(params: ParamSet, radius: float,
+                        beta_target: float) -> DriftEquilibrium:
+    """Equilibrium whose tread temperature is also stationary.
+
+    Bisects the kernel's thermal rate over the temperature between the
+    ambient temperature and 119 degC; the returned equilibrium has all
+    dynamic-state derivatives and the temperature derivative at zero.
+    """
+    def theta_rate(theta: float) -> float:
+        eq = find_equilibrium(params, radius, beta_target, theta)
+        st = eq.state()
+        return scalar_rates(params, st.Vx, st.Vy, st.r, st.psi, st.omega,
+                            st.dFz, st.theta_r, eq.delta, 0.0, eq.tau)[5]
+
+    a, b = params.thermal.theta_out, _FIXED_POINT_HI
+    fa, fb = theta_rate(a), theta_rate(b)
+    if fa * fb > 0.0:
+        raise ConvergenceError(
+            f"no thermal fixed point bracketed in [{a}, {b}] degC")
+    while b - a > _FIXED_POINT_TOL:
+        m = 0.5 * (a + b)
+        fm = theta_rate(m)
+        if fa * fm <= 0.0:
+            b, fb = m, fm
+        else:
+            a, fa = m, fm
+    return find_equilibrium(params, radius, beta_target, 0.5 * (a + b))
 
 
 def tire_forces(params: ParamSet, state: VehicleState, inp: ControlInput) -> TireForces:

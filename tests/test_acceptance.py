@@ -27,7 +27,7 @@ from thermaldrift.model import (
     ControlInput,
     VehicleState,
     friction_coefficient,
-    thermal_derivative,
+    scalar_rates,
     vehicle_derivatives,
 )
 from thermaldrift.params import default_params
@@ -85,11 +85,22 @@ def test_criterion_2_friction_map(params):
 # ---------------------------------------------------------------------------
 
 def test_criterion_3_thermal_exponential(params):
+    """The kernel's tread temperature rate at a free-rolling state: with no
+    slip the rear tire carries no force, so the heating power Q is the
+    rolling resistance alone and does not depend on the temperature."""
     thp = params.thermal
     tau = thp.C_tire / thp.KA_tire
     assert tau == pytest.approx(4905.0 / 762.0)
-    Q = 5000.0
+    omega = 40.0
+    Vx = params.vehicle.Re * omega
+
+    def rates(theta):
+        return scalar_rates(params, Vx, 0.0, 0.0, 0.0, omega, 0.0, theta,
+                            0.0, 0.0, 0.0)
+
     theta0 = 30.0
+    Q = rates(theta0)[8]
+    assert Q == pytest.approx(935.4, abs=0.05)
     theta_ss = thp.theta_out + Q / thp.KA_tire
     exact = theta_ss + (theta0 - theta_ss) * math.exp(-1.0)
 
@@ -97,7 +108,8 @@ def test_criterion_3_thermal_exponential(params):
     h = tau / n
     theta = theta0
     for _ in range(n):
-        theta = rk4(lambda th: thermal_derivative(thp, th, Q), theta, h)
+        theta = rk4(lambda th: rates(th)[5], theta, h)
+    assert rates(theta)[8] == Q
     assert abs(theta - exact) / abs(exact) < 1e-6
 
 

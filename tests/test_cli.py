@@ -125,6 +125,32 @@ def test_corrupt_trajectory_is_config_error(tmp_path, capsys):
     assert "trajectory.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, column, row, cell", [
+    ("trajectory.csv", "r", 1, "nan"),
+    ("trajectory.csv", "r", 1, "inf"),
+    ("gains.csv", "K01", 0, "inf"),
+    ("trajectory.csv", "s", -1, "nan"),
+], ids=["r_nan", "r_inf", "gain_inf", "last_s_nan"])
+def test_non_finite_plan_cell_is_config_error(tmp_path, capsys, name, column,
+                                              row, cell):
+    """A NaN or infinite cell in a plan file is a configuration error that
+    names its line and column, raised before any run writes a result."""
+    out = tmp_path / "out"
+    assert main(["plan-steady", "--out", str(out), "--arc", "5"]) == 0
+    path = out / name
+    lines = path.read_text().splitlines()
+    header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    k = range(header + 1, len(lines))[row]
+    cells = lines[k].split(",")
+    cells[lines[header].split(",").index(column)] = cell
+    lines[k] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["simulate", "--out", str(out)]) == 1
+    assert (f"{name}:{k + 1}: {column} must be a finite number, "
+            f"got '{cell}'") in capsys.readouterr().err
+    assert not (out / "sim_matched.csv").exists()
+
+
 def test_gains_without_rows_is_config_error(tmp_path, capsys):
     """A gains.csv cut after its header (head -2) is a configuration error,
     not a traceback."""

@@ -9,7 +9,6 @@ from thermaldrift.equilibrium import (
     dynamic_residual,
     find_equilibrium,
     quasi_steady_sweep,
-    thermal_fixed_point,
 )
 from thermaldrift.errors import (
     BoundsError,
@@ -18,13 +17,14 @@ from thermaldrift.errors import (
     SolverError,
 )
 from thermaldrift.limits import default_limits
-from thermaldrift.model import thermal_derivative
 
 from conftest import BETA, RADIUS, THETA0
 from model_oracle import (
     heat_generation,
     state_residual,
     sweep_residual,
+    thermal_derivative,
+    thermal_fixed_point,
     tire_forces,
 )
 

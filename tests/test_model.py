@@ -19,7 +19,6 @@ from thermaldrift.model import (
     VehicleState,
     friction_coefficient,
     scalar_rates,
-    thermal_derivative,
     vehicle_derivatives,
 )
 from thermaldrift.params import default_params
@@ -32,6 +31,7 @@ from model_oracle import (
     heat_generation,
     rear_combined_forces,
     rear_slip_quantities,
+    thermal_derivative,
     tire_forces,
     vertical_loads,
     weight_transfer_derivative,

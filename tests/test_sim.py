@@ -44,6 +44,14 @@ def test_scenario_validation(params, steady_plans, steady_schedules):
         short_scenario(params, steady_plans, steady_schedules, s_final=-1.0)
 
 
+def test_scenario_rejects_nan_s_final(params, steady_plans, steady_schedules):
+    """A NaN end point is not ahead of the start: the run would go on to
+    the time cap."""
+    with pytest.raises(ValueError, match="s_final"):
+        short_scenario(params, steady_plans, steady_schedules,
+                       s_final=math.nan)
+
+
 def test_run_deterministic(params, steady_plans, steady_schedules):
     sc = short_scenario(params, steady_plans, steady_schedules)
     r1, r2 = run(sc), run(sc)

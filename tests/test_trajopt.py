@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermaldrift import trajopt
-from thermaldrift.equilibrium import find_equilibrium, thermal_fixed_point
+from thermaldrift.equilibrium import find_equilibrium
 from thermaldrift.errors import ConfigError
 from thermaldrift.integrate import rk4
-from thermaldrift.limits import default_limits
+from thermaldrift.limits import ActuatorLimits, default_limits
 from thermaldrift.params import default_params
 from thermaldrift.trajopt import (
     IX,
@@ -27,7 +28,7 @@ from thermaldrift.trajopt import (
 
 import transcription_oracle
 from conftest import BETA, RADIUS, make_transition_problem
-from model_oracle import rates_batch_rows
+from model_oracle import rates_batch_rows, thermal_fixed_point
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +223,35 @@ def test_problem_validation(params):
     with pytest.raises(ValueError):
         TransitionProblem(params=params, x_initial=np.zeros(5),
                           kappa_final=0.1, beta_final=0.0)
+
+
+@pytest.mark.parametrize("weight", ["k_ddelta", "k_dtau", "k_s"])
+def test_nan_cost_weight_rejected(params, weight):
+    """A NaN weight fails the non-negativity check like a negative one."""
+    with pytest.raises(ValueError, match="non-negative"):
+        TransitionProblem(params=params, x_initial=np.zeros(IX.n),
+                          kappa_final=0.1, beta_final=0.0,
+                          **{weight: math.nan})
+
+
+@pytest.mark.parametrize("bound", [f.name for f in fields(ActuatorLimits)])
+def test_nan_actuator_limit_rejected(bound):
+    """A NaN bound fails the ordering check like a bound out of order."""
+    with pytest.raises(ValueError, match="out of order"):
+        replace(default_limits(), **{bound: math.nan})
+
+
+def test_transition_problem_defaults_are_planner_config(params):
+    problem = TransitionProblem(params=params, x_initial=np.zeros(IX.n),
+                                kappa_final=0.1, beta_final=0.0)
+    cfg = PlannerConfig()
+    assert problem.k_ddelta == cfg.k_ddelta
+    assert problem.k_dtau == cfg.k_dtau
+    assert problem.k_s == cfg.k_s
+    assert problem.N == cfg.n_steps
+    assert problem.h_min == cfg.h_min
+    assert problem.h_max == cfg.h_max
+    assert problem.limits == cfg.limits
 
 
 def test_planner_config_load(tmp_path):
