@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .errors import ScheduleError, SolverError
 from .model import (

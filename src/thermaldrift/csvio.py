@@ -4,6 +4,11 @@ Numbers are written with ``repr`` (shortest exact decimal), so a written file
 reloads bit-identically.  Scalar metadata rides in ``# key value`` comment
 lines ahead of the header row.
 
+Each file kind's layout is stated once, as a tuple of its columns and a
+tuple of its float metadata keys; its writer and its reader both follow
+those tuples.  A metadata value must be a finite number (``n_outer`` a whole
+number, ``thermal`` 0 or 1), or the file is a configuration error.
+
 The writer formats a few hundred rows at a time.  Down each column of such a
 block it calls ``repr`` once per run of bit-equal cells (a reference column
 holds one knot for many simulator steps) and reuses that string for the run,
@@ -11,6 +16,8 @@ so the bytes are those of ``repr`` on every cell.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -29,18 +36,26 @@ __all__ = [
     "save_poles", "load_poles",
 ]
 
-_QS_COLUMNS = ("s", "t", "theta", "Q", "r", "omega", "dFz", "delta", "tau",
-               "mu_r", "residual_norm")
+#: DriftEquilibrium field names: each node's equilibrium is read back by name
+_QS_EQ = ("r", "omega", "dFz", "delta", "tau", "mu_r", "residual_norm")
+_QS_COLUMNS = ("s", "t", "theta", "Q") + _QS_EQ
+_QS_META = ("radius", "beta_target", "ds")
 
 _DYN_STATE_COLUMNS = ("Vx", "Vy", "r", "psi", "omega", "dFz", "X", "Y",
                       "delta", "tau", "theta", "s")
 _DYN_COLUMNS = ("t",) + _DYN_STATE_COLUMNS + ("ddelta", "dtau")
+_DYN_META = ("h", "J", "input_cost", "distance_cost", "terminal_residual",
+             "max_defect")
 
-_GAIN_COLUMNS = (("s",)
-                 + tuple(f"K{i}{j}" for i in range(3) for j in range(6))
-                 + tuple(f"ref_{name}" for name in REF_STATE_FIELDS)
-                 + ("ref_delta", "ref_Fxf", "ref_tau")
-                 + ("kappa",))
+_GAIN_BLOCKS = (("s",),
+                tuple(f"K{i}{j}" for i in range(3) for j in range(6)),
+                tuple(f"ref_{name}" for name in REF_STATE_FIELDS),
+                ("ref_delta", "ref_Fxf", "ref_tau"),
+                ("kappa",))
+_GAIN_COLUMNS = sum(_GAIN_BLOCKS, ())
+
+_SIM_META = ("max_abs_e", "rms_e", "max_abs_beta_err", "final_theta",
+             "final_mu")
 
 _POLE_COLUMNS = ("s",) + tuple(f"{part}{i}" for i in range(6)
                                for part in ("re", "im"))
@@ -131,13 +146,19 @@ def _read(path, columns, kind):
     return meta, data
 
 
-def _meta_float(meta, key, path):
+def _meta_float(meta, key, path, expected="a finite number",
+                valid=math.isfinite):
+    text = meta.get(key)
+    if text is None:
+        raise ConfigError(f"{path}: missing metadata key {key!r}")
     try:
-        return float(meta[key])
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing metadata key {key!r}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{path}: bad metadata value for {key!r}") from exc
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not valid(value):
+        raise ConfigError(f"{path}: metadata {key} must be {expected}, "
+                          f"got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -145,38 +166,29 @@ def _meta_float(meta, key, path):
 # ---------------------------------------------------------------------------
 
 def save_quasi_steady(traj: QuasiSteadyTrajectory, path) -> None:
-    meta = {
-        "radius": _fmt(traj.radius),
-        "beta_target": _fmt(traj.beta_target),
-        "ds": _fmt(traj.ds),
-        "thermal": int(traj.thermal),
-    }
-    rows = []
-    for k, eq in enumerate(traj.equilibria):
-        rows.append([traj.s[k], traj.t[k], traj.theta[k], traj.Q[k],
-                     eq.r, eq.omega, eq.dFz, eq.delta, eq.tau,
-                     eq.mu_r, eq.residual_norm])
-    _write(path, _QS_COLUMNS, rows, "quasi_steady", meta)
+    meta = {key: _fmt(getattr(traj, key)) for key in _QS_META}
+    meta["thermal"] = int(traj.thermal)
+    eq_columns = ([getattr(eq, name) for eq in traj.equilibria]
+                  for name in _QS_EQ)
+    _write(path, _QS_COLUMNS,
+           np.column_stack([traj.s, traj.t, traj.theta, traj.Q, *eq_columns]),
+           "quasi_steady", meta)
 
 
 def load_quasi_steady(path) -> QuasiSteadyTrajectory:
     meta, data = _read(path, _QS_COLUMNS, "quasi_steady")
-    radius = _meta_float(meta, "radius", path)
-    beta = _meta_float(meta, "beta_target", path)
-    cols = {name: data[:, i] for i, name in enumerate(_QS_COLUMNS)}
+    radius, beta, ds = (_meta_float(meta, key, path) for key in _QS_META)
+    thermal = _meta_float(meta, "thermal", path, "0 or 1",
+                          lambda value: value in (0.0, 1.0))
+    s, t, theta, Q = data[:, :-len(_QS_EQ)].T
     equilibria = [
-        DriftEquilibrium(radius=radius, beta=beta, theta_r=cols["theta"][k],
-                         mu_r=cols["mu_r"][k], r=cols["r"][k],
-                         omega=cols["omega"][k], dFz=cols["dFz"][k],
-                         delta=cols["delta"][k], tau=cols["tau"][k],
-                         residual_norm=cols["residual_norm"][k])
-        for k in range(data.shape[0])
+        DriftEquilibrium(radius=radius, beta=beta, theta_r=theta_r,
+                         **dict(zip(_QS_EQ, row)))
+        for theta_r, row in zip(theta, data[:, -len(_QS_EQ):])
     ]
     return QuasiSteadyTrajectory(
-        circle=CirclePath(radius), beta_target=beta,
-        ds=_meta_float(meta, "ds", path),
-        thermal=bool(int(_meta_float(meta, "thermal", path))),
-        s=cols["s"], t=cols["t"], theta=cols["theta"], Q=cols["Q"],
+        circle=CirclePath(radius), beta_target=beta, ds=ds,
+        thermal=bool(thermal), s=s, t=t, theta=theta, Q=Q,
         equilibria=equilibria)
 
 
@@ -185,21 +197,12 @@ def load_quasi_steady(path) -> QuasiSteadyTrajectory:
 # ---------------------------------------------------------------------------
 
 def save_dynamic(traj: DynamicTrajectory, path) -> None:
-    meta = {
-        "h": _fmt(traj.h),
-        "J": _fmt(traj.J),
-        "input_cost": _fmt(traj.input_cost),
-        "distance_cost": _fmt(traj.distance_cost),
-        "terminal_residual": _fmt(traj.terminal_residual),
-        "max_defect": _fmt(traj.max_defect),
-        "n_outer": int(traj.n_outer),
-    }
-    N = traj.inputs.shape[0]
-    rows = []
-    for k in range(N + 1):
-        u = traj.inputs[k] if k < N else np.zeros(2)
-        rows.append([traj.t[k], *traj.states[k], *u])
-    _write(path, _DYN_COLUMNS, rows, "dynamic", meta)
+    meta = {key: _fmt(getattr(traj, key)) for key in _DYN_META}
+    meta["n_outer"] = int(traj.n_outer)
+    # the last row starts no step: its slew rates are written as zero
+    inputs = np.pad(traj.inputs, ((0, 1), (0, 0)))
+    _write(path, _DYN_COLUMNS,
+           np.column_stack([traj.t, traj.states, inputs]), "dynamic", meta)
 
 
 def load_dynamic(path) -> DynamicTrajectory:
@@ -208,13 +211,9 @@ def load_dynamic(path) -> DynamicTrajectory:
         t=data[:, 0].copy(),
         states=data[:, 1:1 + IX.n].copy(),
         inputs=data[:-1, 1 + IX.n:].copy(),
-        h=_meta_float(meta, "h", path),
-        J=_meta_float(meta, "J", path),
-        input_cost=_meta_float(meta, "input_cost", path),
-        distance_cost=_meta_float(meta, "distance_cost", path),
-        terminal_residual=_meta_float(meta, "terminal_residual", path),
-        max_defect=_meta_float(meta, "max_defect", path),
-        n_outer=int(_meta_float(meta, "n_outer", path)))
+        n_outer=int(_meta_float(meta, "n_outer", path, "a whole number",
+                                float.is_integer)),
+        **{key: _meta_float(meta, key, path) for key in _DYN_META})
 
 
 # ---------------------------------------------------------------------------
@@ -222,23 +221,23 @@ def load_dynamic(path) -> DynamicTrajectory:
 # ---------------------------------------------------------------------------
 
 def save_gains(schedule: GainSchedule, path) -> None:
-    rows = []
-    for i in range(len(schedule)):
-        rows.append([schedule.s_knots[i], *schedule.K[i].ravel(),
-                     *schedule.ref_states[i], *schedule.ref_inputs[i],
-                     schedule.kappa[i]])
-    _write(path, _GAIN_COLUMNS, rows, "gains")
+    _write(path, _GAIN_COLUMNS,
+           np.column_stack([schedule.s_knots,
+                            schedule.K.reshape(len(schedule), -1),
+                            schedule.ref_states, schedule.ref_inputs,
+                            schedule.kappa]), "gains")
 
 
 def load_gains(path) -> GainSchedule:
     _, data = _read(path, _GAIN_COLUMNS, "gains")
-    n = data.shape[0]
+    s, K, ref_states, ref_inputs, kappa = np.split(
+        data, np.cumsum([len(block) for block in _GAIN_BLOCKS[:-1]]), axis=1)
     return GainSchedule(
-        s_knots=data[:, 0].copy(),
-        K=data[:, 1:19].reshape(n, 3, 6).copy(),
-        ref_states=data[:, 19:31].copy(),
-        ref_inputs=data[:, 31:34].copy(),
-        kappa=data[:, 34].copy())
+        s_knots=s[:, 0].copy(),
+        K=K.reshape(-1, 3, 6).copy(),
+        ref_states=ref_states.copy(),
+        ref_inputs=ref_inputs.copy(),
+        kappa=kappa[:, 0].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +249,7 @@ def save_sim(result: SimResult, path) -> None:
         "scenario": result.scenario,
         "status": result.status,
         "detail": result.detail or "-",
-        "max_abs_e": _fmt(result.max_abs_e),
-        "rms_e": _fmt(result.rms_e),
-        "max_abs_beta_err": _fmt(result.max_abs_beta_err),
-        "final_theta": _fmt(result.final_theta),
-        "final_mu": _fmt(result.final_mu),
+        **{key: _fmt(getattr(result, key)) for key in _SIM_META},
     }
     _write(path, SIM_COLUMNS, result.series, "sim", meta)
 
@@ -266,21 +261,15 @@ def load_sim(path) -> SimResult:
         status=meta.get("status", ""),
         detail="" if meta.get("detail") == "-" else meta.get("detail", ""),
         series=data,
-        max_abs_e=_meta_float(meta, "max_abs_e", path),
-        rms_e=_meta_float(meta, "rms_e", path),
-        max_abs_beta_err=_meta_float(meta, "max_abs_beta_err", path),
-        final_theta=_meta_float(meta, "final_theta", path),
-        final_mu=_meta_float(meta, "final_mu", path))
+        **{key: _meta_float(meta, key, path) for key in _SIM_META})
 
 
 def save_poles(trace: PoleTrace, path) -> None:
-    rows = []
-    for i in range(len(trace.s_knots)):
-        row = [trace.s_knots[i]]
-        for lam in trace.poles[i]:
-            row.extend([lam.real, lam.imag])
-        rows.append(row)
-    _write(path, _POLE_COLUMNS, rows, "poles")
+    # re0, im0, re1, im1, ...
+    parts = np.stack([trace.poles.real, trace.poles.imag], axis=-1)
+    _write(path, _POLE_COLUMNS,
+           np.column_stack([trace.s_knots,
+                            parts.reshape(len(trace.s_knots), -1)]), "poles")
 
 
 def load_poles(path) -> PoleTrace:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .errors import ConfigError, ConvergenceError, InfeasibleError
 from .integrate import rk4

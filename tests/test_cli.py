@@ -2,6 +2,7 @@ import math
 import os
 import runpy
 import shutil
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import thermaldrift
 from thermaldrift import cli, csvio, figure8, sim
 from thermaldrift.cli import main
 from thermaldrift.control import build_schedule, linearize_stack
@@ -151,6 +153,25 @@ def test_non_finite_plan_cell_is_config_error(tmp_path, capsys, name, column,
     assert not (out / "sim_matched.csv").exists()
 
 
+@pytest.mark.parametrize("key, text", [
+    ("ds", "inf"), ("radius", "nan"), ("thermal", "inf"),
+], ids=["ds_inf", "radius_nan", "thermal_inf"])
+def test_non_finite_plan_metadata_is_config_error(tmp_path, capsys, key,
+                                                  text):
+    """A NaN or infinite metadata value in a plan file is a configuration
+    error that names the file and the key, raised before any run writes a
+    result."""
+    out = tmp_path / "out"
+    assert main(["plan-steady", "--out", str(out), "--arc", "5"]) == 0
+    path = out / "trajectory.csv"
+    lines = [f"# {key} {text}" if ln.startswith(f"# {key} ") else ln
+             for ln in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["simulate", "--out", str(out)]) == 1
+    assert f"trajectory.csv: metadata {key} must be" in capsys.readouterr().err
+    assert not list(out.glob("sim_*.csv"))
+
+
 def test_gains_without_rows_is_config_error(tmp_path, capsys):
     """A gains.csv cut after its header (head -2) is a configuration error,
     not a traceback."""
@@ -262,6 +283,28 @@ def test_mu_const_range_follows_params(tmp_path, capsys):
     assert ("--mu-const 0.7: outside the friction map's range 0.724 to 1.200"
             in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+def test_steady_commands_never_load_scipy_linalg(tmp_path):
+    """plan-steady and simulate --scenario steady-compare run without
+    importing scipy.linalg, which only the LQR fallback and the transition's
+    banded KKT solve call.  A fresh interpreter, since the test modules
+    import it themselves."""
+    out = str(tmp_path / "out")
+    script = f"""
+import sys
+from thermaldrift.cli import main
+for argv in (["plan-steady", "--out", {out!r}, "--arc", "20"],
+             ["simulate", "--out", {out!r}, "--scenario", "steady-compare"]):
+    assert main(argv) == 0, argv
+    assert "scipy.linalg" not in sys.modules, argv
+"""
+    src = str(Path(thermaldrift.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_steady_compare_csvs_match_in_process_runs(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from thermaldrift import csvio
 from thermaldrift.cli import main
 from thermaldrift.equilibrium import quasi_steady_sweep
 from thermaldrift.errors import ConfigError
-from thermaldrift.sim import SIM_COLUMNS
-from thermaldrift.trajopt import DynamicTrajectory
+from thermaldrift.sim import SIM_COLUMNS, PoleTrace
+from thermaldrift.trajopt import IX, DynamicTrajectory
 
 from conftest import BETA, RADIUS, THETA0
 
@@ -18,18 +19,21 @@ def small_sweep(params):
     return quasi_steady_sweep(params, RADIUS, BETA, THETA0, 2.0)
 
 
+def assert_fields_equal(loaded, original):
+    """Every dataclass field of ``loaded`` equals ``original``'s, arrays
+    through ``np.array_equal``."""
+    for f in dataclasses.fields(original):
+        value, expected = getattr(loaded, f.name), getattr(original, f.name)
+        if isinstance(expected, np.ndarray):
+            assert np.array_equal(value, expected), f.name
+        else:
+            assert value == expected, f.name
+
+
 def test_quasi_steady_round_trip(tmp_path, small_sweep):
     path = tmp_path / "qs.csv"
     csvio.save_quasi_steady(small_sweep, path)
-    loaded = csvio.load_quasi_steady(path)
-    assert np.array_equal(loaded.s, small_sweep.s)
-    assert np.array_equal(loaded.t, small_sweep.t)
-    assert np.array_equal(loaded.theta, small_sweep.theta)
-    assert np.array_equal(loaded.Q, small_sweep.Q)
-    assert loaded.radius == small_sweep.radius
-    assert loaded.beta_target == small_sweep.beta_target
-    assert loaded.thermal == small_sweep.thermal
-    assert loaded.equilibria == small_sweep.equilibria
+    assert_fields_equal(csvio.load_quasi_steady(path), small_sweep)
 
 
 def synthetic_dynamic():
@@ -47,13 +51,12 @@ def test_dynamic_round_trip(tmp_path):
     traj = synthetic_dynamic()
     path = tmp_path / "dyn.csv"
     csvio.save_dynamic(traj, path)
-    loaded = csvio.load_dynamic(path)
-    assert np.array_equal(loaded.t, traj.t)
-    assert np.array_equal(loaded.states, traj.states)
-    assert np.array_equal(loaded.inputs, traj.inputs)
-    assert loaded.h == traj.h
-    assert loaded.J == traj.J
-    assert loaded.n_outer == traj.n_outer
+    assert_fields_equal(csvio.load_dynamic(path), traj)
+
+
+def test_dynamic_state_columns_follow_ix():
+    assert [getattr(IX, name) for name in csvio._DYN_STATE_COLUMNS] \
+        == list(range(IX.n))
 
 
 def test_gains_round_trip(tmp_path, params, small_sweep):
@@ -61,38 +64,59 @@ def test_gains_round_trip(tmp_path, params, small_sweep):
     sched = build_schedule(params, small_sweep)
     path = tmp_path / "gains.csv"
     csvio.save_gains(sched, path)
-    loaded = csvio.load_gains(path)
-    assert np.array_equal(loaded.s_knots, sched.s_knots)
-    assert np.array_equal(loaded.K, sched.K)
-    assert np.array_equal(loaded.ref_states, sched.ref_states)
-    assert np.array_equal(loaded.ref_inputs, sched.ref_inputs)
-    assert np.array_equal(loaded.kappa, sched.kappa)
+    assert_fields_equal(csvio.load_gains(path), sched)
 
 
 def test_sim_round_trip(tmp_path, steady_results):
     res = steady_results["thermal"]
     path = tmp_path / "sim.csv"
     csvio.save_sim(res, path)
-    loaded = csvio.load_sim(path)
-    assert np.array_equal(loaded.series, res.series)
-    assert loaded.scenario == res.scenario
-    assert loaded.status == res.status
-    assert loaded.max_abs_e == res.max_abs_e
-    assert loaded.rms_e == res.rms_e
-    assert loaded.final_theta == res.final_theta
+    assert_fields_equal(csvio.load_sim(path), res)
+
+
+def synthetic_poles():
+    rng = np.random.default_rng(5)
+    return PoleTrace(s_knots=0.25 * np.arange(9),
+                     poles=rng.normal(size=(9, 6))
+                     + 1j * rng.normal(size=(9, 6)))
 
 
 def test_poles_round_trip(tmp_path):
-    from thermaldrift.sim import PoleTrace
-    rng = np.random.default_rng(5)
-    trace = PoleTrace(s_knots=0.25 * np.arange(9),
-                      poles=rng.normal(size=(9, 6))
-                      + 1j * rng.normal(size=(9, 6)))
+    trace = synthetic_poles()
     path = tmp_path / "poles.csv"
     csvio.save_poles(trace, path)
-    loaded = csvio.load_poles(path)
-    assert np.array_equal(loaded.s_knots, trace.s_knots)
-    assert np.array_equal(loaded.poles, trace.poles)
+    assert_fields_equal(csvio.load_poles(path), trace)
+
+
+def test_writers_match_row_loops(tmp_path, params, small_sweep):
+    """Each writer stacks its columns into the rows a per-row loop builds,
+    bit for bit: the loops are the reference for the column layout."""
+    from thermaldrift.control import build_schedule
+    sweep, dyn, trace = small_sweep, synthetic_dynamic(), synthetic_poles()
+    sched = build_schedule(params, sweep)
+    N = dyn.inputs.shape[0]
+    cases = [
+        (csvio.save_quasi_steady, sweep, csvio._QS_COLUMNS, "quasi_steady",
+         [[sweep.s[k], sweep.t[k], sweep.theta[k], sweep.Q[k], eq.r,
+           eq.omega, eq.dFz, eq.delta, eq.tau, eq.mu_r, eq.residual_norm]
+          for k, eq in enumerate(sweep.equilibria)]),
+        (csvio.save_dynamic, dyn, csvio._DYN_COLUMNS, "dynamic",
+         [[dyn.t[k], *dyn.states[k], *(dyn.inputs[k] if k < N else [0, 0])]
+          for k in range(N + 1)]),
+        (csvio.save_gains, sched, csvio._GAIN_COLUMNS, "gains",
+         [[sched.s_knots[i], *sched.K[i].ravel(), *sched.ref_states[i],
+           *sched.ref_inputs[i], sched.kappa[i]] for i in range(len(sched))]),
+        (csvio.save_poles, trace, csvio._POLE_COLUMNS, "poles",
+         [[s, *(part for lam in poles for part in (lam.real, lam.imag))]
+          for s, poles in zip(trace.s_knots, trace.poles)]),
+    ]
+    for save, value, columns, kind, rows in cases:
+        path = tmp_path / f"{kind}.csv"
+        save(value, path)
+        _, data = csvio._read(path, columns, kind)
+        assert np.array_equal(data.view(np.uint64),
+                              np.array(rows, dtype=float).view(np.uint64)), \
+            kind
 
 
 #: signed zeros, the smallest subnormal, another subnormal, huge values,
@@ -236,4 +260,34 @@ def test_missing_metadata_named(tmp_path, small_sweep):
              if not ln.startswith("# radius")]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match="radius"):
+        csvio.load_quasi_steady(path)
+
+
+def with_metadata(path, key, text):
+    """Rewrite ``path``'s ``# key`` metadata line to hold ``text``."""
+    lines = [f"# {key} {text}" if ln.startswith(f"# {key} ") else ln
+             for ln in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("key, text, expected", [
+    ("h", "nan", "a finite number"),
+    ("n_outer", "inf", "a whole number"),
+    ("n_outer", "1.5", "a whole number"),
+], ids=["h_nan", "n_outer_inf", "n_outer_fraction"])
+def test_bad_dynamic_metadata_named(tmp_path, key, text, expected):
+    path = tmp_path / "dyn.csv"
+    csvio.save_dynamic(synthetic_dynamic(), path)
+    with_metadata(path, key, text)
+    with pytest.raises(ConfigError, match=f"dyn.csv: metadata {key} must be "
+                                          f"{expected}, got '{text}'"):
+        csvio.load_dynamic(path)
+
+
+def test_thermal_flag_must_be_zero_or_one(tmp_path, small_sweep):
+    path = tmp_path / "qs.csv"
+    csvio.save_quasi_steady(small_sweep, path)
+    with_metadata(path, "thermal", "2")
+    with pytest.raises(ConfigError,
+                       match="qs.csv: metadata thermal must be 0 or 1"):
         csvio.load_quasi_steady(path)
