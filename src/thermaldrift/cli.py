@@ -29,6 +29,8 @@ from .trajopt import IX, PlannerConfig, load_planner_config
 
 __all__ = ["main"]
 
+_THETA0 = 30.0  # degC, the plan commands' initial tread temperature
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -36,14 +38,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="thermally-aware drifting: planning, gains, simulation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, theta0=_THETA0):
         p.add_argument("--params", type=Path, default=None,
                        help="vehicle/tire/thermal parameter file")
         p.add_argument("--planner-config", type=Path, default=None,
                        help="planner settings file (Table-style keys)")
         p.add_argument("--out", type=Path, default=Path("out"),
                        help="output directory")
-        p.add_argument("--theta0", type=float, default=30.0,
+        p.add_argument("--theta0", type=float, default=theta0,
                        help="initial tread temperature, degC")
 
     def geometry(p):
@@ -71,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # the plan kind, arc, radius and sideslip come from the planned files
     p = sub.add_parser("simulate", help="closed-loop simulation of the plan "
                                         "in the output directory")
-    common(p)
+    common(p, theta0=None)
     p.add_argument("--scenario", default="steady",
                    choices=("steady", "steady-compare"),
                    help="the plan's own run, or a steady plan's comparison")
@@ -82,7 +84,7 @@ def _load_inputs(args):
     """The parameter set and planner settings, after checking --theta0
     against the friction map's declared range."""
     lo, hi = ThermalParams.THETA_RANGE
-    if not lo <= args.theta0 <= hi:
+    if args.theta0 is not None and not lo <= args.theta0 <= hi:
         raise ConfigError(f"--theta0 {args.theta0:g}: the tread temperature "
                           f"must lie in the friction map's range {lo:g} to "
                           f"{hi:g} degC")
@@ -203,20 +205,6 @@ def cmd_simulate(args) -> int:
                           "plan-figure8")
     if steady:
         ref = csvio.load_quasi_steady(out / "trajectory.csv")
-        arc = float(ref.s[-1])
-        plans = [("matched", ref, csvio.load_gains(out / "gains.csv"))]
-        if args.scenario == "steady-compare":
-            for mu in (0.73, 0.8):
-                mtraj = quasi_steady_sweep(
-                    params, ref.radius, ref.beta_target, args.theta0, arc,
-                    mu_const=mu, limits=planner.limits)
-                plans.append((f"mu{mu:g}", mtraj,
-                              build_schedule(params, mtraj)))
-        scenarios = [Scenario(
-            name=name, schedule=schedule, path=ref.circle, plant=params,
-            initial_state=plan.sample(0.0)[0].replace(theta_r=args.theta0),
-            s_final=arc, limits=planner.limits)
-            for name, plan, schedule in plans]
     elif args.scenario == "steady-compare":
         raise ConfigError(f"{out} holds a figure-8 plan; --scenario "
                           "steady-compare needs a plan-steady plan")
@@ -226,7 +214,28 @@ def cmd_simulate(args) -> int:
             csvio.load_dynamic(out / "trajectory_transition.csv"),
             csvio.load_quasi_steady(out / "trajectory_steady2.csv"),
             csvio.load_gains(out / "gains.csv"))
-        scenarios = [ref.scenario(params, args.theta0, planner.limits)]
+    # the plant starts at the plan's tread temperature, if it models one
+    theta0 = args.theta0
+    if theta0 is None:
+        theta0 = (ref.sample(0.0)[0].theta_r if not steady or ref.thermal
+                  else _THETA0)
+    if steady:
+        arc = float(ref.s[-1])
+        plans = [("matched", ref, csvio.load_gains(out / "gains.csv"))]
+        if args.scenario == "steady-compare":
+            for mu in (0.73, 0.8):
+                mtraj = quasi_steady_sweep(
+                    params, ref.radius, ref.beta_target, theta0, arc,
+                    mu_const=mu, limits=planner.limits)
+                plans.append((f"mu{mu:g}", mtraj,
+                              build_schedule(params, mtraj)))
+        scenarios = [Scenario(
+            name=name, schedule=schedule, path=ref.circle, plant=params,
+            initial_state=plan.sample(0.0)[0].replace(theta_r=theta0),
+            s_final=arc, limits=planner.limits)
+            for name, plan, schedule in plans]
+    else:
+        scenarios = [ref.scenario(params, theta0, planner.limits)]
 
     results = compare(scenarios)
 

@@ -170,10 +170,8 @@ def plan_figure8(params: ParamSet, radius: float = 15.0,
     radius2 = -radius
     problem = TransitionProblem(
         params=params, x_initial=x_initial, kappa_final=1.0 / radius2,
-        beta_final=beta2, k_ddelta=planner.k_ddelta, k_dtau=planner.k_dtau,
-        k_s=planner.k_s, N=planner.n_steps, h_min=planner.h_min,
-        h_max=planner.h_max, limits=limits,
-        y_center_target=steady1.circle.center[1])
+        beta_final=beta2, y_center_target=steady1.circle.center[1],
+        **vars(planner))
     eq_target = find_equilibrium(params, radius2, beta2, st.theta_r,
                                  limits=limits)
     x_target = x_initial.copy()

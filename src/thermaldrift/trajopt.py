@@ -4,7 +4,8 @@ The maneuver between two steady drifting circles is solved as a finite
 optimization problem: N RK4 steps of the full dynamic state (body states,
 pose, actuator positions, tread temperature, traveled distance), slew-rate
 inputs, a free uniform step duration, slew and transition-distance costs,
-terminal curvature/sideslip conditions, and actuator box bounds.
+terminal curvature/sideslip conditions, and actuator box bounds.  Its
+settings are a :class:`PlannerConfig`; :class:`TransitionProblem` extends it.
 
 The solve is a primal-dual interior-point method on the multiple-shooting
 variables, in two phases: a Gauss-Newton feasibility phase that walks the
@@ -41,7 +42,8 @@ from functools import cached_property
 import numpy as np
 import scipy
 
-from .errors import ConfigError, ConvergenceError, InfeasibleError
+from .errors import (ConfigError, ConvergenceError, InfeasibleError,
+                     ModelDomainError)
 from .integrate import rk4
 from .limits import ActuatorLimits, default_limits
 from .model import (
@@ -232,30 +234,26 @@ def _rk4_batch(params, x, u, h):
 # torques in kN m, torque-slew weight in (kN m/s)^-2)
 # ---------------------------------------------------------------------------
 
-def _check_settings(k_ddelta, k_dtau, k_s, n_steps, h_min, h_max):
-    """The checks :class:`PlannerConfig` and :class:`TransitionProblem`
-    share; raises ValueError."""
-    if n_steps < 2:
-        raise ValueError("the step count must be at least 2")
-    if not (h_min > 0.0 and h_min < h_max):
-        raise ValueError("step-duration bounds out of order")
-    if not (k_ddelta >= 0.0 and k_dtau >= 0.0 and k_s >= 0.0):
-        raise ValueError("cost weights must be non-negative")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PlannerConfig:
+    """The transition's settings, declared here only; the step count is the
+    attribute ``N`` and the planner-file key ``n_steps``."""
+
     k_ddelta: float = 1e4   # (rad/s)^-2
     k_dtau: float = 1e-4    # (N m/s)^-2
-    k_s: float = 200.0      # m^-2
-    n_steps: int = 100
+    k_s: float = 200.0      # m^-2, transition-distance weight
+    N: int = 100
     h_min: float = 0.01     # s
     h_max: float = 0.1      # s
     limits: ActuatorLimits = field(default_factory=default_limits)
 
     def __post_init__(self):
-        _check_settings(self.k_ddelta, self.k_dtau, self.k_s, self.n_steps,
-                        self.h_min, self.h_max)
+        if self.N < 2:
+            raise ValueError("the step count must be at least 2")
+        if not (self.h_min > 0.0 and self.h_min < self.h_max):
+            raise ValueError("step-duration bounds out of order")
+        if not all(w >= 0.0 for w in (self.k_ddelta, self.k_dtau, self.k_s)):
+            raise ValueError("cost weights must be non-negative")
 
 
 # file key -> (attribute, scale to SI)
@@ -263,7 +261,7 @@ _PLANNER_KEYS = {
     "k_ddelta":   ("k_ddelta", 1.0),
     "k_dtau":     ("k_dtau", 1e-6),          # (kN m/s)^-2 -> (N m/s)^-2
     "k_s":        ("k_s", 1.0),
-    "n_steps":    ("n_steps", 1.0),
+    "n_steps":    ("N", 1.0),
     "h_min":      ("h_min", 1.0),
     "h_max":      ("h_max", 1.0),
     "delta_min":  ("delta_min", math.pi / 180.0),
@@ -287,14 +285,12 @@ def load_planner_config(path) -> PlannerConfig:
     scalars = {}
     lim_kwargs = {}
     for key, raw in values.items():
+        if key == "n_steps" and not raw.is_integer():
+            raise ConfigError(
+                f"{path}: n_steps must be a whole number, got {raw!r}")
         attr, scale = _PLANNER_KEYS[key]
-        value = raw * scale
-        if attr == "n_steps":
-            if not raw.is_integer():
-                raise ConfigError(
-                    f"{path}: n_steps must be a whole number, got {raw!r}")
-            scalars[attr] = int(raw)
-        elif attr.startswith(("delta", "ddelta", "tau", "dtau")):
+        value = int(raw) if key == "n_steps" else raw * scale
+        if attr.startswith(("delta", "ddelta", "tau", "dtau")):
             lim_kwargs[attr] = value
         else:
             scalars[attr] = value
@@ -310,26 +306,16 @@ def load_planner_config(path) -> PlannerConfig:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TransitionProblem:
+class TransitionProblem(PlannerConfig):
     params: ParamSet
     x_initial: np.ndarray       # (12,) extended state at hand-over
     kappa_final: float          # 1/m, signed curvature of the next circle
     beta_final: float           # rad
-    # the settings and their units are PlannerConfig's, defaults included
-    k_ddelta: float = PlannerConfig.k_ddelta
-    k_dtau: float = PlannerConfig.k_dtau
-    k_s: float = PlannerConfig.k_s  # transition-distance weight
-    N: int = PlannerConfig.n_steps
-    h_min: float = PlannerConfig.h_min
-    h_max: float = PlannerConfig.h_max
-    limits: ActuatorLimits = field(default_factory=default_limits)
     y_center_target: float | None = None  # figure-8: lateral center alignment
 
     def __post_init__(self):
-        _check_settings(self.k_ddelta, self.k_dtau, self.k_s, self.N,
-                        self.h_min, self.h_max)
-        object.__setattr__(self, "x_initial",
-                           np.asarray(self.x_initial, dtype=float).copy())
+        super().__post_init__()
+        object.__setattr__(self, "x_initial", np.array(self.x_initial, float))
         if self.x_initial.shape != (IX.n,):
             raise ValueError(f"x_initial must have {IX.n} components")
 
@@ -1023,7 +1009,12 @@ def solve_transition(problem: TransitionProblem, guess) -> DynamicTrajectory:
             f"after {res.iterations} interior-point iterations")
 
     _, U, h = tr.unpack(z)
-    states, U, h = _polish(tr, U, h)
+    try:
+        states, U, h = _polish(tr, U, h)
+    except ModelDomainError as exc:
+        raise ConvergenceError(
+            f"transition rollout left the model domain after "
+            f"{res.iterations} interior-point iterations: {exc}") from exc
     term = _terminal_residual(problem, states[-1])
     phi = tr.steps(states, U, h, _NO_OFFSET)[:, :, 0]
     defect = np.max(np.abs((states[1:] - phi.T) / _X_SCALE))

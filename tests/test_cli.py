@@ -4,7 +4,7 @@ import runpy
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,8 @@ from thermaldrift.figure8 import Figure8Plan
 from thermaldrift.limits import default_limits
 from thermaldrift.params import default_params, save_params
 from thermaldrift.sim import pole_trace, run
-from thermaldrift.trajopt import _IPM_MAX_ITER
+from thermaldrift.trajopt import (_IPM_MAX_ITER, PlannerConfig,
+                                  load_planner_config)
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -63,6 +64,24 @@ def test_simulate_matched(tmp_path, capsys):
     assert res.status == "finished"
     assert res.max_abs_e < 0.05
     assert "matched" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("plan_options, theta0", [
+    (["--theta0", "60"], "60"),
+    (["--theta0", "60", "--mu-const", "0.8"], "30"),
+], ids=["thermal", "constant_mu"])
+def test_simulate_starts_at_plan_theta0(tmp_path, plan_options, theta0):
+    """Without --theta0 the plant starts at the plan's own tread temperature;
+    a constant-mu plan models none and starts at the plan commands' 30 degC."""
+    out = tmp_path / "out"
+    assert main(["plan-steady", "--out", str(out), "--arc", "20",
+                 *plan_options]) == 0
+    given = tmp_path / "given"
+    shutil.copytree(out, given)
+    assert main(["simulate", "--out", str(out)]) == 0
+    assert main(["simulate", "--out", str(given), "--theta0", theta0]) == 0
+    assert ((out / "sim_matched.csv").read_bytes()
+            == (given / "sim_matched.csv").read_bytes())
 
 
 @pytest.mark.parametrize("option", [["--arc", "3"], ["--radius", "10"],
@@ -479,6 +498,9 @@ def test_plan_figure8_passes_planner_config(tmp_path, monkeypatch):
     assert problem.limits == replace(default_limits(),
                                      ddelta_max=80 * math.pi / 180.0,
                                      dtau_max=2500.0)
+    loaded = load_planner_config(cfg)
+    for f in fields(PlannerConfig):
+        assert getattr(problem, f.name) == getattr(loaded, f.name), f.name
 
 
 @pytest.mark.parametrize("script, written", [

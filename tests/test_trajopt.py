@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from thermaldrift import trajopt
 from thermaldrift.equilibrium import find_equilibrium
-from thermaldrift.errors import ConfigError
+from thermaldrift.errors import (ConfigError, ConvergenceError,
+                               VelocityFloorError)
 from thermaldrift.integrate import rk4
 from thermaldrift.limits import ActuatorLimits, default_limits
 from thermaldrift.params import default_params
@@ -245,13 +246,13 @@ def test_transition_problem_defaults_are_planner_config(params):
     problem = TransitionProblem(params=params, x_initial=np.zeros(IX.n),
                                 kappa_final=0.1, beta_final=0.0)
     cfg = PlannerConfig()
-    assert problem.k_ddelta == cfg.k_ddelta
-    assert problem.k_dtau == cfg.k_dtau
-    assert problem.k_s == cfg.k_s
-    assert problem.N == cfg.n_steps
-    assert problem.h_min == cfg.h_min
-    assert problem.h_max == cfg.h_max
-    assert problem.limits == cfg.limits
+    settings = [f.name for f in fields(PlannerConfig)]
+    for name in settings:
+        assert getattr(problem, name) == getattr(cfg, name), name
+    # the problem declares its boundary values and no setting of its own
+    own = [f.name for f in fields(TransitionProblem) if f.name not in settings]
+    assert own == ["params", "x_initial", "kappa_final", "beta_final",
+                   "y_center_target"]
 
 
 def test_planner_config_load(tmp_path):
@@ -262,7 +263,7 @@ def test_planner_config_load(tmp_path):
     assert cfg.k_ddelta == 1e4
     assert cfg.k_dtau == pytest.approx(1e-4)     # (kN m/s)^-2 -> (N m/s)^-2
     assert cfg.k_s == 250.0
-    assert cfg.n_steps == 80
+    assert cfg.N == 80
     assert cfg.limits.delta_max == pytest.approx(math.radians(40.0))
     assert cfg.limits.tau_max == pytest.approx(3000.0)  # kN m -> N m
     # untouched keys keep their defaults
@@ -591,6 +592,24 @@ def test_polish_step_matches_single_shooting(iterates, monkeypatch):
     got, ref = scaled_step(U1, h1), scaled_step(U_ref, h_ref)
     assert np.linalg.norm(ref) > 0.0
     assert np.linalg.norm(got - ref) <= 1e-5 * np.linalg.norm(ref)
+
+
+def test_polish_leaving_model_domain_names_transition(params, monkeypatch):
+    """A polish rollout that leaves the model's domain fails as the
+    transition's convergence error, with the model's own message."""
+    problem, x_target = make_transition_problem(params)
+    guess = initial_guess(problem, x_target)
+
+    def below_floor(*args):
+        raise VelocityFloorError("Vx=0.457 m/s below the 0.5 m/s slip-model "
+                                 "floor")
+
+    monkeypatch.setattr(trajopt, "rk4_step", below_floor)
+    with pytest.raises(ConvergenceError,
+                       match=r"^transition rollout left the model domain "
+                             r"after \d+ interior-point iterations: "
+                             r"Vx=0\.457 m/s below"):
+        solve_transition(problem, guess)
 
 
 def test_capped_solve_is_polished(params, monkeypatch, caplog):
