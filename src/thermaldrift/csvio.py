@@ -7,7 +7,9 @@ lines ahead of the header row.
 Each file kind's layout is stated once, as a tuple of its columns and a
 tuple of its float metadata keys; its writer and its reader both follow
 those tuples.  A metadata value must be a finite number (``n_outer`` a whole
-number, ``thermal`` 0 or 1), or the file is a configuration error.
+number, ``thermal`` 0 or 1), or the file is a configuration error, as is a
+plan the planner would refuse: a bad radius or ``ds``, or an ``s`` column
+off its ``ds`` grid or not strictly increasing.
 
 The writer formats a few hundred rows at a time.  Down each column of such a
 block it calls ``repr`` once per run of bit-equal cells (a reference column
@@ -22,8 +24,8 @@ import math
 import numpy as np
 
 from .control import REF_STATE_FIELDS, GainSchedule
-from .equilibrium import DriftEquilibrium, QuasiSteadyTrajectory
-from .errors import ConfigError
+from .equilibrium import DriftEquilibrium, QuasiSteadyTrajectory, check_radius
+from .errors import ConfigError, ScheduleError
 from .paths import CirclePath
 from .sim import SIM_COLUMNS, PoleTrace, SimResult
 from .trajopt import IX, DynamicTrajectory
@@ -177,10 +179,19 @@ def save_quasi_steady(traj: QuasiSteadyTrajectory, path) -> None:
 
 def load_quasi_steady(path) -> QuasiSteadyTrajectory:
     meta, data = _read(path, _QS_COLUMNS, "quasi_steady")
-    radius, beta, ds = (_meta_float(meta, key, path) for key in _QS_META)
+    radius, beta = (_meta_float(meta, key, path) for key in _QS_META[:2])
+    try:
+        check_radius(radius)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: metadata {exc}, got {radius:g}") from None
+    ds = _meta_float(meta, "ds", path, "a positive number",
+                     lambda value: 0.0 < value < math.inf)
     thermal = _meta_float(meta, "thermal", path, "0 or 1",
                           lambda value: value in (0.0, 1.0))
     s, t, theta, Q = data[:, :-len(_QS_EQ)].T
+    # sample() reads node k at s[0] + k*ds
+    if np.any(np.abs(s - s[0] - ds * np.arange(len(s))) > 1e-9 * ds):
+        raise ConfigError(f"{path}: column s is off its ds grid of {ds!r} m")
     equilibria = [
         DriftEquilibrium(radius=radius, beta=beta, theta_r=theta_r,
                          **dict(zip(_QS_EQ, row)))
@@ -207,6 +218,8 @@ def save_dynamic(traj: DynamicTrajectory, path) -> None:
 
 def load_dynamic(path) -> DynamicTrajectory:
     meta, data = _read(path, _DYN_COLUMNS, "dynamic")
+    if np.any(np.diff(data[:, _DYN_COLUMNS.index("s")]) <= 0.0):
+        raise ConfigError(f"{path}: column s must be strictly increasing")
     return DynamicTrajectory(
         t=data[:, 0].copy(),
         states=data[:, 1:1 + IX.n].copy(),
@@ -232,12 +245,15 @@ def load_gains(path) -> GainSchedule:
     _, data = _read(path, _GAIN_COLUMNS, "gains")
     s, K, ref_states, ref_inputs, kappa = np.split(
         data, np.cumsum([len(block) for block in _GAIN_BLOCKS[:-1]]), axis=1)
-    return GainSchedule(
-        s_knots=s[:, 0].copy(),
-        K=K.reshape(-1, 3, 6).copy(),
-        ref_states=ref_states.copy(),
-        ref_inputs=ref_inputs.copy(),
-        kappa=kappa[:, 0].copy())
+    try:
+        return GainSchedule(
+            s_knots=s[:, 0].copy(),
+            K=K.reshape(-1, 3, 6).copy(),
+            ref_states=ref_states.copy(),
+            ref_inputs=ref_inputs.copy(),
+            kappa=kappa[:, 0].copy())
+    except ScheduleError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -94,20 +94,6 @@ def dynamic_residual(params: ParamSet, Vx: float, Vy: float, r: float,
     return np.array([dr, dV, dbeta, domega, ddFz])
 
 
-def _rear_saturated(params: ParamSet, state: VehicleState,
-                    mu_r: float) -> bool:
-    """Whether the rear combined-slip demand is past full sliding,
-    f > 3*mu_r*F_zr, at a state the kernel accepts."""
-    vp, tp = params.vehicle, params.tire
-    Vx, Vy = state.Vx, state.Vy
-    alpha_r = math.atan((Vy - vp.b * state.r) / Vx)
-    kappa_r = math.atan((vp.Re * state.omega - Vx) / Vx)
-    f = math.hypot(tp.Cx * kappa_r / (kappa_r + 1.0),
-                   tp.Cy * math.tan(alpha_r) / (kappa_r + 1.0))
-    F_zr = vp.a * vp.m * vp.g / vp.L + state.dFz
-    return f > 3.0 * mu_r * F_zr
-
-
 def _default_guess(radius: float, params: ParamSet) -> np.ndarray:
     V_target = 9.0  # m/s, lands in the drift basin for ~15 m radii
     return np.array([
@@ -215,17 +201,14 @@ def find_equilibrium(params: ParamSet, radius: float, beta_target: float,
         if float(np.linalg.norm(alpha * step)) < _TOL_STEP:
             break
 
+    r, omega, dFz, delta, tau = z.tolist()
     if norm > 1e-8:
-        # distinguish a saturated-tire infeasibility from plain stagnation
-        r, omega, dFz, delta, tau = z
-        state = VehicleState.from_speed_beta(
-            max(r * radius, VELOCITY_FLOOR), beta_target,
-            r=r, omega=omega, dFz=dFz, theta_r=theta_r)
+        # the kernel's rear law at the last iterate tells a saturated tire
+        # from a stall; a point outside the kernel's domain stalled
+        V = max(r * radius, VELOCITY_FLOOR)
         try:
-            # only the kernel's domain checks: a point outside them stalled
-            scalar_rates(params, state.Vx, state.Vy, r, 0.0, omega, dFz,
-                         theta_r, delta, 0.0, tau)
-            saturated = _rear_saturated(params, state, mu_r)
+            saturated = scalar_rates(params, V * cos_b, V * sin_b, r, 0.0,
+                                     omega, dFz, theta_r, delta, 0.0, tau)[9]
         except ModelDomainError:
             saturated = False
         if saturated:
@@ -236,7 +219,6 @@ def find_equilibrium(params: ParamSet, radius: float, beta_target: float,
         raise ConvergenceError(
             f"equilibrium solve stalled with residual {norm:.2e}")
 
-    r, omega, dFz, delta, tau = (float(v) for v in z)
     if not limits.delta_min <= delta <= limits.delta_max:
         raise BoundsError(
             f"equilibrium steering {math.degrees(delta):.1f} deg exceeds "

@@ -18,17 +18,12 @@ class ActuatorLimits:
     tau_max: float     # N m
     dtau_min: float    # N m / s
     dtau_max: float    # N m / s
-    # The front brake has no published limit; this clamp only keeps the
-    # feedback from commanding a positive (tractive) front force.
-    Fxf_min: float = -8000.0  # N
-    Fxf_max: float = 0.0      # N
 
     def __post_init__(self):
         for lo, hi in ((self.delta_min, self.delta_max),
                        (self.ddelta_min, self.ddelta_max),
                        (self.tau_min, self.tau_max),
-                       (self.dtau_min, self.dtau_max),
-                       (self.Fxf_min, self.Fxf_max)):
+                       (self.dtau_min, self.dtau_max)):
             if not lo < hi:
                 raise ValueError("actuator limit bounds out of order")
 

@@ -8,12 +8,12 @@ state and parameters are immutable values.
 
 :func:`scalar_rates` is the one implementation of the tire physics and of
 the tread energy balance: a float-only function for the body and pose
-rates, the tread temperature rate and the tread heating power that the
-simulator, the equilibrium solve and sweep, the linearization and the
-transition's scalar re-integration call.  :func:`vehicle_derivatives` is
-its adapter for :class:`VehicleState` values; it adds the path rates and
-returns :class:`StateRates`.  :func:`friction_coefficient` states the
-friction map on its own.
+rates, the tread temperature rate, the tread heating power and the rear
+saturation flag that the simulator, the equilibrium solve and sweep, the
+linearization and the transition's scalar re-integration call.
+:func:`vehicle_derivatives` is its adapter for :class:`VehicleState`
+values; it adds the path rates and returns :class:`StateRates`.
+:func:`friction_coefficient` states the friction map on its own.
 
 Sign conventions: x forward, y left, yaw positive counter-clockwise.  A
 positive slip quantity produces a tire force through the brush law such that
@@ -128,14 +128,16 @@ def friction_coefficient(thp: ThermalParams, theta_r: float) -> float:
 def scalar_rates(params: ParamSet, Vx: float, Vy: float, r: float, psi: float,
                  omega: float, dFz: float, theta_r: float,
                  delta: float, Fxf: float, tau: float) -> tuple:
-    """Body and pose rates and the tread heating power,
-    ``(dVx, dVy, dr, domega, ddFz, dtheta, dX, dY, Q)``.
+    """Body and pose rates, the tread heating power and the rear saturation
+    flag, ``(dVx, dVy, dr, domega, ddFz, dtheta, dX, dY, Q, saturated)``.
 
     Plain floats in and out; it builds no dataclass.  Each domain check runs
     once, in this order: the axle loads, the velocity floor, the front
     cornering stiffness, kappa_r > -1 and mu_r > 0.  The rear tire's slip
     velocities carry the sign of the wheel sliding over the road, so the
     brush forces oppose them and the slip heating is non-negative.
+    ``saturated`` is True exactly when the rear brush law takes its
+    full-sliding branch, not f <= 3*mu_r*F_zr (so False when f == 0).
     """
     vp, tp, thp = params.vehicle, params.tire, params.thermal
     m, a, b = vp.m, vp.a, vp.b
@@ -182,14 +184,13 @@ def scalar_rates(params: ParamSet, Vx: float, Vy: float, r: float, psi: float,
     gx = tp.Cx * kappa_r / (kappa_r + 1.0)
     gy = tp.Cy * tan_ar / (kappa_r + 1.0)
     f = math.hypot(gx, gy)
+    limit = mu_r * F_zr
+    saturated = not f <= 3.0 * limit
     if f == 0.0:
         F_xr = F_yr = 0.0
     else:
-        limit = mu_r * F_zr
-        if f <= 3.0 * limit:
-            F = f - f * f / (3.0 * limit) + f ** 3 / (27.0 * limit * limit)
-        else:
-            F = limit
+        F = limit if saturated else (
+            f - f * f / (3.0 * limit) + f ** 3 / (27.0 * limit * limit))
         F_xr = F * gx / f
         F_yr = -F * gy / f
 
@@ -209,7 +210,8 @@ def scalar_rates(params: ParamSet, Vx: float, Vy: float, r: float, psi: float,
 
     sin_psi, cos_psi = math.sin(psi), math.cos(psi)
     return (dVx, dVy, dr, domega, ddFz, dtheta,
-            Vx * cos_psi - Vy * sin_psi, Vx * sin_psi + Vy * cos_psi, Q)
+            Vx * cos_psi - Vy * sin_psi, Vx * sin_psi + Vy * cos_psi, Q,
+            saturated)
 
 
 def vehicle_derivatives(params: ParamSet, state: VehicleState, inp: ControlInput,
@@ -221,7 +223,7 @@ def vehicle_derivatives(params: ParamSet, state: VehicleState, inp: ControlInput
     reference path curvature at the vehicle's arc length; it only affects
     the path states.
     """
-    dVx, dVy, dr, domega, ddFz, dtheta, dX, dY, _ = scalar_rates(
+    dVx, dVy, dr, domega, ddFz, dtheta, dX, dY, _, _ = scalar_rates(
         params, state.Vx, state.Vy, state.r, state.psi, state.omega,
         state.dFz, state.theta_r, inp.delta, inp.Fxf, inp.tau)
 

@@ -48,14 +48,17 @@ _SPINOUT_LIMIT = math.radians(60.0)
 _H_SIM = 1e-3
 #: simulated-time cap; a run that has not reached s_final by then fails, s
 _T_MAX = 600.0
+# The front brake has no published limit; this clamp only keeps the
+# feedback from commanding a positive (tractive) front force.
+_FXF_MIN, _FXF_MAX = -8000.0, 0.0  # N
 
 
 @dataclass(frozen=True)
 class Scenario:
     """One closed-loop run: a schedule tracked on a (thermal) plant.
 
-    The schedule's feedback is clamped to ``limits``.  The plant is stepped
-    by RK4 at a fixed 1 ms, for at most 600 s of simulated time.
+    The schedule's feedback is clamped to ``limits`` (the front brake to
+    -8000 to 0 N); RK4 steps the plant at a fixed 1 ms, for 600 s at most.
     """
 
     name: str
@@ -100,18 +103,18 @@ def _plant_step(plant: ParamSet, y, h: float, delta: float, Fxf: float,
     """
     Vx, Vy, r, psi, omega, dFz, X, Y, theta = y
     hh = 0.5 * h
-    vx1, vy1, r1, w1, fz1, th1, x1, y1, _ = scalar_rates(
+    vx1, vy1, r1, w1, fz1, th1, x1, y1, _, _ = scalar_rates(
         plant, Vx, Vy, r, psi, omega, dFz, theta, delta, Fxf, tau)
     ra = r + hh * r1
-    vx2, vy2, r2, w2, fz2, th2, x2, y2, _ = scalar_rates(
+    vx2, vy2, r2, w2, fz2, th2, x2, y2, _, _ = scalar_rates(
         plant, Vx + hh * vx1, Vy + hh * vy1, ra, psi + hh * r,
         omega + hh * w1, dFz + hh * fz1, theta + hh * th1, delta, Fxf, tau)
     rb = r + hh * r2
-    vx3, vy3, r3, w3, fz3, th3, x3, y3, _ = scalar_rates(
+    vx3, vy3, r3, w3, fz3, th3, x3, y3, _, _ = scalar_rates(
         plant, Vx + hh * vx2, Vy + hh * vy2, rb, psi + hh * ra,
         omega + hh * w2, dFz + hh * fz2, theta + hh * th2, delta, Fxf, tau)
     rc = r + h * r3
-    vx4, vy4, r4, w4, fz4, th4, x4, y4, _ = scalar_rates(
+    vx4, vy4, r4, w4, fz4, th4, x4, y4, _, _ = scalar_rates(
         plant, Vx + h * vx3, Vy + h * vy3, rc, psi + h * rb,
         omega + h * w3, dFz + h * fz3, theta + h * th3, delta, Fxf, tau)
     h6 = h / 6.0
@@ -167,7 +170,7 @@ def run(scenario: Scenario) -> SimResult:
             Vx - ref_x[0], Vy - ref_x[1], r - ref_x[2], omega - ref_x[3],
             wrap_angle(dpsi - ref_x[8]), e - ref_x[6]])).tolist()
         delta = min(max(ref_u[0] - du[0], lim.delta_min), lim.delta_max)
-        Fxf = min(max(ref_u[1] - du[1], lim.Fxf_min), lim.Fxf_max)
+        Fxf = min(max(ref_u[1] - du[1], _FXF_MIN), _FXF_MAX)
         tau = min(max(ref_u[2] - du[2], lim.tau_min), lim.tau_max)
         mu = friction_coefficient(thp, theta)
         rows[n] = (t, s, e, dpsi, Vx, Vy, r, omega, dFz, theta, mu,

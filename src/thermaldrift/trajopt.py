@@ -118,7 +118,7 @@ def _second_differences(c, n: int, eps: float, larger_first: bool):
 def extended_rates(x: np.ndarray, params: ParamSet, u: np.ndarray) -> np.ndarray:
     """Time derivative of the extended state (scalar, strict model)."""
     Vx, Vy, r, psi, omega, dFz, _, _, delta, tau, theta, _ = x.tolist()
-    dVx, dVy, dr, domega, ddFz, dtheta, dX, dY, _ = scalar_rates(
+    dVx, dVy, dr, domega, ddFz, dtheta, dX, dY, _, _ = scalar_rates(
         params, Vx, Vy, r, psi, omega, dFz, theta, delta, 0.0, tau)
     # the IX layout: Vx, Vy, r, psi, omega, dFz, X, Y, delta, tau, theta, s
     return np.array([dVx, dVy, dr, r, domega, ddFz, dX, dY,

@@ -19,13 +19,21 @@ from thermaldrift.control import _fd_step, nearest_knot
 from thermaldrift.errors import ModelDomainError
 from thermaldrift.model import ControlInput, friction_coefficient, scalar_rates
 from thermaldrift.paths import wrap_angle
-from thermaldrift.sim import _H_SIM, _SPINOUT_LIMIT, _T_MAX, SIM_COLUMNS, SimResult
+from thermaldrift.sim import (
+    _FXF_MAX,
+    _FXF_MIN,
+    _H_SIM,
+    _SPINOUT_LIMIT,
+    _T_MAX,
+    SIM_COLUMNS,
+    SimResult,
+)
 
 
 def plant_rates(y, params, inp):
     """Rates of the 9 floats [Vx, Vy, r, psi, omega, dFz, X, Y, theta]."""
     Vx, Vy, r, psi, omega, dFz, _, _, theta = y
-    dVx, dVy, dr, domega, ddFz, dtheta, dX, dY, _ = scalar_rates(
+    dVx, dVy, dr, domega, ddFz, dtheta, dX, dY, _, _ = scalar_rates(
         params, Vx, Vy, r, psi, omega, dFz, theta, inp.delta, inp.Fxf, inp.tau)
     return dVx, dVy, dr, r, domega, ddFz, dX, dY, dtheta
 
@@ -53,7 +61,7 @@ def _control(scenario, y, e, s, dpsi):
                         e - ref_x[6]])).tolist()
     lim = scenario.limits
     u = (min(max(ref_u[0] - du[0], lim.delta_min), lim.delta_max),
-         min(max(ref_u[1] - du[1], lim.Fxf_min), lim.Fxf_max),
+         min(max(ref_u[1] - du[1], _FXF_MIN), _FXF_MAX),
          min(max(ref_u[2] - du[2], lim.tau_min), lim.tau_max))
     return u, ref_x, ref_u
 

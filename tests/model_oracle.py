@@ -63,6 +63,7 @@ class TireForces:
     alpha_r: float      # rear slip angle, rad
     kappa_r: float      # rear slip ratio
     mu_r: float         # evaluated rear friction coefficient
+    saturated: bool     # rear brush law past full sliding
 
 
 def vertical_loads(vp: VehicleParams, dFz: float) -> tuple[float, float]:
@@ -141,13 +142,14 @@ def rear_slip_quantities(vp: VehicleParams, Vx: float, Vy: float,
 
 
 def rear_combined_forces(tp: TireParams, mu_r: float, F_zr: float,
-                         alpha_r: float, kappa_r: float) -> tuple[float, float, float]:
+                         alpha_r: float, kappa_r: float) -> tuple[float, float, float, bool]:
     """Combined-slip brush forces on the rear axle.
 
-    Returns (F_xr, F_yr, f).  The resultant magnitude never exceeds
-    mu_r*F_zr, and each component opposes its slip quantity's sliding
-    direction (F_xr has the sign of kappa_r; F_yr the opposite sign of
-    alpha_r).
+    Returns (F_xr, F_yr, f, saturated), ``saturated`` True exactly when the
+    law takes its full-sliding branch.  The resultant magnitude never
+    exceeds mu_r*F_zr, and each component opposes its slip quantity's
+    sliding direction (F_xr has the sign of kappa_r; F_yr the opposite sign
+    of alpha_r).
     """
     if F_zr <= 0.0:
         raise DegenerateLoadError(f"rear load {F_zr:.1f} N non-positive")
@@ -159,15 +161,16 @@ def rear_combined_forces(tp: TireParams, mu_r: float, F_zr: float,
     gy = tp.Cy * math.tan(alpha_r) / (kappa_r + 1.0)
     f = math.hypot(gx, gy)
     if f == 0.0:
-        return 0.0, 0.0, 0.0  # removable singularity: no slip, no force
+        return 0.0, 0.0, 0.0, False  # removable singularity: no slip, no force
     limit = mu_r * F_zr
-    if f <= 3.0 * limit:
-        F = f - f * f / (3.0 * limit) + f ** 3 / (27.0 * limit * limit)
-    else:
+    saturated = not f <= 3.0 * limit
+    if saturated:
         F = limit
+    else:
+        F = f - f * f / (3.0 * limit) + f ** 3 / (27.0 * limit * limit)
     F_xr = F * gx / f
     F_yr = -F * gy / f
-    return F_xr, F_yr, f
+    return F_xr, F_yr, f, saturated
 
 
 def heat_generation(thp: ThermalParams, Vx: float,
@@ -235,11 +238,13 @@ def tire_forces(params: ParamSet, state: VehicleState, inp: ControlInput) -> Tir
     F_yf = fiala_lateral_force(C_alpha, F_ymax, alpha_f)
     alpha_r, kappa_r = rear_slip_quantities(vp, state.Vx, state.Vy, state.r, state.omega)
     mu_r = friction_coefficient(thp, state.theta_r)
-    F_xr, F_yr, f = rear_combined_forces(tp, mu_r, F_zr, alpha_r, kappa_r)
+    F_xr, F_yr, f, saturated = rear_combined_forces(tp, mu_r, F_zr, alpha_r,
+                                                    kappa_r)
     return TireForces(
         F_yf=F_yf, F_xr=F_xr, F_yr=F_yr, F_zf=F_zf, F_zr=F_zr, f=f,
         F_ymax=F_ymax, alpha_slide=alpha_slide,
         alpha_f=alpha_f, alpha_r=alpha_r, kappa_r=kappa_r, mu_r=mu_r,
+        saturated=saturated,
     )
 
 

@@ -125,7 +125,7 @@ def test_criterion_4_friction_circle(params):
         kappa = rng.uniform(-0.75, 1.5)
         mu = rng.uniform(0.5, 1.1)
         F_zr = rng.uniform(1e3, 1.2e4)
-        F_xr, F_yr, f = rear_combined_forces(tp, mu, F_zr, alpha, kappa)
+        F_xr, F_yr, *_ = rear_combined_forces(tp, mu, F_zr, alpha, kappa)
         assert math.hypot(F_xr, F_yr) <= mu * F_zr * (1.0 + 1e-9)
 
     # Fiala force is continuous where the cubic meets full sliding

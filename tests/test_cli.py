@@ -191,6 +191,64 @@ def test_non_finite_plan_metadata_is_config_error(tmp_path, capsys, key,
     assert not list(out.glob("sim_*.csv"))
 
 
+@pytest.mark.parametrize("key, text, message", [
+    ("radius", "0.0", ": metadata |radius| must be at least 5 m, got 0"),
+    ("ds", "0", ": metadata ds must be a positive number, got '0'"),
+    ("ds", "-0.25", ": metadata ds must be a positive number, got '-0.25'"),
+], ids=["radius_zero", "ds_zero", "ds_negative"])
+def test_plan_metadata_the_planner_refuses_is_config_error(tmp_path, capsys,
+                                                           key, text,
+                                                           message):
+    """A quasi-steady plan file whose radius check_radius refuses or whose
+    ds is not positive is a configuration error naming the file and key,
+    and no run writes a result."""
+    out = tmp_path / "out"
+    assert main(["plan-steady", "--out", str(out), "--arc", "5"]) == 0
+    path = out / "trajectory.csv"
+    lines = [f"# {key} {text}" if ln.startswith(f"# {key} ") else ln
+             for ln in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["simulate", "--out", str(out)]) == 1
+    assert f"trajectory.csv{message}" in capsys.readouterr().err
+    assert not list(out.glob("sim_*.csv"))
+
+
+def edit_cell(path, row, column, text):
+    """Rewrite the ``column`` cell of data row ``row`` (from 0) of the CSV
+    file ``path``."""
+    lines = path.read_text().splitlines()
+    header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    cells = lines[header + 1 + row].split(",")
+    cells[lines[header].split(",").index(column)] = text
+    lines[header + 1 + row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_plan_s_off_grid_is_config_error(tmp_path, capsys):
+    """A quasi-steady node moved off the ds grid is a configuration error
+    naming the file and the column."""
+    out = tmp_path / "out"
+    assert main(["plan-steady", "--out", str(out), "--arc", "5"]) == 0
+    edit_cell(out / "trajectory.csv", 3, "s", "0.8")
+    assert main(["simulate", "--out", str(out)]) == 1
+    assert ("trajectory.csv: column s is off its ds grid of 0.25 m"
+            in capsys.readouterr().err)
+    assert not list(out.glob("sim_*.csv"))
+
+
+def test_gains_repeated_knot_is_config_error(tmp_path, capsys):
+    """A gains.csv whose knots repeat is a configuration error naming the
+    file, not a planner failure."""
+    out = tmp_path / "out"
+    assert main(["plan-steady", "--out", str(out), "--arc", "5"]) == 0
+    edit_cell(out / "gains.csv", 3, "s", "0.5")
+    assert main(["simulate", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out / 'gains.csv'}: schedule knots must be strictly "
+        "increasing\n")
+    assert not list(out.glob("sim_*.csv"))
+
+
 def test_gains_without_rows_is_config_error(tmp_path, capsys):
     """A gains.csv cut after its header (head -2) is a configuration error,
     not a traceback."""
@@ -391,6 +449,24 @@ def test_infeasible_plan_is_planner_failure(tmp_path, capsys):
                "--beta", "-75", "--arc", "5"])
     assert rc == 2
     assert capsys.readouterr().err != ""
+
+
+@pytest.mark.parametrize("command, arc", [
+    ("plan-steady", ["--arc", "20"]), ("plan-figure8", []),
+], ids=["steady", "figure8"])
+def test_saturated_rear_tire_is_planner_failure(tmp_path, capsys, command,
+                                                arc):
+    """At beta -50 deg the rear tire saturates before any equilibrium: both
+    plan commands fail at the first sweep node, saying so, and nothing is
+    written."""
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--beta", "-50", *arc]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "planner failure: sweep node 0 (s=0.00 m): no equilibrium at "
+        "radius=15.0 m, beta=-0.873 rad, theta=30.0 degC: rear tire "
+        "saturated with residual ")
+    assert not out.exists()
 
 
 def test_equilibrium_beyond_limit_is_planner_failure(tmp_path, capsys):

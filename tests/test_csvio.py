@@ -39,9 +39,12 @@ def test_quasi_steady_round_trip(tmp_path, small_sweep):
 def synthetic_dynamic():
     rng = np.random.default_rng(3)
     N = 7
+    states = rng.normal(size=(N + 1, 12))
+    # a transition travels forward: its s column strictly increases
+    states[:, IX.s] = np.cumsum(np.abs(states[:, IX.s]))
     return DynamicTrajectory(
         t=0.05 * np.arange(N + 1),
-        states=rng.normal(size=(N + 1, 12)),
+        states=states,
         inputs=rng.normal(size=(N, 2)),
         h=0.05, J=12.5, input_cost=10.0, distance_cost=2.5,
         terminal_residual=1e-9, max_defect=1e-8, n_outer=42)
@@ -221,6 +224,23 @@ def test_bad_number_named(tmp_path, small_sweep):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=r":8"):
         csvio.load_quasi_steady(path)
+
+
+def test_transition_s_must_increase(tmp_path, transition):
+    """Two swapped s cells of a transition are a configuration error naming
+    the file and the column."""
+    path = tmp_path / "dyn.csv"
+    csvio.save_dynamic(transition[1], path)
+    lines = path.read_text().splitlines()
+    header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    col = csvio._DYN_COLUMNS.index("s")
+    first, second = (lines[header + k].split(",") for k in (3, 4))
+    first[col], second[col] = second[col], first[col]
+    lines[header + 3], lines[header + 4] = ",".join(first), ",".join(second)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="dyn.csv: column s must be "
+                                          "strictly increasing"):
+        csvio.load_dynamic(path)
 
 
 def test_wrong_header_rejected(tmp_path):

@@ -154,13 +154,15 @@ def test_rear_slip_cases():
 
 
 def test_rear_zero_slip_zero_force():
-    assert rear_combined_forces(TP, 0.95, 7308.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
+    assert rear_combined_forces(TP, 0.95, 7308.0, 0.0, 0.0) == \
+        (0.0, 0.0, 0.0, False)
 
 
 def test_rear_full_sliding_saturates():
-    F_xr, F_yr, f = rear_combined_forces(TP, 0.95, 7308.0, -0.6, 0.38)
+    F_xr, F_yr, f, saturated = rear_combined_forces(TP, 0.95, 7308.0, -0.6,
+                                                    0.38)
     mag = math.hypot(F_xr, F_yr)
-    assert f > 3.0 * 0.95 * 7308.0
+    assert f > 3.0 * 0.95 * 7308.0 and saturated
     assert mag == pytest.approx(0.95 * 7308.0, rel=1e-12)
 
 
@@ -173,8 +175,9 @@ def test_rear_component_decomposition():
     lim = mu * Fz
     assert f <= 3.0 * lim  # on the cubic branch, below full sliding
     F = f - f * f / (3.0 * lim) + f ** 3 / (27.0 * lim * lim)
-    F_xr, F_yr, f_got = rear_combined_forces(TP, mu, Fz, a_r, k_r)
+    F_xr, F_yr, f_got, saturated = rear_combined_forces(TP, mu, Fz, a_r, k_r)
     assert f_got == pytest.approx(f, rel=1e-12)
+    assert not saturated
     assert F_xr == pytest.approx(F * gx / f, rel=1e-12)
     assert F_yr == pytest.approx(-F * gy / f, rel=1e-12)
 
@@ -183,7 +186,7 @@ def test_rear_component_decomposition():
        st.floats(0.5, 1.1), st.floats(1000.0, 12000.0))
 @settings(max_examples=300)
 def test_friction_circle(alpha_r, kappa_r, mu, Fz):
-    F_xr, F_yr, _ = rear_combined_forces(TP, mu, Fz, alpha_r, kappa_r)
+    F_xr, F_yr, *_ = rear_combined_forces(TP, mu, Fz, alpha_r, kappa_r)
     assert math.hypot(F_xr, F_yr) <= mu * Fz * (1.0 + 1e-9)
 
 
@@ -191,8 +194,8 @@ def test_friction_circle(alpha_r, kappa_r, mu, Fz):
 def test_rear_oddness_in_alpha(alpha_r):
     # the kappa/(kappa+1) mapping in the force law is not odd in kappa, so
     # sign symmetry is only exact on the pure-lateral slice (kappa = 0)
-    F_xr, F_yr, _ = rear_combined_forces(TP, 0.9, 7308.0, alpha_r, 0.0)
-    G_xr, G_yr, _ = rear_combined_forces(TP, 0.9, 7308.0, -alpha_r, 0.0)
+    F_xr, F_yr, *_ = rear_combined_forces(TP, 0.9, 7308.0, alpha_r, 0.0)
+    G_xr, G_yr, *_ = rear_combined_forces(TP, 0.9, 7308.0, -alpha_r, 0.0)
     scale = max(1.0, abs(F_xr), abs(F_yr))
     assert G_xr == pytest.approx(-F_xr, abs=1e-9 * scale)
     assert G_yr == pytest.approx(-F_yr, abs=1e-9 * scale)
@@ -207,6 +210,7 @@ def test_combined_force_continuity_at_saturation():
     below = rear_combined_forces(TP, mu, Fz, a_r * (1 - 1e-12), 0.0)
     above = rear_combined_forces(TP, mu, Fz, a_r * (1 + 1e-12), 0.0)
     assert abs(below[1] - above[1]) <= 1e-6 * lim
+    assert (below[3], above[3]) == (False, True)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +238,7 @@ def test_heat_generation_cases():
 def test_heat_non_negative(alpha_r, kappa_r, Vx):
     if kappa_r <= -0.999:
         return
-    F_xr, F_yr, _ = rear_combined_forces(TP, 0.9, 7308.0, alpha_r, kappa_r)
+    F_xr, F_yr, *_ = rear_combined_forces(TP, 0.9, 7308.0, alpha_r, kappa_r)
     Q = heat_generation(THP, Vx, alpha_r, kappa_r, F_xr, F_yr, 7308.0)
     assert Q >= 0.0
 
@@ -318,10 +322,10 @@ def test_speed_beta_parameterization():
 # ---------------------------------------------------------------------------
 
 def helper_chain_rates(params, state, inp):
-    """Body and pose rates and the heat rate Q assembled from the oracle's
-    :func:`tire_forces` and per-quantity helpers, in the order
-    :func:`scalar_rates` inlines them: what the kernel is pinned to, bit for
-    bit."""
+    """Body and pose rates, the heat rate Q and the rear saturation flag
+    assembled from the oracle's :func:`tire_forces` and per-quantity
+    helpers, in the order :func:`scalar_rates` inlines them: what the kernel
+    is pinned to, bit for bit."""
     vp, thp = params.vehicle, params.thermal
     fc = tire_forces(params, state, inp)
     sin_d, cos_d = math.sin(inp.delta), math.cos(inp.delta)
@@ -340,7 +344,7 @@ def helper_chain_rates(params, state, inp):
     sin_psi, cos_psi = math.sin(state.psi), math.cos(state.psi)
     return (dVx, dVy, dr, domega, ddFz, dtheta,
             state.Vx * cos_psi - state.Vy * sin_psi,
-            state.Vx * sin_psi + state.Vy * cos_psi, Q)
+            state.Vx * sin_psi + state.Vy * cos_psi, Q, fc.saturated)
 
 
 def kernel_rates(params, state, inp):
@@ -364,7 +368,8 @@ def outcome(fn, *args):
 
 def assert_pinned(params, state, inp):
     """Kernel, adapter and helper chain agree exactly (no tolerance).  The
-    adapter returns no Q; an error outcome is a pair, which the slice keeps."""
+    adapter returns no Q and no saturation flag; an error outcome is a pair,
+    which the slice keeps."""
     want = outcome(helper_chain_rates, params, state, inp)
     assert outcome(kernel_rates, params, state, inp) == want
     assert outcome(adapter_rates, params, state, inp) == want[:8]
@@ -380,7 +385,7 @@ EQUILIBRIA = [find_equilibrium(P, sign * 15.0, sign * math.radians(-40.0),
 
 @given(st.sampled_from(EQUILIBRIA), st.tuples(*[st.floats(0.8, 1.2)] * 6),
        st.floats(-math.pi, math.pi), st.floats(0.0, 120.0),
-       st.floats(LIM.Fxf_min, LIM.Fxf_max),
+       st.floats(sim._FXF_MIN, sim._FXF_MAX),
        st.floats(LIM.tau_min, LIM.tau_max))
 @settings(max_examples=300, deadline=None)
 def test_scalar_rates_match_helper_chain(eq, f, psi, theta, Fxf, tau):
@@ -489,3 +494,18 @@ def test_scalar_rates_guards(case, params, change, error, message):
         raised.append((type(info.value), str(info.value)))
     assert raised[0][0] is error
     assert raised[0] == raised[1] == raised[2]
+
+
+@pytest.mark.parametrize("scale, saturated", [
+    (0.0, False), (1.0 - 1e-12, False), (1.0 + 1e-12, True),
+], ids=["zero slip", "below full sliding", "past full sliding"])
+def test_scalar_rates_flag_full_sliding(scale, saturated):
+    """The kernel's last value is its rear brush law's branch: False at zero
+    slip and on the cubic, True past f = 3*mu_r*F_zr.  The wheel rolls
+    (kappa_r = 0), so the demand is f = Cy*tan(alpha_r)."""
+    Vx, theta = 10.0, 30.0
+    limit = friction_coefficient(THP, theta) * _STATIC_REAR
+    state = VehicleState(Vx=Vx, Vy=scale * Vx * 3.0 * limit / TP.Cy, r=0.0,
+                         omega=Vx / VP.Re, dFz=0.0, theta_r=theta)
+    assert kernel_rates(P, state, INPUT)[9] is saturated
+    assert_pinned(P, state, INPUT)

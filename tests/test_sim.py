@@ -174,7 +174,8 @@ def test_recorded_inputs_respect_limits(steady_results, params):
         assert np.all(res.column("delta") <= lim.delta_max + 1e-12)
         assert np.all(res.column("tau") >= lim.tau_min - 1e-9)
         assert np.all(res.column("tau") <= lim.tau_max + 1e-9)
-        assert np.all(res.column("Fxf") <= lim.Fxf_max + 1e-12)
+        assert np.all(res.column("Fxf") >= sim._FXF_MIN - 1e-12)
+        assert np.all(res.column("Fxf") <= sim._FXF_MAX + 1e-12)
 
 
 def test_plant_heat_non_negative(steady_results, params):
