@@ -8,8 +8,8 @@ Each file kind's layout is stated once, as a tuple of its columns and a
 tuple of its float metadata keys; its writer and its reader both follow
 those tuples.  A metadata value must be a finite number (``n_outer`` a whole
 number, ``thermal`` 0 or 1), or the file is a configuration error, as is a
-plan the planner would refuse: a bad radius or ``ds``, or an ``s`` column
-off its ``ds`` grid or not strictly increasing.
+plan the planner would refuse: a bad radius, sideslip or ``ds``, or an ``s``
+column off its ``ds`` grid or not strictly increasing.
 
 The writer formats a few hundred rows at a time.  Down each column of such a
 block it calls ``repr`` once per run of bit-equal cells (a reference column
@@ -24,7 +24,8 @@ import math
 import numpy as np
 
 from .control import REF_STATE_FIELDS, GainSchedule
-from .equilibrium import DriftEquilibrium, QuasiSteadyTrajectory, check_radius
+from .equilibrium import (DriftEquilibrium, QuasiSteadyTrajectory,
+                          check_radius, check_sideslip)
 from .errors import ConfigError, ScheduleError
 from .paths import CirclePath
 from .sim import SIM_COLUMNS, PoleTrace, SimResult
@@ -180,10 +181,12 @@ def save_quasi_steady(traj: QuasiSteadyTrajectory, path) -> None:
 def load_quasi_steady(path) -> QuasiSteadyTrajectory:
     meta, data = _read(path, _QS_COLUMNS, "quasi_steady")
     radius, beta = (_meta_float(meta, key, path) for key in _QS_META[:2])
-    try:
-        check_radius(radius)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: metadata {exc}, got {radius:g}") from None
+    for value, check in ((radius, check_radius), (beta, check_sideslip)):
+        try:
+            check(value)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{path}: metadata {exc}, got {value:g}") from None
     ds = _meta_float(meta, "ds", path, "a positive number",
                      lambda value: 0.0 < value < math.inf)
     thermal = _meta_float(meta, "thermal", path, "0 or 1",

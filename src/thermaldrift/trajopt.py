@@ -24,12 +24,14 @@ states are that exact re-integration of the returned inputs, so the
 dynamics defects are zero by construction.
 
 The constraints and their finite-difference derivatives take every RK4
-step from one evaluator, :meth:`_Transcription.steps`, which steps all
-stages at once under a table of offsets, one row per stencil point, laid
-out components first, ``(12, stages, points)``, so each state component is
-one contiguous slab.  The batched model is elementwise, so a lane's bits do
-not depend on the layout, and it equals its row-last form, kept in the
-tests as the oracle, bit for bit.
+step from one evaluator, :meth:`_Transcription.steps`, which steps the
+stages under a table of offsets, one row per stencil point, laid out
+components first, ``(12, stages, points)``, so each state component is one
+contiguous slab.  It steps a large stencil in blocks of whole stages, so
+the model's temporaries take a few MiB, not ten.  The batched model
+is elementwise, so a lane's bits do not depend on the layout or the
+blocking, and it equals its row-last form, kept in the tests as the oracle,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -84,6 +86,15 @@ _H_SCALE = 0.1
 #: the same scales for one stage's 15 variables: its 12 states, 2 inputs and h
 _STAGE_SCALE = np.concatenate([_X_SCALE, _U_SCALE, [_H_SCALE]])
 _NO_OFFSET = np.zeros((1, _STAGE_SCALE.size))
+#: stage x stencil-point lanes per batched RK4 call of _Transcription.steps.
+#: The model and RK4 hold a few dozen temporaries per lane, so the 91-point
+#: Hessian stencil over 100 stages works on about 10 MB in one call.  In
+#: three blocks its traced peak falls from 7.8 to 3.6 MiB and the
+#: criterion-6 solve's peak RSS by about 4 MiB.  2048 lanes save no more
+#: memory and split the 30-point Jacobian stencil, whose extra call costs
+#: more time than it saves; 8192 saves 1 MiB less.  The constraints and that
+#: Jacobian at N = 100 fit one block.
+_STEP_LANES = 4096
 
 #: extended-state components the RK4 step depends on nonlinearly; X, Y and s
 #: are integrated outputs that no rate depends on
@@ -503,11 +514,28 @@ class _Transcription:
     def steps(self, X, U, h, offsets):
         """The RK4 step of every stage under each row of the ``(M, 15)``
         ``offsets``, components first: ``(12, N, M)``.  Row m moves each
-        stage's 12 states, 2 inputs and h, in physical units."""
+        stage's 12 states, 2 inputs and h, in physical units.  The stages
+        are stepped in the fewest blocks of whole stages that keep each
+        within ``_STEP_LANES`` lanes, all but the last of one size (one
+        stage a block if M alone exceeds it)."""
+        N, M = self.N, offsets.shape[0]
         o = offsets.T[:, None, :]
-        xb = np.ascontiguousarray(X[:-1].T)[:, :, None] + o[:IX.n]
-        ub = np.ascontiguousarray(U.T)[:, :, None] + o[IX.n:-1]
-        return _rk4_batch(self.p.params, xb, ub, h + offsets[:, -1])
+        x = np.ascontiguousarray(X[:-1].T)[:, :, None]
+        u = np.ascontiguousarray(U.T)[:, :, None]
+        hb = h + offsets[:, -1]
+        fit = max(_STEP_LANES // M, 1)     # stages that fit the budget
+        block = math.ceil(N / math.ceil(N / fit))
+
+        def step(k):
+            return _rk4_batch(self.p.params, x[:, k:k + block] + o[:IX.n],
+                              u[:, k:k + block] + o[IX.n:-1], hb)
+
+        if block == N:
+            return step(0)
+        out = np.empty((IX.n, N, M))
+        for k in range(0, N, block):
+            out[:, k:k + block] = step(k)
+        return out
 
     def constraints(self, z):
         X, U, h = self.unpack(z)
@@ -977,8 +1005,9 @@ def _interior_point(tr: "_Transcription", z: np.ndarray,
         elif not f_step:
             filt.append(((1.0 - _GAMMA_THETA) * theta,
                          phi - _GAMMA_PHI * theta))
-        _log.debug("ipm %3d  cost %.6e  viol %.2e  err %.2e  mu %.1e  "
-                   "alpha %.2e", it, tr.cost(z), viol, err_pd, mu, alpha)
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("ipm %3d  cost %.6e  viol %.2e  err %.2e  mu %.1e  "
+                       "alpha %.2e", it, tr.cost(z), viol, err_pd, mu, alpha)
 
         z, c = z_t, c_t
         theta = np.abs(c).sum()

@@ -195,13 +195,15 @@ def test_non_finite_plan_metadata_is_config_error(tmp_path, capsys, key,
     ("radius", "0.0", ": metadata |radius| must be at least 5 m, got 0"),
     ("ds", "0", ": metadata ds must be a positive number, got '0'"),
     ("ds", "-0.25", ": metadata ds must be a positive number, got '-0.25'"),
-], ids=["radius_zero", "ds_zero", "ds_negative"])
+    ("beta_target", "1.5",
+     ": metadata |beta_target| must be below 80 deg, got 1.5"),
+], ids=["radius_zero", "ds_zero", "ds_negative", "beta_target_86deg"])
 def test_plan_metadata_the_planner_refuses_is_config_error(tmp_path, capsys,
                                                            key, text,
                                                            message):
-    """A quasi-steady plan file whose radius check_radius refuses or whose
-    ds is not positive is a configuration error naming the file and key,
-    and no run writes a result."""
+    """A quasi-steady plan file whose radius or sideslip check_radius or
+    check_sideslip refuses, or whose ds is not positive, is a configuration
+    error naming the file and key, and no run writes a result."""
     out = tmp_path / "out"
     assert main(["plan-steady", "--out", str(out), "--arc", "5"]) == 0
     path = out / "trajectory.csv"

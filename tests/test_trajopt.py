@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -533,6 +534,55 @@ def test_transcription_matches_oracle(iterates, transition, point):
     want = transcription_oracle.lagrangian_hessian(tr, z, lam)
     for name, a, b in zip(("H", "Ht"), got, want):
         assert np.array_equal(_bits(a), _bits(b)), name
+
+
+@pytest.mark.parametrize("N", [100, 7])
+@pytest.mark.parametrize("M", [1, 30, 91])
+def test_blocked_steps_match_one_block(params, monkeypatch, N, M):
+    """``steps`` under lane budgets that split the stages into 2, 3 and N
+    blocks of whole stages (uneven where N allows) equals one call over
+    all of them bit for bit, at the stencil sizes of the constraints, the
+    Jacobian and the Hessian."""
+    problem, x_target = make_transition_problem(params)
+    problem = replace(problem, N=N)
+    tr = trajopt._Transcription(problem)
+    X, U, h = initial_guess(problem, x_target)
+    rng = np.random.default_rng(N * M)
+    scale = trajopt._STAGE_SCALE
+    offsets = rng.uniform(-1e-3, 1e-3, (M, scale.size)) * scale
+    sizes = []
+    rk4_batch = trajopt._rk4_batch
+
+    def recorded(params, x, u, hb):
+        sizes.append(x.shape[1])
+        return rk4_batch(params, x, u, hb)
+
+    monkeypatch.setattr(trajopt, "_rk4_batch", recorded)
+    monkeypatch.setattr(trajopt, "_STEP_LANES", N * M)
+    want = tr.steps(X, U, h, offsets)
+    assert sizes == [N]
+    for blocks, lanes in ((2, M * math.ceil(N / 2)),
+                          (3, M * math.ceil(N / 3)), (N, 1)):
+        sizes.clear()
+        monkeypatch.setattr(trajopt, "_STEP_LANES", lanes)
+        got = tr.steps(X, U, h, offsets)
+        assert len(sizes) == blocks and sum(sizes) == N
+        assert np.array_equal(_bits(got), _bits(want)), blocks
+
+
+def test_lagrangian_hessian_traced_peak(iterates):
+    """One criterion-6 Hessian evaluation, stepped in stage blocks, peaks
+    at under 5 MiB of traced allocations (7.8 MiB in one block)."""
+    tr, points = iterates
+    z, lam, _ = points["mid-solve"]
+    tr.lagrangian_hessian(z, lam)
+    tracemalloc.start()
+    try:
+        tr.lagrangian_hessian(z, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
