@@ -11,6 +11,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import csvio
 from ._fork import WorkerExitError, fork_map
 from .control import build_schedule, linearize_stack
@@ -254,16 +256,28 @@ def cmd_simulate(args) -> int:
     # actually visits on the plan
     knots = scenarios[0].schedule.s_knots
     plant_lin = linearize_stack(params, [ref.sample(float(s)) for s in knots])
+    report = [comparison_table(results)]
     for sc in scenarios:
         trace = pole_trace(sc.schedule, *plant_lin)
         csvio.save_poles(trace, out / f"poles_{sc.name}.csv")
-    report = comparison_table(results)
+        report.append(f"poles {sc.name:<8} diameter "
+                      f"{trace.cloud_diameter:8.3f}  spectral abscissa "
+                      f"{trace.spectral_abscissa:+.3f}")
+    own = results[scenarios[0].name]
+    if not steady and not isinstance(own, Exception):
+        # the tracking error on each segment of the course the run reached
+        segment = np.array([ref._segment(s) for s in own.column("s").tolist()])
+        e = np.abs(own.column("e"))
+        for i, label in enumerate(("circle 1", "transition", "circle 2")):
+            err = e[segment == i]
+            if err.size:
+                report.append(f"{label:<11} max|e| {err.max():6.3f} m")
+    report = "\n".join(report)
     (out / "report.txt").write_text(report + "\n")
     print(report)
     hard_failures = [r for r in results.values() if isinstance(r, Exception)]
     if hard_failures:
         raise SimulationError("; ".join(str(r) for r in hard_failures))
-    own = results[scenarios[0].name]
     if own.status != "finished":
         raise SimulationError(f"{own.scenario} run ended in {own.status}: "
                               f"{own.detail}")

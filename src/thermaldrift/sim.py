@@ -231,12 +231,11 @@ class PoleTrace:
     @property
     def cloud_diameter(self) -> float:
         """Largest pairwise spread of any single eigenvalue trace."""
-        diam = 0.0
-        for j in range(self.poles.shape[1]):
-            tr = self.poles[:, j]
-            d = np.abs(tr[:, None] - tr[None, :]).max()
-            diam = max(diam, float(d))
-        return diam
+        # |a - b| and |b - a| have the same bits, so the upper triangle's
+        # blocks of 32 rows hold the maximum without an (n, n) matrix
+        p = self.poles
+        return max(float(np.abs(p[i:i + 32, None, :] - p[None, i:, :]).max())
+                   for i in range(0, len(p), 32))
 
     @property
     def spectral_abscissa(self) -> float:

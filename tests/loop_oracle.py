@@ -1,6 +1,6 @@
-"""Plain-loop forms of the closed loop, the linearization and the pole
-matching: the oracles their float-only and numpy forms in the package are
-pinned to, with ``==``.
+"""Plain-loop forms of the closed loop, the linearization, the pole
+matching and the pole-cloud diameter: the oracles their float-only and
+numpy forms in the package are pinned to, with ``==``.
 
 * :func:`run` steps the closed loop with the schedule indexed at
   ``control.nearest_knot``, a :class:`ControlInput` per step and
@@ -8,7 +8,9 @@ pinned to, with ``==``.
 * :func:`linearize` takes each finite-difference column as an ndarray
   difference of two ndarray rate vectors;
 * :func:`match` scans the remaining eigenvalues with ``abs`` for every
-  trace.
+  trace;
+* :func:`cloud_diameter` takes each trace's whole (n, n) matrix of
+  pairwise distances.
 """
 
 import math
@@ -171,3 +173,14 @@ def match(prev, eig):
         j = int(np.argmin([abs(p - q) for q in remaining]))
         out[i] = remaining.pop(j)
     return out
+
+
+def cloud_diameter(poles):
+    """``PoleTrace.cloud_diameter`` as the full (n, n) difference matrix of
+    each trace in turn."""
+    diam = 0.0
+    for j in range(poles.shape[1]):
+        tr = poles[:, j]
+        d = np.abs(tr[:, None] - tr[None, :]).max()
+        diam = max(diam, float(d))
+    return diam

@@ -15,6 +15,7 @@ from thermaldrift.model import ControlInput, VehicleState
 from thermaldrift.paths import CirclePath
 from thermaldrift.sim import (
     SIM_COLUMNS,
+    PoleTrace,
     Scenario,
     _match,
     compare,
@@ -347,6 +348,22 @@ def test_match_equals_loop_oracle():
     assert tied > 250
 
 
+def test_cloud_diameter_equals_loop_oracle(steady_schedules, steady_plans,
+                                           params):
+    """The blocked diameter of each steady-compare trace (1201 knots, so a
+    short last block) and of its first 64 and 45 knots is the oracle's,
+    bit for bit."""
+    knots = steady_schedules["thermal"].s_knots
+    plant_lin = _plant_lin(params, steady_plans["thermal"],
+                           steady_schedules["thermal"])
+    for name, sched in steady_schedules.items():
+        trace = pole_trace(sched, *plant_lin)
+        for n in (len(knots), 64, 45):
+            cut = PoleTrace(s_knots=knots[:n], poles=trace.poles[:n])
+            assert cut.cloud_diameter == \
+                loop_oracle.cloud_diameter(cut.poles), (name, n)
+
+
 def test_pole_trace_rejects_wrong_stack(steady_schedules, params, eq_nominal):
     sched = steady_schedules["thermal"]
     A, B = linearize_stack(params, [(
@@ -358,8 +375,8 @@ def test_pole_trace_rejects_wrong_stack(steady_schedules, params, eq_nominal):
 @pytest.mark.slow
 def test_figure8_closed_loop_tracks(params):
     """The README's figure-8 plan, tracked on the thermal plant as
-    ``thermaldrift simulate`` tracks a plan-figure8 directory (and so
-    ``scripts/run_figure8.py``), reaches the end of the course."""
+    ``thermaldrift simulate`` tracks a plan-figure8 directory, reaches the
+    end of the course."""
     plan = plan_figure8(params, theta0=THETA0)
     res = run(plan.scenario(params, THETA0, default_limits()))
     assert res.status == "finished", res.detail
