@@ -26,7 +26,7 @@ from .errors import ConfigError, SimulationError, SolverError, ThermalDriftError
 from .figure8 import Figure8Plan, plan_figure8
 from .model import friction_coefficient
 from .params import ThermalParams, default_params, load_params
-from .sim import Scenario, compare, comparison_table, pole_trace
+from .sim import PoleTrace, Scenario, compare, comparison_table, pole_trace
 from .trajopt import IX, PlannerConfig, load_planner_config
 
 __all__ = ["main"]
@@ -257,18 +257,27 @@ def cmd_simulate(args) -> int:
     knots = scenarios[0].schedule.s_knots
     plant_lin = linearize_stack(params, [ref.sample(float(s)) for s in knots])
     report = [comparison_table(results)]
-    for sc in scenarios:
-        trace = pole_trace(sc.schedule, *plant_lin)
-        csvio.save_poles(trace, out / f"poles_{sc.name}.csv")
-        report.append(f"poles {sc.name:<8} diameter "
-                      f"{trace.cloud_diameter:8.3f}  spectral abscissa "
-                      f"{trace.spectral_abscissa:+.3f}")
+    clouds = [(sc.name, pole_trace(sc.schedule, *plant_lin))
+              for sc in scenarios]
+    for name, trace in clouds:
+        csvio.save_poles(trace, out / f"poles_{name}.csv")
+    labels = ("circle 1", "transition", "circle 2")
+    if not steady:
+        # the circles and the transition have closed-loop spectra of their
+        # own, so the figure-8 run's one trace is reported per segment
+        on = np.array([ref._segment(s) for s in knots.tolist()])
+        clouds = [(f"{label:<10}",
+                   PoleTrace(knots[on == i], trace.poles[on == i]))
+                  for i, label in enumerate(labels) if (on == i).any()]
+    report += [f"poles {name:<8} diameter {cloud.cloud_diameter:8.3f}  "
+               f"spectral abscissa {cloud.spectral_abscissa:+.3f}"
+               for name, cloud in clouds]
     own = results[scenarios[0].name]
     if not steady and not isinstance(own, Exception):
         # the tracking error on each segment of the course the run reached
         segment = np.array([ref._segment(s) for s in own.column("s").tolist()])
         e = np.abs(own.column("e"))
-        for i, label in enumerate(("circle 1", "transition", "circle 2")):
+        for i, label in enumerate(labels):
             err = e[segment == i]
             if err.size:
                 report.append(f"{label:<11} max|e| {err.max():6.3f} m")

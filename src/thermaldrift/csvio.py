@@ -8,8 +8,8 @@ Each file kind's layout is stated once, as a tuple of its columns and a
 tuple of its float metadata keys; its writer and its reader both follow
 those tuples.  A metadata value must be a finite number (``n_outer`` a whole
 number, ``thermal`` 0 or 1), or the file is a configuration error, as is a
-plan the planner would refuse: a bad radius, sideslip or ``ds``, or an ``s``
-column off its ``ds`` grid or not strictly increasing.
+plan the planner would refuse: a bad radius, sideslip or ``ds``, an ``s``
+column off its ``ds`` grid or not strictly increasing, or a repeated X, Y.
 
 The writer formats a few hundred rows at a time.  Down each column of such a
 block it calls ``repr`` once per run of bit-equal cells (a reference column
@@ -223,6 +223,9 @@ def load_dynamic(path) -> DynamicTrajectory:
     meta, data = _read(path, _DYN_COLUMNS, "dynamic")
     if np.any(np.diff(data[:, _DYN_COLUMNS.index("s")]) <= 0.0):
         raise ConfigError(f"{path}: column s must be strictly increasing")
+    xy = data[:, [_DYN_COLUMNS.index("X"), _DYN_COLUMNS.index("Y")]]
+    if np.any((np.diff(xy, axis=0) ** 2).sum(axis=1) <= 0.0):
+        raise ConfigError(f"{path}: two consecutive rows share X and Y")
     return DynamicTrajectory(
         t=data[:, 0].copy(),
         states=data[:, 1:1 + IX.n].copy(),

@@ -5,10 +5,10 @@ optimal-control problem whose terminal conditions place the vehicle on the
 mirrored circle (opposite turn direction, opposite sideslip, lateral circle
 centers aligned), and the second circle continues quasi-steadily from the
 transition's terminal temperature, on a circle placed at the transition's
-terminal pose.  Each steady arc carries the circle it is driven on, so the
-plan samples and projects onto its three segments on one continuous arc
-length: the plan is both the reference its gain schedule is designed along
-and the simulator's centerline.
+terminal pose.  Each steady arc carries the circle it is driven on and the
+transition is its own centerline, so the plan samples and projects onto its
+three segments on one arc length: the plan is both the reference its gain
+schedule is designed along and the simulator's centerline.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .control import GainSchedule, build_schedule
 from .equilibrium import QuasiSteadyTrajectory, find_equilibrium, quasi_steady_sweep
 from .model import VehicleState
 from .limits import ActuatorLimits
-from .paths import CirclePath, PolylinePath
+from .paths import CirclePath
 from .params import ParamSet
 from .sim import Scenario
 from .trajopt import (
@@ -63,12 +63,11 @@ class Figure8Plan:
                              phi0=chi_N)
         object.__setattr__(self, "steady2",
                            replace(self.steady2, circle=circle2))
-        # (geometry, offset, length) of each segment, in _segment's order
-        polyline = PolylinePath(self.transition.states[:, [IX.X, IX.Y]])
+        # (geometry, offset, local span) per segment, in _segment's order
         object.__setattr__(self, "_course", (
-            (self.steady1.circle, 0.0, self.s_break1),
-            (polyline, self.s_break1, self.transition_length),
-            (circle2, self.s_break2, float(self.steady2.s[-1]))))
+            (self.steady1.circle, 0.0, 0.0, self.s_break1),
+            (self.transition, 0.0, self.s_break1, self.s_break2),
+            (circle2, self.s_break2, 0.0, float(self.steady2.s[-1]))))
 
     @property
     def s_break1(self) -> float:
@@ -114,18 +113,18 @@ class Figure8Plan:
         """Project onto the course near ``s_hint``; returns (s, e, tangent).
 
         The hint's segment and its neighbours are the candidates, each
-        clamped to its own length; the nearest foot wins, and on a tie
+        clamped to its own span; the nearest foot wins, and on a tie
         within 1e-12 m the earlier segment.
         """
         i = self._segment(s_hint)
         best = None
-        for seg, lo, length in self._course[max(i - 1, 0):i + 2]:
-            s_loc, e, tang = seg.project(X, Y, s_hint - lo)
-            s_loc = min(max(s_loc, 0.0), length)
+        for seg, offset, lo, hi in self._course[max(i - 1, 0):i + 2]:
+            s_loc, e, tang = seg.project(X, Y, s_hint - offset)
+            s_loc = min(max(s_loc, lo), hi)
             px, py, _ = seg.pose(s_loc)
             dist = math.hypot(X - px, Y - py)
             if best is None or dist < best[0] - 1e-12:
-                best = (dist, lo + s_loc, e, tang)
+                best = (dist, offset + s_loc, e, tang)
         return best[1:]
 
     def path(self) -> Figure8Plan:

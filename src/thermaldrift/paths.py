@@ -1,10 +1,9 @@
-"""Reference path geometry: circles and planned transition polylines.
+"""Reference path geometry: the steady circles.
 
-A path maps arc length s to a pose and supports closed-form (circle) or
-local (polyline) projection of an inertial position back to (s, e, tangent).
-The lateral error e is positive to the left of the tangent direction.
-The figure-8 course, two circles joined by a polyline, is
-:class:`~thermaldrift.figure8.Figure8Plan`.
+A circle maps arc length s to a pose and projects an inertial position back
+to (s, e, tangent) in closed form, e positive to the left of the tangent.
+The transition is its own centerline, and the figure-8 course, two circles
+joined by it, is :class:`~thermaldrift.figure8.Figure8Plan`.
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-__all__ = ["CirclePath", "PolylinePath", "wrap_angle"]
+__all__ = ["CirclePath", "wrap_angle"]
 
 
 def wrap_angle(angle: float) -> float:
@@ -66,49 +63,3 @@ class CirclePath:
         phi = math.atan2(sgn * dx, -sgn * dy)
         s = s_hint + self.radius * wrap_angle(phi - self.phi0 - s_hint / self.radius)
         return s, e, self.phi0 + (s - 0.0) / self.radius
-
-
-@dataclass(frozen=True)
-class PolylinePath:
-    """Piecewise-linear path through planned waypoints."""
-
-    points: np.ndarray  # (M, 2)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:
-            raise ValueError("polyline needs at least two 2-D points")
-        object.__setattr__(self, "points", pts)
-        seg = np.diff(pts, axis=0)
-        lengths = np.hypot(seg[:, 0], seg[:, 1])
-        if np.any(lengths <= 0.0):
-            raise ValueError("polyline has a zero-length segment")
-        cum = np.concatenate([[0.0], np.cumsum(lengths)])
-        object.__setattr__(self, "_seg", seg)
-        object.__setattr__(self, "_len", lengths)
-        object.__setattr__(self, "_cum", cum)
-        object.__setattr__(self, "_tangent", np.arctan2(seg[:, 1], seg[:, 0]))
-
-    @property
-    def length(self) -> float:
-        return float(self._cum[-1])
-
-    def pose(self, s: float) -> tuple[float, float, float]:
-        s_cl = float(np.clip(s, 0.0, self.length))
-        i = int(np.clip(np.searchsorted(self._cum, s_cl) - 1, 0, len(self._len) - 1))
-        t = (s_cl - self._cum[i]) / self._len[i]
-        x, y = self.points[i] + t * self._seg[i]
-        return float(x), float(y), float(self._tangent[i])
-
-    def project(self, X: float, Y: float, s_hint: float) -> tuple[float, float, float]:
-        p = np.array([X, Y])
-        rel = p - self.points[:-1]
-        t = np.clip((rel * self._seg).sum(axis=1) / self._len ** 2, 0.0, 1.0)
-        feet = self.points[:-1] + t[:, None] * self._seg
-        d2 = ((p - feet) ** 2).sum(axis=1)
-        i = int(np.argmin(d2))
-        s = float(self._cum[i] + t[i] * self._len[i])
-        tang = float(self._tangent[i])
-        dx, dy = p - feet[i]
-        e = float(-math.sin(tang) * dx + math.cos(tang) * dy)
-        return s, e, tang

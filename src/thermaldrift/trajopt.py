@@ -333,7 +333,10 @@ class TransitionProblem(PlannerConfig):
 
 @dataclass(frozen=True)
 class DynamicTrajectory:
-    """Optimized transition: states are the exact RK4 rollout of the inputs."""
+    """Optimized transition: states are the exact RK4 rollout of the inputs.
+
+    It is its own centerline: the chords between its planned positions, keyed
+    by its traveled distance ``s``."""
 
     t: np.ndarray          # (N+1,)
     states: np.ndarray     # (N+1, 12)
@@ -376,6 +379,39 @@ class DynamicTrajectory:
                              psi=x[IX.psi], X=x[IX.X], Y=x[IX.Y])
         inp = ControlInput(delta=x[IX.delta], Fxf=0.0, tau=x[IX.tau])
         return state, inp, kappa
+
+    @cached_property
+    def _chords(self):
+        """(nodes, chords, squared chord lengths, chord tangents, s grid) of
+        the centerline through the planned positions."""
+        nodes = self.states[:, [IX.X, IX.Y]]
+        chords = np.diff(nodes, axis=0)
+        return (nodes, chords, (chords ** 2).sum(axis=1),
+                np.arctan2(chords[:, 1], chords[:, 0]), self.s)
+
+    def pose(self, s: float) -> tuple[float, float, float]:
+        """Return (X, Y, chord tangent) at arc length s, clamped to the span."""
+        nodes, chords, _, tangent, grid = self._chords
+        s = min(max(s, grid[0]), grid[-1])
+        i = max(int(np.searchsorted(grid, s)) - 1, 0)
+        t = (s - grid[i]) / (grid[i + 1] - grid[i])
+        x, y = nodes[i] + t * chords[i]
+        return float(x), float(y), float(tangent[i])
+
+    def project(self, X: float, Y: float, s_hint: float) -> tuple[float, float, float]:
+        """Nearest foot over all chords, the first on a tie, whatever
+        ``s_hint``; returns (s, e, chord tangent), e positive to the left.
+        A foot at fraction t of the chord from node i is at
+        ``s[i] + t (s[i+1] - s[i])``."""
+        nodes, chords, len2, tangent, grid = self._chords
+        p = np.array([X, Y])
+        t = np.clip(((p - nodes[:-1]) * chords).sum(axis=1) / len2, 0.0, 1.0)
+        feet = nodes[:-1] + t[:, None] * chords
+        i = int(np.argmin(((p - feet) ** 2).sum(axis=1)))
+        s = float(grid[i] + t[i] * (grid[i + 1] - grid[i]))
+        tang = float(tangent[i])
+        dx, dy = p - feet[i]
+        return s, float(-math.sin(tang) * dx + math.cos(tang) * dy), tang
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,17 @@ THETA0 = 30.0
 ARC = 300.0
 
 
+def assert_transition_projects_back(plan):
+    """``project`` gives back the s of every point ``sample`` places on the
+    transition, so the closed loop measures its progress on the transition
+    by the plan's own distance."""
+    for s in np.linspace(plan.s_break1, plan.s_break2, 401):
+        st = plan.sample(float(s))[0]
+        s2, e, _ = plan.project(st.X, st.Y, float(s))
+        assert s2 == pytest.approx(s, abs=1e-9)
+        assert e == pytest.approx(0.0, abs=1e-9)
+
+
 @pytest.fixture(scope="session")
 def params():
     return default_params()

@@ -16,9 +16,11 @@ from thermaldrift.control import build_schedule, linearize_stack
 from thermaldrift.figure8 import Figure8Plan
 from thermaldrift.limits import default_limits
 from thermaldrift.params import default_params, save_params
-from thermaldrift.sim import pole_trace, run
-from thermaldrift.trajopt import (_IPM_MAX_ITER, PlannerConfig,
+from thermaldrift.sim import PoleTrace, pole_trace, run
+from thermaldrift.trajopt import (IX, _IPM_MAX_ITER, PlannerConfig,
                                   load_planner_config)
+
+from conftest import assert_transition_projects_back
 
 
 def test_plan_steady_writes_outputs(tmp_path):
@@ -231,6 +233,27 @@ def test_plan_s_off_grid_is_config_error(tmp_path, capsys):
     edit_cell(out / "trajectory.csv", 3, "s", "0.8")
     assert main(["simulate", "--out", str(out)]) == 1
     assert ("trajectory.csv: column s is off its ds grid of 0.25 m"
+            in capsys.readouterr().err)
+    assert not list(out.glob("sim_*.csv"))
+
+
+def test_transition_repeated_position_is_config_error(tmp_path, capsys,
+                                                      figure8_plan):
+    """A transition file with two consecutive rows at the same X and Y has
+    a zero-length chord in its centerline: a configuration error naming
+    the file, and no run writes a result."""
+    out = tmp_path / "out"
+    out.mkdir()
+    plan = figure8_plan
+    states = plan.transition.states.copy()
+    states[6, [IX.X, IX.Y]] = states[5, [IX.X, IX.Y]]
+    csvio.save_quasi_steady(plan.steady1, out / "trajectory_steady1.csv")
+    csvio.save_dynamic(replace(plan.transition, states=states),
+                       out / "trajectory_transition.csv")
+    csvio.save_quasi_steady(plan.steady2, out / "trajectory_steady2.csv")
+    csvio.save_gains(plan.schedule, out / "gains.csv")
+    assert main(["simulate", "--out", str(out)]) == 1
+    assert ("trajectory_transition.csv: two consecutive rows share X and Y"
             in capsys.readouterr().err)
     assert not list(out.glob("sim_*.csv"))
 
@@ -509,6 +532,9 @@ def test_plan_figure8(tmp_path, request, arc):
     assert float(summary["terminal_residual"]) < 1e-6
     transition = csvio.load_dynamic(out / "trajectory_transition.csv")
     assert transition.n_outer < _IPM_MAX_ITER
+    assert_transition_projects_back(Figure8Plan(
+        csvio.load_quasi_steady(out / "trajectory_steady1.csv"), transition,
+        csvio.load_quasi_steady(out / "trajectory_steady2.csv")))
     if arc:
         # the conftest plan is the same 10 m course, planned in-process
         plan = request.getfixturevalue("figure8_plan")
@@ -545,6 +571,21 @@ def test_simulate_figure8_plan(tmp_path, monkeypatch, capsys):
     assert (out / "report.txt").read_text().splitlines()[-3:] == [
         f"{label:<11} max|e| {e[mask].max():6.3f} m"
         for label, mask in segments]
+    # the pole cloud of each segment, from the whole course's trace
+    trace = csvio.load_poles(out / "poles_figure8.csv")
+    on = np.array([plan._segment(k) for k in trace.s_knots.tolist()])
+    clouds = [PoleTrace(trace.s_knots[on == i], trace.poles[on == i])
+              for i in range(3)]
+    assert (out / "report.txt").read_text().splitlines()[-6:-3] == [
+        f"poles {label:<10} diameter {cloud.cloud_diameter:8.3f}  "
+        f"spectral abscissa {cloud.spectral_abscissa:+.3f}"
+        for (label, _), cloud in zip(segments, clouds)]
+    # the closed loop measures the transition by the plan's own distance,
+    # so the recorded s does not jump where circle 2 takes over
+    assert_transition_projects_back(plan)
+    steps = np.diff(s)
+    k = np.searchsorted(s, plan.s_break2)
+    assert steps[k - 4:k + 3].max() <= 1.1 * np.median(steps)
     reloaded = Figure8Plan(
         csvio.load_quasi_steady(out / "trajectory_steady1.csv"),
         csvio.load_dynamic(out / "trajectory_transition.csv"),

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from thermaldrift.paths import CirclePath, PolylinePath, wrap_angle
-from thermaldrift.trajopt import IX
+from thermaldrift.paths import CirclePath, wrap_angle
+from thermaldrift.trajopt import IX, DynamicTrajectory
+
+from conftest import assert_transition_projects_back
 
 
 def test_wrap_angle():
@@ -41,24 +43,46 @@ def test_circle_multilap_unwrap():
     assert s == pytest.approx(L + 3.0, abs=1e-9)
 
 
+def _straight_transition(nodes, s):
+    """A DynamicTrajectory through hand-made positions at distances s."""
+    states = np.zeros((len(s), IX.n))
+    states[:, [IX.X, IX.Y]] = nodes
+    states[:, IX.s] = s
+    return DynamicTrajectory(t=np.arange(len(s), dtype=float), states=states,
+                             inputs=np.zeros((len(s) - 1, 2)), h=1.0, J=0.0,
+                             input_cost=0.0, distance_cost=0.0,
+                             terminal_residual=0.0, max_defect=0.0, n_outer=0)
+
+
 def test_polyline_straight_segment():
-    pts = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]])
-    p = PolylinePath(pts)
-    assert p.length == pytest.approx(20.0)
-    s, e, phi = p.project(5.0, 0.3, s_hint=4.0)
-    assert s == pytest.approx(5.0)
-    assert e == pytest.approx(0.3)
-    assert phi == pytest.approx(0.0)
-    x, y, phi = p.pose(15.0)
+    """A transition is its own centerline, a polyline whose chords between
+    the nodes are keyed by the nodes' s, not by their lengths: a 10 m chord
+    spans 12 m of s here, the next one 6 m."""
+    tr = _straight_transition([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]],
+                              [2.0, 14.0, 20.0])
+    s, e, phi = tr.project(5.0, 0.3, s_hint=0.0)
+    assert (s, e, phi) == (pytest.approx(8.0), pytest.approx(0.3), 0.0)
+    assert tr.project(5.0, -0.3, s_hint=0.0)[1] == pytest.approx(-0.3)
+    # heading +Y, so +X lies to the right
+    s, e, phi = tr.project(10.2, 5.0, s_hint=0.0)
+    assert s == pytest.approx(17.0)
+    assert e == pytest.approx(-0.2)
+    assert phi == pytest.approx(math.pi / 2.0)
+    x, y, phi = tr.pose(17.0)
     assert (x, y) == (pytest.approx(10.0), pytest.approx(5.0))
     assert phi == pytest.approx(math.pi / 2.0)
+    # both ends clamp: feet and poses stay on the first and last chord
+    assert tr.project(-3.0, 1.0, s_hint=0.0) == (2.0, 1.0, 0.0)
+    assert tr.project(10.0, 14.0, s_hint=0.0)[0] == 20.0
+    assert tr.pose(-5.0) == (0.0, 0.0, 0.0)
+    assert tr.pose(30.0)[:2] == (10.0, 10.0)
 
 
 def test_figure8_course_projection(figure8_plan):
     """The figure-8 plan is its own centerline: points that ``sample``
-    places on either circle project back to their s, points on the
-    transition project onto its polyline, and both breaks belong to the
-    transition for ``sample`` and ``project`` alike."""
+    places on either circle project back to their s, the transition's nodes
+    and every point between them to their planned distance, and both
+    breaks belong to the transition for ``sample`` and ``project`` alike."""
     plan = figure8_plan
     assert plan.path() is plan
     for s in np.concatenate([np.linspace(0.0, plan.s_break1, 9)[:-1],
@@ -68,16 +92,12 @@ def test_figure8_course_projection(figure8_plan):
         assert s2 == pytest.approx(s, abs=1e-6)
         assert e == pytest.approx(0.0, abs=1e-6)
 
-    # the polyline's arc length is the sum of its chords from s_break1; it
-    # falls short of the planned distance transition.s (by 1.5 mm at
-    # s_break2 on this plan), so the closed loop's s lags the plan's there
     pts = plan.transition.states[:, [IX.X, IX.Y]]
-    chord_s = plan.s_break1 + np.concatenate(
-        [[0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))])
     for k in range(0, len(pts), 7):
         s2, e, _ = plan.project(*pts[k], float(plan.transition.s[k]))
-        assert s2 == pytest.approx(chord_s[k], abs=1e-6)
-        assert e == pytest.approx(0.0, abs=1e-6)
+        assert s2 == pytest.approx(plan.transition.s[k], abs=1e-9)
+        assert e == pytest.approx(0.0, abs=1e-9)
+    assert_transition_projects_back(plan)
 
     for s_break in (plan.s_break1, plan.s_break2):
         assert plan._segment(s_break) == 1
