@@ -15,7 +15,7 @@ import numpy as np
 
 from . import csvio
 from ._fork import WorkerExitError, fork_map
-from .control import build_schedule, linearize_stack
+from .control import build_schedule, linearize_stack, schedule_knots
 from .equilibrium import (
     check_arc,
     check_radius,
@@ -207,6 +207,7 @@ def cmd_simulate(args) -> int:
                           "plan-figure8")
     if steady:
         ref = csvio.load_quasi_steady(out / "trajectory.csv")
+        gains = csvio.load_gains(out / "gains.csv")
     elif args.scenario == "steady-compare":
         raise ConfigError(f"{out} holds a figure-8 plan; --scenario "
                           "steady-compare needs a plan-steady plan")
@@ -216,6 +217,12 @@ def cmd_simulate(args) -> int:
             csvio.load_dynamic(out / "trajectory_transition.csv"),
             csvio.load_quasi_steady(out / "trajectory_steady2.csv"),
             csvio.load_gains(out / "gains.csv"))
+        gains = ref.schedule
+    knots = schedule_knots(*ref.s_span())
+    if not np.array_equal(gains.s_knots, knots):
+        raise ConfigError(f"{out / 'gains.csv'}: the knots are not its "
+                          f"plan's {len(knots)}, from s = {knots[0]:g} to "
+                          f"{knots[-1]:g} m")
     # the plant starts at the plan's tread temperature, if it models one
     theta0 = args.theta0
     if theta0 is None:
@@ -223,7 +230,7 @@ def cmd_simulate(args) -> int:
                   else _THETA0)
     if steady:
         arc = float(ref.s[-1])
-        plans = [("matched", ref, csvio.load_gains(out / "gains.csv"))]
+        plans = [("matched", ref, gains)]
         if args.scenario == "steady-compare":
             for mu in (0.73, 0.8):
                 mtraj = quasi_steady_sweep(
@@ -251,10 +258,9 @@ def cmd_simulate(args) -> int:
         fork_map(save, names)
     except WorkerExitError as exc:
         raise SimulationError(f"{names[exc.index]}: {exc}") from None
-    # all schedules span the plan's arc on the same knots, and are judged
+    # all schedules span the plan's arc on its knots, and are judged
     # against one linearization of the plant at the operating points it
     # actually visits on the plan
-    knots = scenarios[0].schedule.s_knots
     plant_lin = linearize_stack(params, [ref.sample(float(s)) for s in knots])
     report = [comparison_table(results)]
     clouds = [(sc.name, pole_trace(sc.schedule, *plant_lin))

@@ -18,6 +18,7 @@ import numpy as np
 import scipy
 
 from .errors import ScheduleError, SolverError
+from .integrate import central_differences
 from .model import (
     ControlInput,
     VehicleState,
@@ -36,6 +37,7 @@ __all__ = [
     "lqr_gain",
     "lqr_gains",
     "build_schedule",
+    "schedule_knots",
     "nearest_knot",
     "spectral_abscissa",
     "REF_STATE_FIELDS",
@@ -52,10 +54,6 @@ _KNOT_SPACING = 0.25
 #: column layout of a reference-state row in schedules and CSV files
 REF_STATE_FIELDS = ("Vx", "Vy", "r", "omega", "dFz", "theta_r",
                     "e", "s", "dpsi", "X", "Y", "psi")
-
-
-def _fd_step(value: float) -> float:
-    return 1e-6 * max(1.0, abs(value))
 
 
 def linearize(params: ParamSet, state: VehicleState, inp: ControlInput,
@@ -75,21 +73,14 @@ def linearize(params: ParamSet, state: VehicleState, inp: ControlInput,
     psi, dFz, theta = float(state.psi), float(state.dFz), float(state.theta_r)
     point = [float(v) for v in (state.Vx, state.Vy, state.r, state.omega,
                                 inp.delta, inp.Fxf, inp.tau)]
+
+    def body_rates(Vx, Vy, r, omega, delta, Fxf, tau):
+        return scalar_rates(params, Vx, Vy, r, psi, omega, dFz, theta,
+                            delta, Fxf, tau)[:4]
+
     # body rows by column: the 4 body rates' central differences in each of
     # the 7 variables [Vx, Vy, r, omega, delta, Fxf, tau]
-    columns = []
-    for j, value in enumerate(point):
-        h = _fd_step(value)
-        plus, minus = list(point), list(point)
-        plus[j] += h
-        minus[j] -= h
-        Vx, Vy, r, omega, delta, Fxf, tau = plus
-        rp = scalar_rates(params, Vx, Vy, r, psi, omega, dFz, theta,
-                          delta, Fxf, tau)
-        Vx, Vy, r, omega, delta, Fxf, tau = minus
-        rm = scalar_rates(params, Vx, Vy, r, psi, omega, dFz, theta,
-                          delta, Fxf, tau)
-        columns.append([(rp[i] - rm[i]) / (2.0 * h) for i in range(4)])
+    columns = central_differences(body_rates, point)
 
     # analytic path rows, evaluated at e_ref = 0
     S, C = math.sin(state.dpsi), math.cos(state.dpsi)
@@ -255,6 +246,13 @@ def _linearization_key(st: VehicleState, u: ControlInput,
                      st.dpsi, kappa, u.delta, u.Fxf, u.tau]).tobytes()
 
 
+def schedule_knots(s_lo: float, s_hi: float) -> np.ndarray:
+    """The gain-schedule knots over the arc [s_lo, s_hi]: every 0.25 m from
+    ``s_lo``, the last at or just below ``s_hi``."""
+    n = max(int(math.floor((s_hi - s_lo) / _KNOT_SPACING + 1e-9)) + 1, 1)
+    return s_lo + _KNOT_SPACING * np.arange(n)
+
+
 def build_schedule(params: ParamSet, traj) -> GainSchedule:
     """Linearize and solve the LQR problem (weights :data:`LQR_Q` and
     :data:`LQR_R`) at every 0.25 m of arc length.
@@ -267,10 +265,8 @@ def build_schedule(params: ParamSet, traj) -> GainSchedule:
     a point that fails its checks there is solved again by
     :func:`lqr_gain`.
     """
-    s_lo, s_hi = traj.s_span()
-    n = max(int(math.floor((s_hi - s_lo) / _KNOT_SPACING + 1e-9)) + 1, 1)
-    knots = s_lo + _KNOT_SPACING * np.arange(n)
-
+    knots = schedule_knots(*traj.s_span())
+    n = len(knots)
     points = [traj.sample(float(s)) for s in knots]
     point_of = {}                       # linearization key -> point index
     first = []                          # first knot at each distinct point

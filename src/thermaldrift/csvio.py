@@ -6,10 +6,13 @@ lines ahead of the header row.
 
 Each file kind's layout is stated once, as a tuple of its columns and a
 tuple of its float metadata keys; its writer and its reader both follow
-those tuples.  A metadata value must be a finite number (``n_outer`` a whole
-number, ``thermal`` 0 or 1), or the file is a configuration error, as is a
-plan the planner would refuse: a bad radius, sideslip or ``ds``, an ``s``
-column off its ``ds`` grid or not strictly increasing, or a repeated X, Y.
+those tuples.  The transition's state columns are ``trajopt.IX.names``.  A
+metadata value must be a finite number (``n_outer`` a whole number,
+``thermal`` 0 or 1), or the file is a configuration error, as is a plan the
+planner would refuse or never write: a bad radius, sideslip or ``ds``, an
+``s`` column off its ``ds`` grid or not strictly increasing, a repeated
+X, Y, or fewer rows than the shortest plan (2 for a sweep, 3 for a
+transition).
 
 The writer formats a few hundred rows at a time.  Down each column of such a
 block it calls ``repr`` once per run of bit-equal cells (a reference column
@@ -44,9 +47,7 @@ _QS_EQ = ("r", "omega", "dFz", "delta", "tau", "mu_r", "residual_norm")
 _QS_COLUMNS = ("s", "t", "theta", "Q") + _QS_EQ
 _QS_META = ("radius", "beta_target", "ds")
 
-_DYN_STATE_COLUMNS = ("Vx", "Vy", "r", "psi", "omega", "dFz", "X", "Y",
-                      "delta", "tau", "theta", "s")
-_DYN_COLUMNS = ("t",) + _DYN_STATE_COLUMNS + ("ddelta", "dtau")
+_DYN_COLUMNS = ("t",) + IX.names + ("ddelta", "dtau")
 _DYN_META = ("h", "J", "input_cost", "distance_cost", "terminal_residual",
              "max_defect")
 
@@ -97,7 +98,7 @@ def _write(path, columns, rows, kind, meta=None):
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _read(path, columns, kind):
+def _read(path, columns, kind, min_rows=1):
     meta = {}
     rows = []
     header = None
@@ -133,6 +134,9 @@ def _read(path, columns, kind):
         raise ConfigError(f"{path}: missing header row")
     if not rows:
         raise ConfigError(f"{path}: no data rows after the header")
+    if len(rows) < min_rows:
+        raise ConfigError(f"{path}: the planner writes at least {min_rows} "
+                          f"data rows, this file holds {len(rows)}")
     data = np.array(rows, dtype=float)
     finite = np.isfinite(data)
     if not finite.all():
@@ -179,7 +183,8 @@ def save_quasi_steady(traj: QuasiSteadyTrajectory, path) -> None:
 
 
 def load_quasi_steady(path) -> QuasiSteadyTrajectory:
-    meta, data = _read(path, _QS_COLUMNS, "quasi_steady")
+    # the shortest sweep (check_arc) is one step long
+    meta, data = _read(path, _QS_COLUMNS, "quasi_steady", min_rows=2)
     radius, beta = (_meta_float(meta, key, path) for key in _QS_META[:2])
     for value, check in ((radius, check_radius), (beta, check_sideslip)):
         try:
@@ -220,7 +225,8 @@ def save_dynamic(traj: DynamicTrajectory, path) -> None:
 
 
 def load_dynamic(path) -> DynamicTrajectory:
-    meta, data = _read(path, _DYN_COLUMNS, "dynamic")
+    # the fewest steps PlannerConfig allows is 2
+    meta, data = _read(path, _DYN_COLUMNS, "dynamic", min_rows=3)
     if np.any(np.diff(data[:, _DYN_COLUMNS.index("s")]) <= 0.0):
         raise ConfigError(f"{path}: column s must be strictly increasing")
     xy = data[:, [_DYN_COLUMNS.index("X"), _DYN_COLUMNS.index("Y")]]

@@ -20,6 +20,7 @@ from .errors import (
     InfeasibleError,
     ModelDomainError,
 )
+from .integrate import central_differences
 from .limits import ActuatorLimits, default_limits
 from .model import (
     VELOCITY_FLOOR,
@@ -143,8 +144,7 @@ def find_equilibrium(params: ParamSet, radius: float, beta_target: float,
     # taken once per solve
     cos_b, sin_b = math.cos(beta_target), math.sin(beta_target)
 
-    def residual(z):
-        r, omega, dFz, delta, tau = z.tolist()
+    def residual(r, omega, dFz, delta, tau):
         V = r * radius
         if V < VELOCITY_FLOOR:
             return None
@@ -156,7 +156,7 @@ def find_equilibrium(params: ParamSet, radius: float, beta_target: float,
 
     z = np.asarray(guess, dtype=float).copy() if guess is not None \
         else _default_guess(radius, params)
-    res = residual(z)
+    res = residual(*z.tolist())
     if res is None:
         raise ValueError("initial guess is outside the model's domain")
     norm = float(np.linalg.norm(res))
@@ -164,39 +164,26 @@ def find_equilibrium(params: ParamSet, radius: float, beta_target: float,
     for _ in range(_MAX_ITER):
         if norm < _TOL_RESIDUAL:
             break
-        # central-difference Jacobian, step scaled per unknown
-        J = np.empty((5, 5))
-        ok = True
-        for i in range(5):
-            h = 1e-6 * max(1.0, abs(z[i]))
-            zp, zm = z.copy(), z.copy()
-            zp[i] += h
-            zm[i] -= h
-            rp, rm = residual(zp), residual(zm)
-            if rp is None or rm is None:
-                ok = False
-                break
-            J[:, i] = (rp - rm) / (2.0 * h)
-        if not ok:
+        columns = central_differences(residual, z.tolist())
+        if columns is None:
             raise ConvergenceError("Jacobian evaluation left the model domain")
+        J = np.array(columns).T
         try:
             step = np.linalg.solve(J, -res)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(J, -res, rcond=None)
         # backtracking line search on the residual norm
         alpha = 1.0
-        accepted = False
         while alpha > 1e-6:
             z_trial = z + alpha * step
-            res_trial = residual(z_trial)
+            res_trial = residual(*z_trial.tolist())
             if res_trial is not None:
                 norm_trial = float(np.linalg.norm(res_trial))
                 if norm_trial < (1.0 - 1e-4 * alpha) * norm:
                     z, res, norm = z_trial, res_trial, norm_trial
-                    accepted = True
                     break
             alpha *= 0.5
-        if not accepted:
+        else:  # no step length decreased the residual norm
             break
         if float(np.linalg.norm(alpha * step)) < _TOL_STEP:
             break

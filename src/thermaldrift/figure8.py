@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .control import GainSchedule, build_schedule
 from .equilibrium import QuasiSteadyTrajectory, find_equilibrium, quasi_steady_sweep
 from .model import VehicleState
@@ -30,6 +28,7 @@ from .trajopt import (
     DynamicTrajectory,
     PlannerConfig,
     TransitionProblem,
+    extended_state,
     initial_guess,
     solve_transition,
 )
@@ -162,8 +161,7 @@ def plan_figure8(params: ParamSet, radius: float = 15.0,
     steady1 = quasi_steady_sweep(params, radius, beta, theta0, arc,
                                  limits=limits)
     st, inp, _ = steady1.sample(arc)
-    x_initial = np.array([st.Vx, st.Vy, st.r, st.psi, st.omega, st.dFz,
-                          st.X, st.Y, inp.delta, inp.tau, st.theta_r, st.s])
+    x_initial = extended_state(st, inp)
 
     beta2 = -beta
     radius2 = -radius
@@ -173,13 +171,7 @@ def plan_figure8(params: ParamSet, radius: float = 15.0,
         **vars(planner))
     eq_target = find_equilibrium(params, radius2, beta2, st.theta_r,
                                  limits=limits)
-    x_target = x_initial.copy()
-    x_target[IX.Vx] = eq_target.V * math.cos(beta2)
-    x_target[IX.Vy] = eq_target.V * math.sin(beta2)
-    for j, v in ((IX.r, eq_target.r), (IX.omega, eq_target.omega),
-                 (IX.dFz, eq_target.dFz), (IX.delta, eq_target.delta),
-                 (IX.tau, eq_target.tau)):
-        x_target[j] = v
+    x_target = extended_state(eq_target.state(), eq_target.input())
     transition = solve_transition(problem, initial_guess(problem, x_target))
 
     theta2 = float(transition.states[-1, IX.theta])

@@ -62,6 +62,7 @@ __all__ = [
     "DynamicTrajectory",
     "PlannerConfig",
     "extended_rates",
+    "extended_state",
     "rk4_step",
     "solve_transition",
     "initial_guess",
@@ -72,10 +73,19 @@ _log = logging.getLogger(__name__)
 
 
 class IX:
-    """Index map of the extended dynamic state vector."""
+    """Index map of the extended state; ``names`` lists it in index order."""
 
+    names = ("Vx", "Vy", "r", "psi", "omega", "dFz", "X", "Y",
+             "delta", "tau", "theta", "s")
     Vx, Vy, r, psi, omega, dFz, X, Y, delta, tau, theta, s = range(12)
-    n = 12
+    n = len(names)
+
+
+def extended_state(state: VehicleState, inp: ControlInput) -> np.ndarray:
+    """``state`` and its inputs ``inp`` packed in IX order."""
+    return np.array([state.Vx, state.Vy, state.r, state.psi, state.omega,
+                     state.dFz, state.X, state.Y, inp.delta, inp.tau,
+                     state.theta_r, state.s])
 
 
 #: characteristic magnitudes used to scale the decision variables

@@ -15,8 +15,8 @@ from thermaldrift.params import default_params
 from thermaldrift.paths import CirclePath
 from thermaldrift.sim import Scenario, compare
 from thermaldrift.trajopt import (
-    IX,
     TransitionProblem,
+    extended_state,
     initial_guess,
     solve_transition,
 )
@@ -51,20 +51,14 @@ def eq_nominal(params):
 
 def make_transition_problem(params, k_s=200.0):
     eq1 = find_equilibrium(params, RADIUS, BETA, THETA0)
-    st = eq1.state(psi=-eq1.beta, X=0.0, Y=0.0, s=0.0)
-    x0 = np.array([st.Vx, st.Vy, st.r, st.psi, st.omega, st.dFz, st.X, st.Y,
-                   eq1.delta, eq1.tau, THETA0, 0.0])
+    x0 = extended_state(eq1.state(psi=-eq1.beta, X=0.0, Y=0.0, s=0.0),
+                        eq1.input())
     problem = TransitionProblem(
         params=params, x_initial=x0, kappa_final=-1.0 / RADIUS,
         beta_final=-BETA, k_s=k_s,
         y_center_target=CirclePath(RADIUS).center[1])
     eq2 = find_equilibrium(params, -RADIUS, -BETA, THETA0)
-    x_target = x0.copy()
-    x_target[IX.Vx] = eq2.V * math.cos(eq2.beta)
-    x_target[IX.Vy] = eq2.V * math.sin(eq2.beta)
-    for j, v in ((IX.r, eq2.r), (IX.omega, eq2.omega), (IX.dFz, eq2.dFz),
-                 (IX.delta, eq2.delta), (IX.tau, eq2.tau)):
-        x_target[j] = v
+    x_target = extended_state(eq2.state(), eq2.input())
     return problem, x_target
 
 

@@ -1,12 +1,14 @@
-"""Plain-loop forms of the closed loop, the linearization, the pole
-matching and the pole-cloud diameter: the oracles their float-only and
-numpy forms in the package are pinned to, with ``==``.
+"""Plain-loop forms of the closed loop, the linearization, the Newton
+Jacobian, the pole matching and the pole-cloud diameter: the oracles their
+float-only and numpy forms in the package are pinned to, with ``==``.
 
 * :func:`run` steps the closed loop with the schedule indexed at
   ``control.nearest_knot``, a :class:`ControlInput` per step and
   :func:`rk4_floats` over :func:`plant_rates`;
 * :func:`linearize` takes each finite-difference column as an ndarray
   difference of two ndarray rate vectors;
+* :func:`newton_jacobian` takes ``find_equilibrium``'s Jacobian with
+  ndarray unknowns stepped in place, a column assigned per unknown;
 * :func:`match` scans the remaining eigenvalues with ``abs`` for every
   trace;
 * :func:`cloud_diameter` takes each trace's whole (n, n) matrix of
@@ -17,8 +19,9 @@ import math
 
 import numpy as np
 
-from thermaldrift.control import _fd_step, nearest_knot
+from thermaldrift.control import nearest_knot
 from thermaldrift.errors import ModelDomainError
+from thermaldrift.integrate import _fd_step
 from thermaldrift.model import ControlInput, friction_coefficient, scalar_rates
 from thermaldrift.paths import wrap_angle
 from thermaldrift.sim import (
@@ -163,6 +166,24 @@ def linearize(params, state, inp, kappa):
             kappa * (Vx * S + Vy * C), -kappa * kappa * (Vx * C - Vy * S)]
     A[5] = [S, C, 0.0, 0.0, Vx * C - Vy * S, 0.0]
     return A, B
+
+
+def newton_jacobian(residual, z):
+    """The central-difference Jacobian of ``residual`` (an ndarray of
+    unknowns to an ndarray, or None outside its domain) at ``z``, with the
+    step written inline; None if a stencil point leaves the domain."""
+    n = len(z)
+    J = np.empty((n, n))
+    for i in range(n):
+        h = 1e-6 * max(1.0, abs(z[i]))
+        zp, zm = z.copy(), z.copy()
+        zp[i] += h
+        zm[i] -= h
+        rp, rm = residual(zp), residual(zm)
+        if rp is None or rm is None:
+            return None
+        J[:, i] = (rp - rm) / (2.0 * h)
+    return J
 
 
 def match(prev, eig):

@@ -237,24 +237,86 @@ def test_plan_s_off_grid_is_config_error(tmp_path, capsys):
     assert not list(out.glob("sim_*.csv"))
 
 
+def save_figure8(out, plan):
+    """Write ``plan``'s files as plan-figure8 does, into the new ``out``."""
+    out.mkdir()
+    csvio.save_quasi_steady(plan.steady1, out / "trajectory_steady1.csv")
+    csvio.save_dynamic(plan.transition, out / "trajectory_transition.csv")
+    csvio.save_quasi_steady(plan.steady2, out / "trajectory_steady2.csv")
+    csvio.save_gains(plan.schedule, out / "gains.csv")
+
+
+def keep_rows(path, n):
+    """Cut the CSV file ``path`` to its first ``n`` data rows."""
+    lines = path.read_text().splitlines(True)
+    header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    path.write_text("".join(lines[:header + 1 + n]))
+
+
 def test_transition_repeated_position_is_config_error(tmp_path, capsys,
                                                       figure8_plan):
     """A transition file with two consecutive rows at the same X and Y has
     a zero-length chord in its centerline: a configuration error naming
     the file, and no run writes a result."""
     out = tmp_path / "out"
-    out.mkdir()
     plan = figure8_plan
     states = plan.transition.states.copy()
     states[6, [IX.X, IX.Y]] = states[5, [IX.X, IX.Y]]
-    csvio.save_quasi_steady(plan.steady1, out / "trajectory_steady1.csv")
-    csvio.save_dynamic(replace(plan.transition, states=states),
-                       out / "trajectory_transition.csv")
-    csvio.save_quasi_steady(plan.steady2, out / "trajectory_steady2.csv")
-    csvio.save_gains(plan.schedule, out / "gains.csv")
+    save_figure8(out, replace(plan, transition=replace(plan.transition,
+                                                       states=states)))
     assert main(["simulate", "--out", str(out)]) == 1
     assert ("trajectory_transition.csv: two consecutive rows share X and Y"
             in capsys.readouterr().err)
+    assert not list(out.glob("sim_*.csv"))
+
+
+def test_steady_plan_of_one_row_is_config_error(tmp_path, capsys):
+    """A trajectory.csv of one row is shorter than the one step of the
+    shortest sweep: a configuration error naming the file."""
+    out = tmp_path / "out"
+    assert main(["plan-steady", "--out", str(out), "--arc", "5"]) == 0
+    keep_rows(out / "trajectory.csv", 1)
+    assert main(["simulate", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out / 'trajectory.csv'}: the planner writes at least 2 "
+        "data rows, this file holds 1\n")
+    assert not list(out.glob("sim_*.csv"))
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_transition_shorter_than_two_steps_is_config_error(
+        tmp_path, capsys, figure8_plan, rows):
+    """A trajectory_transition.csv of fewer than the 3 rows of the
+    planner's shortest transition (N = 2) is a configuration error naming
+    the file."""
+    out = tmp_path / "out"
+    save_figure8(out, figure8_plan)
+    keep_rows(out / "trajectory_transition.csv", rows)
+    assert main(["simulate", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out / 'trajectory_transition.csv'}: the planner writes at "
+        f"least 3 data rows, this file holds {rows}\n")
+    assert not list(out.glob("sim_*.csv"))
+
+
+@pytest.mark.parametrize("cut", [True, False],
+                         ids=["first_10_knots", "arc_10_gains"])
+def test_gains_off_the_plan_knots_is_config_error(tmp_path, capsys, cut):
+    """A gains.csv cut to its first 10 knots, or planned over a longer arc,
+    is not its plan's schedule: a configuration error naming gains.csv, and
+    no run writes a result."""
+    out = tmp_path / "out"
+    assert main(["plan-steady", "--out", str(out), "--arc", "5"]) == 0
+    if cut:
+        keep_rows(out / "gains.csv", 10)
+    else:
+        other = tmp_path / "other"
+        assert main(["plan-steady", "--out", str(other), "--arc", "10"]) == 0
+        shutil.copy(other / "gains.csv", out / "gains.csv")
+    assert main(["simulate", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out / 'gains.csv'}: the knots are not its plan's 21, from "
+        "s = 0 to 5 m\n")
     assert not list(out.glob("sim_*.csv"))
 
 

@@ -58,8 +58,9 @@ def test_dynamic_round_trip(tmp_path):
 
 
 def test_dynamic_state_columns_follow_ix():
-    assert [getattr(IX, name) for name in csvio._DYN_STATE_COLUMNS] \
-        == list(range(IX.n))
+    """IX.names, the transition file's state columns, lists the components
+    in index order."""
+    assert [getattr(IX, name) for name in IX.names] == list(range(IX.n))
 
 
 def test_gains_round_trip(tmp_path, params, small_sweep):

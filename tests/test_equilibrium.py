@@ -16,8 +16,10 @@ from thermaldrift.errors import (
     InfeasibleError,
     SolverError,
 )
+from thermaldrift.integrate import central_differences
 from thermaldrift.limits import default_limits
 
+import loop_oracle
 from conftest import BETA, RADIUS, THETA0
 from model_oracle import (
     heat_generation,
@@ -49,6 +51,38 @@ def test_residual_reevaluates(params, eq_nominal):
     assert np.linalg.norm(res) == pytest.approx(eq_nominal.residual_norm,
                                                 abs=1e-12)
     assert np.array_equal(res, state_residual(params, st, inp))
+
+
+def test_newton_jacobian_equals_loop_oracle(params):
+    """The float central differences give the ndarray loop's Newton
+    Jacobian bit for bit, at every node of a 20 m sweep."""
+    for eq in quasi_steady_sweep(params, RADIUS, BETA, THETA0,
+                                 20.0).equilibria:
+        cos_b, sin_b = math.cos(eq.beta), math.sin(eq.beta)
+
+        def residual(r, omega, dFz, delta, tau):
+            V = r * eq.radius
+            return dynamic_residual(params, V * cos_b, V * sin_b, r, omega,
+                                    dFz, eq.theta_r, delta, tau)
+
+        z = eq.unknowns()
+        J = np.array(central_differences(residual, z.tolist())).T
+        J0 = loop_oracle.newton_jacobian(lambda z: residual(*z.tolist()), z)
+        assert np.array_equal(J.view(np.uint64), J0.view(np.uint64))
+
+
+def test_central_differences_outside_domain():
+    """None at any stencil point (here only the minus step of x) gives
+    None, as the oracle does."""
+    def f(x, y):
+        return None if x < 1.0 else (x * y, y)
+
+    assert central_differences(f, [1.0, 2.0]) is None
+    assert loop_oracle.newton_jacobian(
+        lambda z: None if z[0] < 1.0 else np.array([z[0] * z[1], z[1]]),
+        np.array([1.0, 2.0])) is None
+    (dx, dy), (ex, ey) = central_differences(f, [2.0, 3.0])
+    assert (dx, dy, ex, ey) == pytest.approx((3.0, 0.0, 2.0, 1.0))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["R+15", "R-15"])

@@ -22,6 +22,7 @@ from thermaldrift.trajopt import (
     PlannerConfig,
     TransitionProblem,
     extended_rates,
+    extended_state,
     initial_guess,
     load_planner_config,
     rk4_step,
@@ -298,6 +299,14 @@ def test_transition_flips_direction(transition):
     assert x0[IX.r] * xN[IX.r] < 0.0
     assert beta0 * betaN < 0.0
     assert betaN == pytest.approx(-BETA, abs=1e-6)
+
+
+def test_extended_state_inverts_sample(transition):
+    """Packing what the transition samples at a node gives back that node's
+    extended state."""
+    _, traj, _ = transition
+    for s_k, x_k in zip(traj.s.tolist(), traj.states):
+        assert np.array_equal(extended_state(*traj.sample(s_k)[:2]), x_k)
 
 
 def test_transition_thermal_coupling(transition):
