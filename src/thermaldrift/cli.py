@@ -124,7 +124,17 @@ def _check_mu_const(mu: float, thermal: ThermalParams) -> None:
                           f"{t_hi:g} degC")
 
 
+def _check_out(out: Path, other: str, kind: str) -> None:
+    """--out must not hold a plan of the other kind (``other`` is its
+    trajectory file, ``kind`` the command that writes it): simulate takes a
+    directory that holds one plan."""
+    if (out / other).exists():
+        raise ConfigError(f"{out / other}: --out already holds a {kind} "
+                          "plan; plan into another directory")
+
+
 def cmd_plan_steady(args) -> int:
+    _check_out(args.out, "trajectory_transition.csv", "plan-figure8")
     _check_geometry(args)
     params, planner = _load_inputs(args)
     if args.mu_const is not None:
@@ -160,6 +170,7 @@ def cmd_plan_steady(args) -> int:
 
 
 def cmd_plan_figure8(args) -> int:
+    _check_out(args.out, "trajectory.csv", "plan-steady")
     _check_geometry(args)
     params, planner = _load_inputs(args)
     beta = math.radians(args.beta)
@@ -239,7 +250,7 @@ def cmd_simulate(args) -> int:
                 plans.append((f"mu{mu:g}", mtraj,
                               build_schedule(params, mtraj)))
         scenarios = [Scenario(
-            name=name, schedule=schedule, path=ref.circle, plant=params,
+            name=name, schedule=schedule, path=plan, plant=params,
             initial_state=plan.sample(0.0)[0].replace(theta_r=theta0),
             s_final=arc, limits=planner.limits)
             for name, plan, schedule in plans]

@@ -40,7 +40,6 @@ __all__ = [
     "schedule_knots",
     "nearest_knot",
     "spectral_abscissa",
-    "REF_STATE_FIELDS",
 ]
 
 _log = logging.getLogger(__name__)
@@ -50,10 +49,6 @@ _RESIDUAL_TOL = 1e-8
 
 #: arc-length distance between gain-schedule knots, m
 _KNOT_SPACING = 0.25
-
-#: column layout of a reference-state row in schedules and CSV files
-REF_STATE_FIELDS = ("Vx", "Vy", "r", "omega", "dFz", "theta_r",
-                    "e", "s", "dpsi", "X", "Y", "psi")
 
 
 def linearize(params: ParamSet, state: VehicleState, inp: ControlInput,
@@ -207,13 +202,11 @@ def lqr_gains(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
 
 @dataclass(frozen=True)
 class GainSchedule:
-    """Arc-length-indexed feedback gains with their reference points."""
+    """Arc-length-indexed feedback gains.  The reference point at each knot
+    is the plan's own ``sample(knot)``, which the schedule does not keep."""
 
     s_knots: np.ndarray     # (n,) strictly increasing
     K: np.ndarray           # (n, 3, 6)
-    ref_states: np.ndarray  # (n, 12), REF_STATE_FIELDS layout
-    ref_inputs: np.ndarray  # (n, 3) [delta, Fxf, tau]
-    kappa: np.ndarray       # (n,)
 
     def __post_init__(self):
         if len(self.s_knots) == 0:
@@ -295,10 +288,4 @@ def build_schedule(params: ParamSet, traj) -> GainSchedule:
                n, len(first), np.max(sol.residual, where=sol.ok, initial=0.0),
                np.max(sol.abscissa, where=sol.ok, initial=-np.inf),
                len(fallback))
-    return GainSchedule(
-        s_knots=knots, K=K[which],
-        ref_states=np.array([[getattr(st, name) for name in REF_STATE_FIELDS]
-                             for st, _, _ in points], dtype=float),
-        ref_inputs=np.array([[u.delta, u.Fxf, u.tau] for _, u, _ in points],
-                            dtype=float),
-        kappa=np.array([kappa for _, _, kappa in points], dtype=float))
+    return GainSchedule(s_knots=knots, K=K[which])

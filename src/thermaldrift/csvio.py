@@ -6,7 +6,9 @@ lines ahead of the header row.
 
 Each file kind's layout is stated once, as a tuple of its columns and a
 tuple of its float metadata keys; its writer and its reader both follow
-those tuples.  The transition's state columns are ``trajopt.IX.names``.  A
+those tuples.  The transition's state columns are ``trajopt.IX.names``.
+A gain schedule holds its knots ``s`` and its gains ``K00`` to ``K25``
+only: the reference at each knot is its plan's own ``sample``.  A
 metadata value must be a finite number (``n_outer`` a whole number,
 ``thermal`` 0 or 1), or the file is a configuration error, as is a plan the
 planner would refuse or never write: a bad radius, sideslip or ``ds``, an
@@ -26,7 +28,7 @@ import math
 
 import numpy as np
 
-from .control import REF_STATE_FIELDS, GainSchedule
+from .control import GainSchedule
 from .equilibrium import (DriftEquilibrium, QuasiSteadyTrajectory,
                           check_radius, check_sideslip)
 from .errors import ConfigError, ScheduleError
@@ -51,12 +53,8 @@ _DYN_COLUMNS = ("t",) + IX.names + ("ddelta", "dtau")
 _DYN_META = ("h", "J", "input_cost", "distance_cost", "terminal_residual",
              "max_defect")
 
-_GAIN_BLOCKS = (("s",),
-                tuple(f"K{i}{j}" for i in range(3) for j in range(6)),
-                tuple(f"ref_{name}" for name in REF_STATE_FIELDS),
-                ("ref_delta", "ref_Fxf", "ref_tau"),
-                ("kappa",))
-_GAIN_COLUMNS = sum(_GAIN_BLOCKS, ())
+_GAIN_COLUMNS = ("s",) + tuple(f"K{i}{j}" for i in range(3)
+                               for j in range(6))
 
 _SIM_META = ("max_abs_e", "rms_e", "max_abs_beta_err", "final_theta",
              "final_mu")
@@ -248,22 +246,14 @@ def load_dynamic(path) -> DynamicTrajectory:
 def save_gains(schedule: GainSchedule, path) -> None:
     _write(path, _GAIN_COLUMNS,
            np.column_stack([schedule.s_knots,
-                            schedule.K.reshape(len(schedule), -1),
-                            schedule.ref_states, schedule.ref_inputs,
-                            schedule.kappa]), "gains")
+                            schedule.K.reshape(len(schedule), -1)]), "gains")
 
 
 def load_gains(path) -> GainSchedule:
     _, data = _read(path, _GAIN_COLUMNS, "gains")
-    s, K, ref_states, ref_inputs, kappa = np.split(
-        data, np.cumsum([len(block) for block in _GAIN_BLOCKS[:-1]]), axis=1)
     try:
-        return GainSchedule(
-            s_knots=s[:, 0].copy(),
-            K=K.reshape(-1, 3, 6).copy(),
-            ref_states=ref_states.copy(),
-            ref_inputs=ref_inputs.copy(),
-            kappa=kappa[:, 0].copy())
+        return GainSchedule(s_knots=data[:, 0].copy(),
+                            K=data[:, 1:].reshape(-1, 3, 6).copy())
     except ScheduleError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

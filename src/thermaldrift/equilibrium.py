@@ -259,6 +259,10 @@ class QuasiSteadyTrajectory:
         state = eq.state(s=s, psi=phi - eq.beta, X=x, Y=y)
         return state, eq.input(), 1.0 / self.radius
 
+    def project(self, X: float, Y: float, s_hint: float) -> tuple[float, float, float]:
+        """Project onto ``circle``; returns (s, e, tangent angle)."""
+        return self.circle.project(X, Y, s_hint)
+
 
 def quasi_steady_sweep(params: ParamSet, radius: float, beta_target: float,
                        theta0: float, total_arc: float, *,

@@ -57,13 +57,16 @@ _FXF_MIN, _FXF_MAX = -8000.0, 0.0  # N
 class Scenario:
     """One closed-loop run: a schedule tracked on a (thermal) plant.
 
-    The schedule's feedback is clamped to ``limits`` (the front brake to
-    -8000 to 0 N); RK4 steps the plant at a fixed 1 ms, for 600 s at most.
+    ``path`` is the plan the schedule was designed along: the run projects
+    onto it (``project``) and takes the reference at each knot from its
+    ``sample``.  The schedule's feedback is clamped to ``limits`` (the front
+    brake to -8000 to 0 N); RK4 steps the plant at a fixed 1 ms, for 600 s
+    at most.
     """
 
     name: str
     schedule: GainSchedule
-    path: object                    # CirclePath or Figure8Plan: project()
+    path: object                    # the plan: sample() and project()
     plant: ParamSet
     initial_state: VehicleState
     s_final: float
@@ -135,7 +138,8 @@ def run(scenario: Scenario) -> SimResult:
     A sideslip error beyond 60 degrees or a model-domain failure terminates
     the run with a diagnostic partial result rather than an exception.
     The feedback at each step comes from the schedule's knot nearest the
-    projected arc length (:func:`~thermaldrift.control.nearest_knot`).
+    projected arc length (:func:`~thermaldrift.control.nearest_knot`), about
+    the plan's ``sample`` at that knot.
     """
     st = scenario.initial_state
     y = [float(v) for v in (st.Vx, st.Vy, st.r, st.psi, st.omega, st.dFz,
@@ -144,13 +148,19 @@ def run(scenario: Scenario) -> SimResult:
     plant = scenario.plant
     thp = plant.thermal
     lim = scenario.limits
-    # the schedule as Python values, read once per run
+    # the schedule, and the plan's reference at its knots, as Python
+    # values, read once per run
     sched = scenario.schedule
     knots = sched.s_knots.tolist()
     gains = list(sched.K)
-    ref_states = sched.ref_states.tolist()
-    ref_inputs = sched.ref_inputs.tolist()
-    ref_mus = [friction_coefficient(thp, ref_x[5]) for ref_x in ref_states]
+    refs = []
+    for knot in knots:
+        ref, ref_in, _ = scenario.path.sample(knot)
+        ref_x = [float(v) for v in (ref.Vx, ref.Vy, ref.r, ref.omega,
+                                    ref.dFz, ref.theta_r)]
+        ref_u = [float(v) for v in (ref_in.delta, ref_in.Fxf, ref_in.tau)]
+        refs.append((ref_x, float(ref.e), float(ref.dpsi), ref_u,
+                     friction_coefficient(thp, ref_x[5])))
     n_max = int(math.ceil(_T_MAX / h)) + 1
     rows = np.empty((n_max, len(SIM_COLUMNS)))
     n = 0
@@ -164,18 +174,17 @@ def run(scenario: Scenario) -> SimResult:
         s_hint = s
         dpsi = wrap_angle(psi - phi)
         k = nearest_knot(knots, s)
-        ref_x, ref_u = ref_states[k], ref_inputs[k]
+        ref_x, ref_e, ref_dpsi, ref_u, ref_mu = refs[k]
         # one numpy matmul: a Python dot sums in another order
         du = (gains[k] @ np.array([
             Vx - ref_x[0], Vy - ref_x[1], r - ref_x[2], omega - ref_x[3],
-            wrap_angle(dpsi - ref_x[8]), e - ref_x[6]])).tolist()
+            wrap_angle(dpsi - ref_dpsi), e - ref_e])).tolist()
         delta = min(max(ref_u[0] - du[0], lim.delta_min), lim.delta_max)
         Fxf = min(max(ref_u[1] - du[1], _FXF_MIN), _FXF_MAX)
         tau = min(max(ref_u[2] - du[2], lim.tau_min), lim.tau_max)
         mu = friction_coefficient(thp, theta)
         rows[n] = (t, s, e, dpsi, Vx, Vy, r, omega, dFz, theta, mu,
-                   delta, Fxf, tau, ref_x[6], ref_x[8], *ref_x[:6],
-                   ref_mus[k], *ref_u)
+                   delta, Fxf, tau, ref_e, ref_dpsi, *ref_x, ref_mu, *ref_u)
         n += 1
 
         beta = math.atan2(Vy, Vx)
@@ -249,8 +258,9 @@ def pole_trace(schedule: GainSchedule, A: np.ndarray,
     ``A`` and ``B`` are the plant linearized at the operating points it
     visits, one per schedule knot: the (n, 6, 6) and (n, 6, 3) stacks
     ``linearize_stack(params, [ref.sample(float(s)) for s in knots])`` of
-    :func:`~thermaldrift.control.linearize_stack` along a reference
-    ``ref``.  Linearizing along the schedule's own reference gives the
+    :func:`~thermaldrift.control.linearize_stack` along a plan ``ref``.
+    The schedule holds only its knots and gains, so the caller names the
+    plan: linearizing along the plan the schedule was designed on gives the
     matched spectra; linearizing along another plan lets two schedules be
     compared against the identical set of linearizations — the mismatch a
     constant-friction design experiences when the plant follows the thermal

@@ -99,14 +99,13 @@ def steady_schedules(params, steady_plans):
 
 @pytest.fixture(scope="session")
 def steady_scenarios(params, steady_plans, steady_schedules):
-    path = CirclePath(RADIUS)
+    """Each plan tracked along itself, as ``simulate`` tracks it."""
     return [
-        Scenario(name=name, schedule=steady_schedules[name], path=path,
+        Scenario(name=name, schedule=steady_schedules[name], path=plan,
                  plant=params,
-                 initial_state=steady_plans[name].sample(0.0)[0]
-                 .replace(theta_r=THETA0),
+                 initial_state=plan.sample(0.0)[0].replace(theta_r=THETA0),
                  s_final=ARC)
-        for name in steady_plans
+        for name, plan in steady_plans.items()
     ]
 
 

@@ -3,8 +3,9 @@ Jacobian, the pole matching and the pole-cloud diameter: the oracles their
 float-only and numpy forms in the package are pinned to, with ``==``.
 
 * :func:`run` steps the closed loop with the schedule indexed at
-  ``control.nearest_knot``, a :class:`ControlInput` per step and
-  :func:`rk4_floats` over :func:`plant_rates`;
+  ``control.nearest_knot``, the plan sampled at that knot on every step,
+  a :class:`ControlInput` per step and :func:`rk4_floats` over
+  :func:`plant_rates`;
 * :func:`linearize` takes each finite-difference column as an ndarray
   difference of two ndarray rate vectors;
 * :func:`newton_jacobian` takes ``find_equilibrium``'s Jacobian with
@@ -57,18 +58,24 @@ def rk4_floats(f, y, h, *args):
 
 
 def _control(scenario, y, e, s, dpsi):
+    """The clamped input at the knot nearest s, and the plan's reference
+    there: its six body states, e, dpsi and inputs, as Python floats."""
     sched = scenario.schedule
     i = nearest_knot(sched.s_knots, s)
     K = sched.K[i]
-    ref_x, ref_u = sched.ref_states[i].tolist(), sched.ref_inputs[i].tolist()
+    st, inp, _ = scenario.path.sample(float(sched.s_knots[i]))
+    ref_x = [float(getattr(st, name))
+             for name in ("Vx", "Vy", "r", "omega", "dFz", "theta_r")]
+    ref_e, ref_dpsi = float(st.e), float(st.dpsi)
+    ref_u = [float(inp.delta), float(inp.Fxf), float(inp.tau)]
     du = (K @ np.array([y[0] - ref_x[0], y[1] - ref_x[1], y[2] - ref_x[2],
-                        y[4] - ref_x[3], wrap_angle(dpsi - ref_x[8]),
-                        e - ref_x[6]])).tolist()
+                        y[4] - ref_x[3], wrap_angle(dpsi - ref_dpsi),
+                        e - ref_e])).tolist()
     lim = scenario.limits
     u = (min(max(ref_u[0] - du[0], lim.delta_min), lim.delta_max),
          min(max(ref_u[1] - du[1], _FXF_MIN), _FXF_MAX),
          min(max(ref_u[2] - du[2], lim.tau_min), lim.tau_max))
-    return u, ref_x, ref_u
+    return u, ref_x, ref_e, ref_dpsi, ref_u
 
 
 def run(scenario):
@@ -92,12 +99,12 @@ def run(scenario):
         s, e, phi = scenario.path.project(X, Y, s_hint)
         s_hint = s
         dpsi = wrap_angle(psi - phi)
-        u, ref_x, ref_u = _control(scenario, y, e, s, dpsi)
+        u, ref_x, ref_e, ref_dpsi, ref_u = _control(scenario, y, e, s, dpsi)
         inp = ControlInput(*u)
         mu = friction_coefficient(thp, theta)
         ref_mu = friction_coefficient(thp, ref_x[5])
         rows[n] = (t, s, e, dpsi, Vx, Vy, r, omega, dFz, theta, mu, *u,
-                   ref_x[6], ref_x[8], *ref_x[:6], ref_mu, *ref_u)
+                   ref_e, ref_dpsi, *ref_x, ref_mu, *ref_u)
         n += 1
 
         beta = math.atan2(Vy, Vx)

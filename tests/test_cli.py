@@ -344,6 +344,77 @@ def test_gains_without_rows_is_config_error(tmp_path, capsys):
     assert "gains.csv: no data rows" in capsys.readouterr().err
 
 
+def test_gains_with_reference_columns_is_config_error(tmp_path, capsys):
+    """A gains.csv in the former 35-column layout, which repeated the plan's
+    reference after the gains (12 ref_ states, 3 ref_ inputs and kappa), is
+    refused on its header like any other: a configuration error naming the
+    file, and no run writes a result."""
+    out = tmp_path / "out"
+    assert main(["plan-steady", "--out", str(out), "--arc", "5"]) == 0
+    plan = csvio.load_quasi_steady(out / "trajectory.csv")
+    gains = csvio.load_gains(out / "gains.csv")
+    states = ("Vx", "Vy", "r", "omega", "dFz", "theta_r", "e", "s", "dpsi",
+              "X", "Y", "psi")
+    columns = ("s", *(f"K{i}{j}" for i in range(3) for j in range(6)),
+               *(f"ref_{name}" for name in states),
+               "ref_delta", "ref_Fxf", "ref_tau", "kappa")
+    rows = []
+    for s, K in zip(gains.s_knots.tolist(), gains.K):
+        st, u, kappa = plan.sample(s)
+        rows.append([s, *K.ravel(), *(getattr(st, name) for name in states),
+                     u.delta, u.Fxf, u.tau, kappa])
+    assert len(columns) == len(rows[0]) == 35
+    csvio._write(out / "gains.csv", columns, rows, "gains")
+    assert main(["simulate", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'gains.csv'}:2: unexpected header "
+                          "('s', 'K00', ")
+    assert "'ref_Vx'" in err
+    assert not list(out.glob("sim_*.csv"))
+
+
+def _files(out):
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def _unsolved(*args, **kwargs):
+    raise AssertionError("planned before checking --out")
+
+
+def test_plan_steady_refuses_a_figure8_directory(tmp_path, capsys,
+                                                 monkeypatch, figure8_plan):
+    """plan-steady into a directory that holds a figure-8 plan would leave
+    two plans there, which simulate refuses: a configuration error naming
+    the transition file, before any solve, and nothing is written."""
+    out = tmp_path / "out"
+    save_figure8(out, figure8_plan)
+    before = _files(out)
+    monkeypatch.setattr(cli, "quasi_steady_sweep", _unsolved)
+    assert main(["plan-steady", "--out", str(out), "--arc", "5"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out / 'trajectory_transition.csv'}: --out already holds a "
+        "plan-figure8 plan; plan into another directory\n")
+    assert _files(out) == before
+
+
+def test_plan_figure8_refuses_a_steady_directory(tmp_path, capsys,
+                                                 monkeypatch):
+    """plan-figure8 into a directory that holds a steady plan is refused the
+    same way, naming trajectory.csv; plan-steady re-plans its own
+    directory."""
+    out = tmp_path / "out"
+    assert main(["plan-steady", "--out", str(out), "--arc", "5"]) == 0
+    assert main(["plan-steady", "--out", str(out), "--arc", "10"]) == 0
+    assert csvio.load_quasi_steady(out / "trajectory.csv").n_nodes == 41
+    before = _files(out)
+    monkeypatch.setattr(cli, "plan_figure8", _unsolved)
+    assert main(["plan-figure8", "--out", str(out), "--arc", "5"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out / 'trajectory.csv'}: --out already holds a plan-steady "
+        "plan; plan into another directory\n")
+    assert _files(out) == before
+
+
 @pytest.mark.parametrize("command, settings, named", [
     ("plan-figure8", "h_min 0.2\nh_max 0.1\n", "planner.txt: "),
     ("plan-steady", "delta_min 50\n", "planner.txt: "),

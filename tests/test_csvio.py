@@ -108,8 +108,7 @@ def test_writers_match_row_loops(tmp_path, params, small_sweep):
          [[dyn.t[k], *dyn.states[k], *(dyn.inputs[k] if k < N else [0, 0])]
           for k in range(N + 1)]),
         (csvio.save_gains, sched, csvio._GAIN_COLUMNS, "gains",
-         [[sched.s_knots[i], *sched.K[i].ravel(), *sched.ref_states[i],
-           *sched.ref_inputs[i], sched.kappa[i]] for i in range(len(sched))]),
+         [[s, *K.ravel()] for s, K in zip(sched.s_knots, sched.K)]),
         (csvio.save_poles, trace, csvio._POLE_COLUMNS, "poles",
          [[s, *(part for lam in poles for part in (lam.real, lam.imag))]
           for s, poles in zip(trace.s_knots, trace.poles)]),

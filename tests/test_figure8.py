@@ -7,15 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from thermaldrift.control import REF_STATE_FIELDS
 from thermaldrift.figure8 import plan_figure8
 from thermaldrift.paths import CirclePath
 from thermaldrift.trajopt import IX
 
 from conftest import BETA, RADIUS, THETA0
-
-_S = REF_STATE_FIELDS.index("s")
-_XY = [REF_STATE_FIELDS.index("X"), REF_STATE_FIELDS.index("Y")]
 
 
 @pytest.fixture
@@ -28,17 +24,23 @@ def _on_circle(circle, s_local, xy):
     np.testing.assert_allclose(xy, want, rtol=0.0, atol=1e-9)
 
 
+def _knot_xy(plan, knots):
+    """X, Y of the plan's sample at each knot."""
+    return np.array([(st.X, st.Y) for st, _, _ in
+                     (plan.sample(float(s)) for s in knots)])
+
+
 def test_schedule_s_column_is_the_knots(plan):
-    sched = plan.schedule
-    assert np.array_equal(sched.ref_states[:, _S], sched.s_knots)
+    """The plan's sample at each schedule knot sits at that knot."""
+    knots = plan.schedule.s_knots
+    assert np.array_equal([plan.sample(float(s))[0].s for s in knots], knots)
 
 
 def test_circle1_rows_lie_on_the_first_circle(plan):
-    sched = plan.schedule
-    on1 = sched.s_knots < plan.s_break1
-    assert on1.sum() > 10
-    _on_circle(CirclePath(RADIUS), sched.s_knots[on1],
-               sched.ref_states[on1][:, _XY])
+    knots = plan.schedule.s_knots
+    on1 = knots[knots < plan.s_break1]
+    assert len(on1) > 10
+    _on_circle(CirclePath(RADIUS), on1, _knot_xy(plan, on1))
 
 
 def test_circle2_rows_lie_on_the_placed_circle(plan):
@@ -47,24 +49,20 @@ def test_circle2_rows_lie_on_the_placed_circle(plan):
     xN = plan.transition.states[-1]
     chi_N = xN[IX.psi] + math.atan2(xN[IX.Vy], xN[IX.Vx])
     circle2 = CirclePath(-RADIUS, start=(xN[IX.X], xN[IX.Y]), phi0=chi_N)
-    sched = plan.schedule
-    on2 = sched.s_knots > plan.s_break2
-    assert on2.sum() > 10
-    _on_circle(circle2, sched.s_knots[on2] - plan.s_break2,
-               sched.ref_states[on2][:, _XY])
+    knots = plan.schedule.s_knots
+    on2 = knots[knots > plan.s_break2]
+    assert len(on2) > 10
+    _on_circle(circle2, on2 - plan.s_break2, _knot_xy(plan, on2))
 
 
 def test_transition_rows_equal_the_transition(plan):
-    sched = plan.schedule
-    idx = np.flatnonzero((sched.s_knots >= plan.s_break1)
-                         & (sched.s_knots <= plan.s_break2))
-    assert len(idx) > 10
-    for i in idx:
-        st, u, kappa = plan.transition.sample(float(sched.s_knots[i]))
-        assert np.array_equal(sched.ref_states[i],
-                              [getattr(st, name) for name in REF_STATE_FIELDS])
-        assert np.array_equal(sched.ref_inputs[i], [u.delta, u.Fxf, u.tau])
-        assert sched.kappa[i] == kappa
+    """The plan's sample at each transition knot, kappa included, is the
+    transition's own."""
+    knots = plan.schedule.s_knots
+    on = knots[(knots >= plan.s_break1) & (knots <= plan.s_break2)]
+    assert len(on) > 10
+    for s in on.tolist():
+        assert plan.sample(s) == plan.transition.sample(s)
 
 
 def test_sample_is_continuous_across_both_breaks(params):

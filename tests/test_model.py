@@ -22,7 +22,6 @@ from thermaldrift.model import (
     vehicle_derivatives,
 )
 from thermaldrift.params import default_params
-from thermaldrift.paths import CirclePath
 
 from model_oracle import (
     fiala_lateral_force,
@@ -425,7 +424,7 @@ def test_scalar_rates_match_helper_chain_on_run_states(monkeypatch):
     traj = quasi_steady_sweep(P, 15.0, math.radians(-40.0), 30.0, 3.0)
     res = sim.run(sim.Scenario(
         name="pin", schedule=build_schedule(P, traj),
-        path=CirclePath(15.0), plant=P,
+        path=traj, plant=P,
         initial_state=traj.sample(0.0)[0].replace(theta_r=20.0, Vy=-5.5),
         s_final=3.0))
     assert res.status == "finished"

@@ -5,14 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from thermaldrift.control import linearize, linearize_stack
+from thermaldrift.control import linearize, linearize_stack, nearest_knot
 from thermaldrift import sim
 from thermaldrift.errors import ModelDomainError, SimulationError
 from thermaldrift.figure8 import plan_figure8
 from thermaldrift.integrate import rk4
 from thermaldrift.limits import default_limits
-from thermaldrift.model import ControlInput, VehicleState
-from thermaldrift.paths import CirclePath
+from thermaldrift.model import ControlInput, VehicleState, friction_coefficient
 from thermaldrift.sim import (
     SIM_COLUMNS,
     PoleTrace,
@@ -29,11 +28,14 @@ from conftest import ARC, RADIUS, THETA0
 from model_oracle import heat_generation, tire_forces
 
 
-def short_scenario(params, steady_plans, steady_schedules, **kwargs):
-    traj = steady_plans["thermal"]
+def short_scenario(params, steady_plans, steady_schedules, plan="thermal",
+                   **kwargs):
+    """The steady ``plan``'s schedule, tracked along the plan from its
+    start."""
+    traj = steady_plans[plan]
     defaults = dict(
-        name="short", schedule=steady_schedules["thermal"],
-        path=CirclePath(RADIUS), plant=params,
+        name="short", schedule=steady_schedules[plan], path=traj,
+        plant=params,
         initial_state=traj.sample(0.0)[0].replace(theta_r=THETA0),
         s_final=30.0)
     defaults.update(kwargs)
@@ -138,11 +140,8 @@ def test_run_matches_loop_oracle(params, steady_plans, steady_schedules,
                                  plan, s_final, status):
     """run() on the thermal plant equals the loop oracle: series bits,
     status, detail and metrics."""
-    sc = short_scenario(
-        params, steady_plans, steady_schedules, name=plan,
-        schedule=steady_schedules[plan], s_final=s_final,
-        initial_state=steady_plans[plan].sample(0.0)[0].replace(
-            theta_r=THETA0))
+    sc = short_scenario(params, steady_plans, steady_schedules, plan,
+                        name=plan, s_final=s_final)
     got, want = run(sc), loop_oracle.run(sc)
     assert got.status == status
     assert got.series.tobytes() == want.series.tobytes()
@@ -157,6 +156,36 @@ def test_figure8_run_matches_loop_oracle(params, figure8_plan):
     assert len(got.series) > 1000
     assert got.series.tobytes() == want.series.tobytes()
     assert replace(got, series=None) == replace(want, series=None)
+
+
+def _reference_row(thermal, point):
+    """The ref_* columns of SIM_COLUMNS, by name, at one ``sample`` point."""
+    st, inp, _ = point
+    values = {"mu_r": friction_coefficient(thermal, st.theta_r),
+              **vars(inp), **vars(st)}
+    return [float(values[name[4:]]) for name in SIM_COLUMNS
+            if name.startswith("ref_")]
+
+
+def test_run_reference_is_the_plan(params, steady_plans, steady_schedules,
+                                   steady_results, figure8_plan):
+    """Every row a run records (the three steady runs and the figure-8 run)
+    holds in its ref_* columns the plan's own sample at the knot nearest
+    the row's s, bit for bit: the plan is the run's only reference."""
+    runs = [(steady_plans[name], steady_schedules[name], steady_results[name])
+            for name in steady_plans]
+    runs.append((figure8_plan, figure8_plan.schedule,
+                 run(figure8_plan.scenario(params, THETA0, default_limits()))))
+    ref_columns = [i for i, name in enumerate(SIM_COLUMNS)
+                   if name.startswith("ref_")]
+    for plan, schedule, res in runs:
+        knots = schedule.s_knots.tolist()
+        at_knot = np.array([_reference_row(params.thermal, plan.sample(knot))
+                            for knot in knots])
+        nearest = [nearest_knot(knots, s) for s in res.column("s").tolist()]
+        assert len(nearest) > 1000, res.scenario
+        assert np.array_equal(res.series[:, ref_columns].view(np.uint64),
+                              at_knot[nearest].view(np.uint64)), res.scenario
 
 
 def test_metrics_recomputable(steady_results):
@@ -203,14 +232,14 @@ def test_open_loop_unstable(params, steady_plans, steady_schedules):
     st = traj.sample(0.0)[0].replace(theta_r=THETA0, Y=0.01)
     sched = steady_schedules["thermal"]
     open_loop = replace(sched, K=np.zeros_like(sched.K))
-    sc = Scenario(name="openloop", schedule=open_loop, path=CirclePath(RADIUS),
+    sc = Scenario(name="openloop", schedule=open_loop, path=traj,
                   plant=params, initial_state=st, s_final=ARC)
     res = run(sc)
     assert res.status == "spin_out"
     assert res.max_abs_e > 1.0
     # closed loop absorbs the same perturbation
     closed = run(Scenario(name="closed", schedule=steady_schedules["thermal"],
-                          path=CirclePath(RADIUS), plant=params,
+                          path=traj, plant=params,
                           initial_state=st, s_final=100.0))
     assert closed.status == "finished"
     assert closed.max_abs_e < 0.1
@@ -240,7 +269,13 @@ def test_compare_reports_failures_inline(params, steady_plans,
         compare([])
 
 
-class _UnprojectablePath:
+class _UnprojectablePlan:
+    """A plan whose reference samples as ``plan``'s, but which cannot be
+    projected onto."""
+
+    def __init__(self, plan):
+        self.sample = plan.sample
+
     def project(self, X, Y, s_hint):
         raise RuntimeError("no projection")
 
@@ -251,16 +286,14 @@ def test_compare_forked_matches_run(params, steady_plans, steady_schedules,
     holds a SimulationError naming it, and the other two are bit-equal to
     run() in this process."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    mu = steady_plans["mu0.73"]
     good = [
         short_scenario(params, steady_plans, steady_schedules, s_final=20.0),
-        short_scenario(params, steady_plans, steady_schedules, name="mu",
-                       schedule=steady_schedules["mu0.73"],
-                       initial_state=mu.sample(0.0)[0].replace(theta_r=THETA0),
-                       s_final=20.0),
+        short_scenario(params, steady_plans, steady_schedules, "mu0.73",
+                       name="mu", s_final=20.0),
     ]
     broken = short_scenario(params, steady_plans, steady_schedules,
-                            name="broken", path=_UnprojectablePath())
+                            name="broken",
+                            path=_UnprojectablePlan(steady_plans["thermal"]))
     results = compare([good[0], broken, good[1]])
     assert list(results) == ["short", "broken", "mu"]
     assert isinstance(results["broken"], SimulationError)
