@@ -133,6 +133,24 @@ def _check_out(out: Path, other: str, kind: str) -> None:
                           "plan; plan into another directory")
 
 
+#: what simulate writes beside its plan, and the gains.csv that the plan
+#: commands wrote before simulate designed the gains
+_RUN_OUTPUTS = ("sim_*.csv", "poles_*.csv", "gains_*.csv", "report.txt",
+                "gains.csv")
+
+
+def _remove_run_outputs(out: Path) -> None:
+    """Remove the outputs of a simulate run on an earlier plan in ``out``,
+    named in one stderr line: they do not belong to the new plan."""
+    stale = sorted(path for pattern in _RUN_OUTPUTS
+                   for path in out.glob(pattern))
+    for path in stale:
+        path.unlink()
+    if stale:
+        print(f"removed the earlier plan's simulate outputs from {out}: "
+              + ", ".join(path.name for path in stale), file=sys.stderr)
+
+
 def cmd_plan_steady(args) -> int:
     _check_out(args.out, "trajectory_transition.csv", "plan-figure8")
     _check_geometry(args)
@@ -143,11 +161,10 @@ def cmd_plan_steady(args) -> int:
     traj = quasi_steady_sweep(params, args.radius, beta, args.theta0,
                               args.arc, mu_const=args.mu_const,
                               limits=planner.limits)
-    schedule = build_schedule(params, traj)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
+    _remove_run_outputs(out)
     csvio.save_quasi_steady(traj, out / "trajectory.csv")
-    csvio.save_gains(schedule, out / "gains.csv")
     eq0, eqN = traj.equilibria[0], traj.equilibria[-1]
     lines = [
         "plan-steady",
@@ -156,7 +173,7 @@ def cmd_plan_steady(args) -> int:
         f"beta_deg {args.beta}",
         f"arc_m {args.arc}",
         f"nodes {traj.n_nodes}",
-        f"schedule_knots {len(schedule)}",
+        f"schedule_knots {len(schedule_knots(*traj.s_span()))}",
         f"initial_theta_C {traj.theta[0]:.3f}",
         f"final_theta_C {traj.theta[-1]:.3f}",
         f"final_mu {eqN.mu_r:.4f}",
@@ -178,10 +195,10 @@ def cmd_plan_figure8(args) -> int:
                         theta0=args.theta0, arc=args.arc, planner=planner)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
+    _remove_run_outputs(out)
     csvio.save_quasi_steady(plan.steady1, out / "trajectory_steady1.csv")
     csvio.save_dynamic(plan.transition, out / "trajectory_transition.csv")
     csvio.save_quasi_steady(plan.steady2, out / "trajectory_steady2.csv")
-    csvio.save_gains(plan.schedule, out / "gains.csv")
     tr = plan.transition
     xN = tr.states[-1]
     beta_N = math.degrees(math.atan2(xN[IX.Vy], xN[IX.Vx]))
@@ -218,7 +235,6 @@ def cmd_simulate(args) -> int:
                           "plan-figure8")
     if steady:
         ref = csvio.load_quasi_steady(out / "trajectory.csv")
-        gains = csvio.load_gains(out / "gains.csv")
     elif args.scenario == "steady-compare":
         raise ConfigError(f"{out} holds a figure-8 plan; --scenario "
                           "steady-compare needs a plan-steady plan")
@@ -226,52 +242,46 @@ def cmd_simulate(args) -> int:
         ref = Figure8Plan(
             csvio.load_quasi_steady(out / "trajectory_steady1.csv"),
             csvio.load_dynamic(out / "trajectory_transition.csv"),
-            csvio.load_quasi_steady(out / "trajectory_steady2.csv"),
-            csvio.load_gains(out / "gains.csv"))
-        gains = ref.schedule
-    knots = schedule_knots(*ref.s_span())
-    if not np.array_equal(gains.s_knots, knots):
-        raise ConfigError(f"{out / 'gains.csv'}: the knots are not its "
-                          f"plan's {len(knots)}, from s = {knots[0]:g} to "
-                          f"{knots[-1]:g} m")
+            csvio.load_quasi_steady(out / "trajectory_steady2.csv"))
     # the plant starts at the plan's tread temperature, if it models one
     theta0 = args.theta0
     if theta0 is None:
         theta0 = (ref.sample(0.0)[0].theta_r if not steady or ref.thermal
                   else _THETA0)
     if steady:
-        arc = float(ref.s[-1])
-        plans = [("matched", ref, gains)]
+        s_final = float(ref.s[-1])
+        plans = [("matched", ref)]
         if args.scenario == "steady-compare":
-            for mu in (0.73, 0.8):
-                mtraj = quasi_steady_sweep(
-                    params, ref.radius, ref.beta_target, theta0, arc,
-                    mu_const=mu, limits=planner.limits)
-                plans.append((f"mu{mu:g}", mtraj,
-                              build_schedule(params, mtraj)))
-        scenarios = [Scenario(
-            name=name, schedule=schedule, path=plan, plant=params,
-            initial_state=plan.sample(0.0)[0].replace(theta_r=theta0),
-            s_final=arc, limits=planner.limits)
-            for name, plan, schedule in plans]
+            plans += [(f"mu{mu:g}", quasi_steady_sweep(
+                params, ref.radius, ref.beta_target, theta0, s_final,
+                mu_const=mu, limits=planner.limits)) for mu in (0.73, 0.8)]
     else:
-        scenarios = [ref.scenario(params, theta0, planner.limits)]
+        s_final = ref.total_arc - 0.5
+        plans = [("figure8", ref)]
+    # every run's gains are designed along its own plan, on this plant
+    scenarios = [Scenario(
+        name=name, schedule=build_schedule(params, plan), path=plan,
+        plant=params, initial_state=plan.sample(0.0)[0].replace(
+            theta_r=theta0), s_final=s_final, limits=planner.limits)
+        for name, plan in plans]
 
     results = compare(scenarios)
 
-    def save(name):
-        csvio.save_sim(results[name], out / f"sim_{name}.csv")
+    def save(sc):
+        csvio.save_sim(results[sc.name], out / f"sim_{sc.name}.csv")
+        csvio.save_gains(sc.schedule, out / f"gains_{sc.name}.csv")
 
     # the series reach the writers by fork, so they are not pickled again
-    names = [name for name, res in results.items()
-             if not isinstance(res, Exception)]
+    ran = [sc for sc in scenarios
+           if not isinstance(results[sc.name], Exception)]
     try:
-        fork_map(save, names)
+        fork_map(save, ran)
     except WorkerExitError as exc:
-        raise SimulationError(f"{names[exc.index]}: {exc}") from None
+        raise SimulationError(f"{ran[exc.index].name}: {exc}") from None
     # all schedules span the plan's arc on its knots, and are judged
     # against one linearization of the plant at the operating points it
     # actually visits on the plan
+    knots = scenarios[0].schedule.s_knots
     plant_lin = linearize_stack(params, [ref.sample(float(s)) for s in knots])
     report = [comparison_table(results)]
     clouds = [(sc.name, pole_trace(sc.schedule, *plant_lin))

@@ -8,7 +8,9 @@ Each file kind's layout is stated once, as a tuple of its columns and a
 tuple of its float metadata keys; its writer and its reader both follow
 those tuples.  The transition's state columns are ``trajopt.IX.names``.
 A gain schedule holds its knots ``s`` and its gains ``K00`` to ``K25``
-only: the reference at each knot is its plan's own ``sample``.  A
+only: the reference at each knot is its plan's own ``sample``.  Gains are
+an output: ``simulate`` designs each run's schedule along its plan and
+writes it as ``gains_<run>.csv``, and no run reads one back.  A
 metadata value must be a finite number (``n_outer`` a whole number,
 ``thermal`` 0 or 1), or the file is a configuration error, as is a plan the
 planner would refuse or never write: a bad radius, sideslip or ``ds``, an

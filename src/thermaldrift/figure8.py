@@ -19,10 +19,8 @@ from dataclasses import dataclass, field, replace
 from .control import GainSchedule, build_schedule
 from .equilibrium import QuasiSteadyTrajectory, find_equilibrium, quasi_steady_sweep
 from .model import VehicleState
-from .limits import ActuatorLimits
 from .paths import CirclePath
 from .params import ParamSet
-from .sim import Scenario
 from .trajopt import (
     IX,
     DynamicTrajectory,
@@ -43,9 +41,10 @@ class Figure8Plan:
 
     The plan places circle 2 itself (from ``steady2``'s radius), so a planned
     and a reloaded plan drive one circle.  It is the s-indexed reference
-    (``s_span``/``sample``) its gain ``schedule`` is designed along, and the
-    centerline (``project``) the closed loop tracks; ``schedule`` is None
-    only while :func:`plan_figure8` builds it.
+    (``s_span``/``sample``) a gain schedule is designed along, and the
+    centerline (``project``) the closed loop tracks.  :func:`plan_figure8`
+    attaches its ``schedule``; a plan reloaded from its files has none
+    (``schedule`` is None), and ``simulate`` designs the gains along it.
     """
 
     steady1: QuasiSteadyTrajectory
@@ -132,15 +131,6 @@ class Figure8Plan:
 
     def initial_state(self, theta0: float) -> VehicleState:
         return self.steady1.sample(0.0)[0].replace(theta_r=theta0)
-
-    def scenario(self, plant: ParamSet, theta0: float,
-                 limits: ActuatorLimits) -> Scenario:
-        """Closed-loop run of the whole course on ``plant`` with the feedback
-        clamped to ``limits``, starting from a tread at ``theta0`` and
-        stopping 0.5 m before the course ends."""
-        return Scenario(name="figure8", schedule=self.schedule, path=self,
-                        plant=plant, initial_state=self.initial_state(theta0),
-                        s_final=self.total_arc - 0.5, limits=limits)
 
 
 def plan_figure8(params: ParamSet, radius: float = 15.0,

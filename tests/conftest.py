@@ -38,6 +38,28 @@ def assert_transition_projects_back(plan):
         assert e == pytest.approx(0.0, abs=1e-9)
 
 
+def edit_cell(path, row, column, text):
+    """Rewrite the ``column`` cell of data row ``row`` (from 0) of the CSV
+    file ``path``."""
+    lines = path.read_text().splitlines()
+    header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    cells = lines[header + 1 + row].split(",")
+    cells[lines[header].split(",").index(column)] = text
+    lines[header + 1 + row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def figure8_scenario(plan, plant, theta0, limits):
+    """The closed-loop run of the whole figure-8 course on ``plant``, with
+    the feedback clamped to ``limits``, as ``simulate`` builds it: the plan's
+    own schedule, from a tread at ``theta0``, stopping 0.5 m before the
+    course ends."""
+    return Scenario(name="figure8", schedule=plan.schedule, path=plan,
+                    plant=plant,
+                    initial_state=plan.sample(0.0)[0].replace(theta_r=theta0),
+                    s_final=plan.total_arc - 0.5, limits=limits)
+
+
 @pytest.fixture(scope="session")
 def params():
     return default_params()

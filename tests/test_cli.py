@@ -20,22 +20,28 @@ from thermaldrift.sim import PoleTrace, pole_trace, run
 from thermaldrift.trajopt import (IX, _IPM_MAX_ITER, PlannerConfig,
                                   load_planner_config)
 
-from conftest import assert_transition_projects_back
+from conftest import (assert_transition_projects_back, edit_cell,
+                      figure8_scenario)
 
 
 def test_plan_steady_writes_outputs(tmp_path):
     out = tmp_path / "out"
     rc = main(["plan-steady", "--out", str(out), "--arc", "20"])
     assert rc == 0
-    for name in ("trajectory.csv", "gains.csv", "summary.txt"):
+    for name in ("trajectory.csv", "summary.txt"):
         assert (out / name).exists()
+    # the gains are simulate's to design
+    assert not (out / "gains.csv").exists()
     traj = csvio.load_quasi_steady(out / "trajectory.csv")
     assert traj.n_nodes == int(round(20.0 / 0.25)) + 1
     summary = (out / "summary.txt").read_text()
     assert "thermal" in summary
-    # the package's schedule along the written plan is the one shipped
+    assert "schedule_knots 81\n" in summary
+    # the package's schedule along the written plan is the one simulate
+    # tracks and writes
+    assert main(["simulate", "--out", str(out)]) == 0
     assert np.array_equal(build_schedule(default_params(), traj).K,
-                          csvio.load_gains(out / "gains.csv").K)
+                          csvio.load_gains(out / "gains_matched.csv").K)
 
 
 def test_plan_steady_mu_const_inputs_constant(tmp_path):
@@ -101,20 +107,72 @@ def test_simulate_runs_planned_arc(tmp_path):
     assert res.column("s")[-1] == pytest.approx(10.0, abs=0.05)
 
 
+def assert_gains_file_is(path, schedule):
+    """The gains file at ``path`` loads back as ``schedule``, bit for bit."""
+    gains = csvio.load_gains(path)
+    for got, want in ((gains.s_knots, schedule.s_knots),
+                      (gains.K, schedule.K)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
+            path.name
+
+
+def test_figure8_gains_file_is_the_tracked_schedule(tmp_path, monkeypatch,
+                                                    figure8_plan):
+    """simulate on a figure-8 plan writes the schedule its run tracked as
+    gains_figure8.csv, the plan's own schedule, even when the run fails."""
+    scenarios = []
+
+    def capture(scs, _fn=cli.compare):
+        scenarios.extend(scs)
+        return _fn(scs)
+
+    monkeypatch.setattr(cli, "compare", capture)
+    out = tmp_path / "out"
+    save_figure8(out, figure8_plan)
+    # the 10 m course's run ends in domain_error on circle 2 (exit 3), after
+    # simulate has written its files
+    assert main(["simulate", "--out", str(out)]) == 3
+    (sc,) = scenarios
+    assert sc.name == "figure8"
+    assert_gains_file_is(out / "gains_figure8.csv", sc.schedule)
+    assert_gains_file_is(out / "gains_figure8.csv", figure8_plan.schedule)
+
+
+def test_simulate_params_set_the_matched_gains(tmp_path):
+    """The matched run's gains are designed under simulate's own
+    parameters, not the ones the plan was made with."""
+    pfile = tmp_path / "params.txt"
+    params = default_params()
+    planned_with = replace(params, vehicle=replace(params.vehicle,
+                                                   Iz=1.1 * params.vehicle.Iz))
+    save_params(planned_with, pfile)
+    out = tmp_path / "out"
+    assert main(["plan-steady", "--out", str(out), "--arc", "10",
+                 "--params", str(pfile)]) == 0
+    assert main(["simulate", "--out", str(out)]) == 0
+    traj = csvio.load_quasi_steady(out / "trajectory.csv")
+    assert_gains_file_is(out / "gains_matched.csv",
+                         build_schedule(default_params(), traj))
+    assert not np.array_equal(csvio.load_gains(out / "gains_matched.csv").K,
+                              build_schedule(planned_with, traj).K)
+
+
 def test_simulate_without_plan_is_config_error(tmp_path, capsys):
     rc = main(["simulate", "--out", str(tmp_path / "empty")])
     assert rc == 1
     assert "trajectory.csv" in capsys.readouterr().err
 
 
-def test_missing_input_file_is_config_error(tmp_path, capsys):
+def test_missing_input_file_is_config_error(tmp_path, capsys, figure8_plan):
     """A plan file or parameter file that is not there is a configuration
     error that names the file."""
+    out8 = tmp_path / "out8"
+    save_figure8(out8, figure8_plan)
+    (out8 / "trajectory_steady2.csv").unlink()
+    assert main(["simulate", "--out", str(out8)]) == 1
+    assert "trajectory_steady2.csv" in capsys.readouterr().err
     out = tmp_path / "out"
     assert main(["plan-steady", "--out", str(out), "--arc", "5"]) == 0
-    (out / "gains.csv").unlink()
-    assert main(["simulate", "--out", str(out)]) == 1
-    assert "gains.csv" in capsys.readouterr().err
     rc = main(["simulate", "--out", str(out),
                "--params", str(tmp_path / "absent.txt")])
     assert rc == 1
@@ -148,9 +206,8 @@ def test_corrupt_trajectory_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("name, column, row, cell", [
     ("trajectory.csv", "r", 1, "nan"),
     ("trajectory.csv", "r", 1, "inf"),
-    ("gains.csv", "K01", 0, "inf"),
     ("trajectory.csv", "s", -1, "nan"),
-], ids=["r_nan", "r_inf", "gain_inf", "last_s_nan"])
+], ids=["r_nan", "r_inf", "last_s_nan"])
 def test_non_finite_plan_cell_is_config_error(tmp_path, capsys, name, column,
                                               row, cell):
     """A NaN or infinite cell in a plan file is a configuration error that
@@ -214,17 +271,6 @@ def test_plan_metadata_the_planner_refuses_is_config_error(tmp_path, capsys,
     assert not list(out.glob("sim_*.csv"))
 
 
-def edit_cell(path, row, column, text):
-    """Rewrite the ``column`` cell of data row ``row`` (from 0) of the CSV
-    file ``path``."""
-    lines = path.read_text().splitlines()
-    header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
-    cells = lines[header + 1 + row].split(",")
-    cells[lines[header].split(",").index(column)] = text
-    lines[header + 1 + row] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
-
-
 def test_plan_s_off_grid_is_config_error(tmp_path, capsys):
     """A quasi-steady node moved off the ds grid is a configuration error
     naming the file and the column."""
@@ -243,7 +289,6 @@ def save_figure8(out, plan):
     csvio.save_quasi_steady(plan.steady1, out / "trajectory_steady1.csv")
     csvio.save_dynamic(plan.transition, out / "trajectory_transition.csv")
     csvio.save_quasi_steady(plan.steady2, out / "trajectory_steady2.csv")
-    csvio.save_gains(plan.schedule, out / "gains.csv")
 
 
 def keep_rows(path, n):
@@ -299,78 +344,30 @@ def test_transition_shorter_than_two_steps_is_config_error(
     assert not list(out.glob("sim_*.csv"))
 
 
-@pytest.mark.parametrize("cut", [True, False],
-                         ids=["first_10_knots", "arc_10_gains"])
-def test_gains_off_the_plan_knots_is_config_error(tmp_path, capsys, cut):
-    """A gains.csv cut to its first 10 knots, or planned over a longer arc,
-    is not its plan's schedule: a configuration error naming gains.csv, and
-    no run writes a result."""
+@pytest.mark.parametrize("other", [["--arc", "10"],
+                                   ["--arc", "20", "--mu-const", "0.8"]],
+                         ids=["arc_10", "mu_const_0.8"])
+def test_stray_gains_csv_is_not_read(tmp_path, capsys, other):
+    """A gains.csv left in a plan's directory, the schedule of another plan
+    (over another arc, or at constant mu over the same knots), changes no
+    byte simulate writes or prints: every run's gains are designed along its
+    own plan."""
     out = tmp_path / "out"
-    assert main(["plan-steady", "--out", str(out), "--arc", "5"]) == 0
-    if cut:
-        keep_rows(out / "gains.csv", 10)
-    else:
-        other = tmp_path / "other"
-        assert main(["plan-steady", "--out", str(other), "--arc", "10"]) == 0
-        shutil.copy(other / "gains.csv", out / "gains.csv")
-    assert main(["simulate", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {out / 'gains.csv'}: the knots are not its plan's 21, from "
-        "s = 0 to 5 m\n")
-    assert not list(out.glob("sim_*.csv"))
-
-
-def test_gains_repeated_knot_is_config_error(tmp_path, capsys):
-    """A gains.csv whose knots repeat is a configuration error naming the
-    file, not a planner failure."""
-    out = tmp_path / "out"
-    assert main(["plan-steady", "--out", str(out), "--arc", "5"]) == 0
-    edit_cell(out / "gains.csv", 3, "s", "0.5")
-    assert main(["simulate", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {out / 'gains.csv'}: schedule knots must be strictly "
-        "increasing\n")
-    assert not list(out.glob("sim_*.csv"))
-
-
-def test_gains_without_rows_is_config_error(tmp_path, capsys):
-    """A gains.csv cut after its header (head -2) is a configuration error,
-    not a traceback."""
-    out = tmp_path / "out"
-    assert main(["plan-steady", "--out", str(out), "--arc", "5"]) == 0
-    gains = out / "gains.csv"
-    gains.write_text("".join(gains.read_text().splitlines(True)[:2]))
-    assert main(["simulate", "--out", str(out)]) == 1
-    assert "gains.csv: no data rows" in capsys.readouterr().err
-
-
-def test_gains_with_reference_columns_is_config_error(tmp_path, capsys):
-    """A gains.csv in the former 35-column layout, which repeated the plan's
-    reference after the gains (12 ref_ states, 3 ref_ inputs and kappa), is
-    refused on its header like any other: a configuration error naming the
-    file, and no run writes a result."""
-    out = tmp_path / "out"
-    assert main(["plan-steady", "--out", str(out), "--arc", "5"]) == 0
-    plan = csvio.load_quasi_steady(out / "trajectory.csv")
-    gains = csvio.load_gains(out / "gains.csv")
-    states = ("Vx", "Vy", "r", "omega", "dFz", "theta_r", "e", "s", "dpsi",
-              "X", "Y", "psi")
-    columns = ("s", *(f"K{i}{j}" for i in range(3) for j in range(6)),
-               *(f"ref_{name}" for name in states),
-               "ref_delta", "ref_Fxf", "ref_tau", "kappa")
-    rows = []
-    for s, K in zip(gains.s_knots.tolist(), gains.K):
-        st, u, kappa = plan.sample(s)
-        rows.append([s, *K.ravel(), *(getattr(st, name) for name in states),
-                     u.delta, u.Fxf, u.tau, kappa])
-    assert len(columns) == len(rows[0]) == 35
-    csvio._write(out / "gains.csv", columns, rows, "gains")
-    assert main(["simulate", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {out / 'gains.csv'}:2: unexpected header "
-                          "('s', 'K00', ")
-    assert "'ref_Vx'" in err
-    assert not list(out.glob("sim_*.csv"))
+    assert main(["plan-steady", "--out", str(out), "--arc", "20"]) == 0
+    given = tmp_path / "given"
+    shutil.copytree(out, given)
+    planned = tmp_path / "other"
+    assert main(["plan-steady", "--out", str(planned), *other]) == 0
+    csvio.save_gains(build_schedule(default_params(), csvio.load_quasi_steady(
+        planned / "trajectory.csv")), given / "gains.csv")
+    capsys.readouterr()
+    assert main(["simulate", "--out", str(out)]) == 0
+    want = capsys.readouterr()
+    assert main(["simulate", "--out", str(given)]) == 0
+    assert capsys.readouterr() == want
+    stray = _files(given)
+    del stray["gains.csv"]
+    assert stray == _files(out)
 
 
 def _files(out):
@@ -413,6 +410,29 @@ def test_plan_figure8_refuses_a_steady_directory(tmp_path, capsys,
         f"error: {out / 'trajectory.csv'}: --out already holds a plan-steady "
         "plan; plan into another directory\n")
     assert _files(out) == before
+
+
+def test_replanning_removes_the_earlier_runs(tmp_path, capsys):
+    """Re-planning into a directory that holds simulate's outputs of an
+    earlier plan removes them, and the gains.csv that plan commands used to
+    write, once the new plan is solved: one stderr line names them, and the
+    command exits 0.  A plan that fails leaves the directory as it was."""
+    out = tmp_path / "out"
+    assert main(["plan-steady", "--out", str(out), "--arc", "20"]) == 0
+    assert main(["simulate", "--out", str(out)]) == 0
+    (out / "gains.csv").write_text("# kind gains\n")
+    before = _files(out)
+    capsys.readouterr()
+    assert main(["plan-steady", "--out", str(out), "--arc", "10",
+                 "--beta", "-75"]) == 2
+    assert _files(out) == before
+    capsys.readouterr()
+    assert main(["plan-steady", "--out", str(out), "--arc", "10"]) == 0
+    assert capsys.readouterr().err == (
+        f"removed the earlier plan's simulate outputs from {out}: gains.csv, "
+        "gains_matched.csv, poles_matched.csv, report.txt, sim_matched.csv\n")
+    assert sorted(_files(out)) == ["summary.txt", "trajectory.csv"]
+    assert csvio.load_quasi_steady(out / "trajectory.csv").s[-1] == 10.0
 
 
 @pytest.mark.parametrize("command, settings, named", [
@@ -545,7 +565,8 @@ def test_steady_compare_csvs_match_in_process_runs(tmp_path, monkeypatch):
     does in this process, and each poles_*.csv as the scenario's schedule
     against the plant linearized once along the matched plan.  report.txt
     ends with one line per scenario giving that trace's pole-cloud diameter
-    and spectral abscissa."""
+    and spectral abscissa.  Each gains_*.csv is the schedule its run
+    tracked."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     scenarios = []
 
@@ -572,6 +593,7 @@ def test_steady_compare_csvs_match_in_process_runs(tmp_path, monkeypatch):
             want)
         assert (out / f"poles_{sc.name}.csv").read_bytes() == \
             want.read_bytes(), sc.name
+        assert_gains_file_is(out / f"gains_{sc.name}.csv", sc.schedule)
     report = (out / "report.txt").read_text().splitlines()
     poles = [csvio.load_poles(out / f"poles_{sc.name}.csv")
              for sc in scenarios]
@@ -655,8 +677,9 @@ def test_plan_figure8(tmp_path, request, arc):
     rc = main(["plan-figure8", "--out", str(out), *arc])
     assert rc == 0
     for name in ("trajectory_steady1.csv", "trajectory_transition.csv",
-                 "trajectory_steady2.csv", "gains.csv", "summary.txt"):
+                 "trajectory_steady2.csv", "summary.txt"):
         assert (out / name).exists()
+    assert not (out / "gains.csv").exists()
     summary = dict(ln.split(maxsplit=1) for ln in
                    (out / "summary.txt").read_text().splitlines()
                    if " " in ln)
@@ -665,14 +688,20 @@ def test_plan_figure8(tmp_path, request, arc):
     assert float(summary["terminal_residual"]) < 1e-6
     transition = csvio.load_dynamic(out / "trajectory_transition.csv")
     assert transition.n_outer < _IPM_MAX_ITER
-    assert_transition_projects_back(Figure8Plan(
+    reloaded = Figure8Plan(
         csvio.load_quasi_steady(out / "trajectory_steady1.csv"), transition,
-        csvio.load_quasi_steady(out / "trajectory_steady2.csv")))
+        csvio.load_quasi_steady(out / "trajectory_steady2.csv"))
+    assert_transition_projects_back(reloaded)
+    # the 10 m course's run ends in domain_error on circle 2 (exit 3), after
+    # simulate has written its files
+    assert main(["simulate", "--out", str(out)]) == (3 if arc else 0)
+    gains = csvio.load_gains(out / "gains_figure8.csv")
+    assert np.array_equal(gains.K,
+                          build_schedule(default_params(), reloaded).K)
     if arc:
         # the conftest plan is the same 10 m course, planned in-process
         plan = request.getfixturevalue("figure8_plan")
-        assert np.array_equal(csvio.load_gains(out / "gains.csv").K,
-                              plan.schedule.K)
+        assert np.array_equal(gains.K, plan.schedule.K)
 
 
 @pytest.mark.slow
@@ -693,7 +722,8 @@ def test_simulate_figure8_plan(tmp_path, monkeypatch, capsys):
     assert main(["plan-figure8", "--out", str(out), "--arc", "20"]) == 0
     assert main(["simulate", "--out", str(out)]) == 0
     (plan,) = planned
-    expected = run(plan.scenario(default_params(), 30.0, default_limits()))
+    expected = run(figure8_scenario(plan, default_params(), 30.0,
+                                    default_limits()))
     assert expected.status == "finished"
     written = csvio.load_sim(out / "sim_figure8.csv")
     assert np.array_equal(written.series, expected.series)
@@ -750,13 +780,14 @@ def test_simulate_figure8_failed_tracking_exits_3(tmp_path):
 
 @pytest.mark.parametrize("plan, scenario, written, study", [
     ("plan-steady", ["--scenario", "steady-compare"],
-     ["trajectory.csv", "gains.csv", "report.txt", "sim_matched.csv",
-      "sim_mu0.73.csv", "sim_mu0.8.csv", "poles_matched.csv"],
+     ["trajectory.csv", "report.txt", "sim_matched.csv", "sim_mu0.73.csv",
+      "sim_mu0.8.csv", "poles_matched.csv", "gains_matched.csv",
+      "gains_mu0.73.csv", "gains_mu0.8.csv"],
      ["poles matched  diameter ", "poles mu0.73   diameter ",
       "poles mu0.8    diameter "]),
     ("plan-figure8", [],
      ["trajectory_steady1.csv", "trajectory_transition.csv",
-      "trajectory_steady2.csv", "gains.csv", "sim_figure8.csv"],
+      "trajectory_steady2.csv", "sim_figure8.csv", "gains_figure8.csv"],
      ["circle 1    max|e| ", "transition  max|e| ", "circle 2    max|e| "]),
 ], ids=["steady_comparison", "figure8"])
 def test_script_runs(tmp_path, capsys, plan, scenario, written, study):
@@ -770,6 +801,8 @@ def test_script_runs(tmp_path, capsys, plan, scenario, written, study):
     assert main(["simulate", "--out", str(out), *scenario]) == 0
     for name in written:
         assert (out / name).exists(), name
+    # no command writes the plan-wide gains.csv
+    assert not (out / "gains.csv").exists()
     report = (out / "report.txt").read_text()
     assert capsys.readouterr().out == report
     tail = report.splitlines()[-len(study):]

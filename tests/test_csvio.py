@@ -11,7 +11,7 @@ from thermaldrift.errors import ConfigError
 from thermaldrift.sim import SIM_COLUMNS, PoleTrace
 from thermaldrift.trajopt import IX, DynamicTrajectory
 
-from conftest import BETA, RADIUS, THETA0
+from conftest import BETA, RADIUS, THETA0, edit_cell
 
 
 @pytest.fixture(scope="module")
@@ -193,11 +193,13 @@ def test_cli_outputs_match_repr_formatting(tmp_path):
     assert main(["plan-steady", "--out", str(out), "--arc", "20"]) == 0
     assert main(["simulate", "--out", str(out),
                  "--scenario", "steady-compare"]) == 0
-    files = [("trajectory.csv", csvio._QS_COLUMNS, "quasi_steady"),
-             ("gains.csv", csvio._GAIN_COLUMNS, "gains")]
+    # the plan commands write no gains.csv: simulate writes each run's
+    assert not (out / "gains.csv").exists()
+    files = [("trajectory.csv", csvio._QS_COLUMNS, "quasi_steady")]
     for name in ("matched", "mu0.73", "mu0.8"):
         files += [(f"sim_{name}.csv", SIM_COLUMNS, "sim"),
-                  (f"poles_{name}.csv", csvio._POLE_COLUMNS, "poles")]
+                  (f"poles_{name}.csv", csvio._POLE_COLUMNS, "poles"),
+                  (f"gains_{name}.csv", csvio._GAIN_COLUMNS, "gains")]
     for name, columns, kind in files:
         meta, data = csvio._read(out / name, columns, kind)
         assert (out / name).read_bytes() == \
@@ -263,6 +265,57 @@ def test_header_without_rows_rejected(tmp_path, loader, columns, kind):
     path.write_text(f"# kind {kind}\n" + ",".join(columns) + "\n")
     with pytest.raises(ConfigError, match="cut.csv: no data rows"):
         loader(path)
+
+
+@pytest.fixture
+def gains_file(tmp_path, params, small_sweep):
+    """A gain schedule's file, as simulate writes it."""
+    from thermaldrift.control import build_schedule
+    path = tmp_path / "gains.csv"
+    csvio.save_gains(build_schedule(params, small_sweep), path)
+    return path
+
+
+def test_non_finite_gain_named(gains_file):
+    """An infinite K cell is a ConfigError naming its line and column."""
+    edit_cell(gains_file, 0, "K01", "inf")
+    with pytest.raises(ConfigError, match="gains.csv:3: K01 must be a finite "
+                                          "number, got 'inf'"):
+        csvio.load_gains(gains_file)
+
+
+def test_gains_repeated_knot_named(gains_file):
+    """Knots that repeat are a ConfigError naming the file."""
+    edit_cell(gains_file, 3, "s", "0.5")
+    with pytest.raises(ConfigError) as info:
+        csvio.load_gains(gains_file)
+    assert str(info.value) == (f"{gains_file}: schedule knots must be "
+                               "strictly increasing")
+
+
+def test_gains_with_reference_columns_rejected(gains_file, small_sweep):
+    """The former 35-column layout, which repeated the plan's reference
+    after the gains (12 ref_ states, 3 ref_ inputs and kappa), is refused on
+    its header like any other: a ConfigError naming the file and line."""
+    gains = csvio.load_gains(gains_file)
+    states = ("Vx", "Vy", "r", "omega", "dFz", "theta_r", "e", "s", "dpsi",
+              "X", "Y", "psi")
+    columns = ("s", *(f"K{i}{j}" for i in range(3) for j in range(6)),
+               *(f"ref_{name}" for name in states),
+               "ref_delta", "ref_Fxf", "ref_tau", "kappa")
+    rows = []
+    for s, K in zip(gains.s_knots.tolist(), gains.K):
+        st, u, kappa = small_sweep.sample(s)
+        rows.append([s, *K.ravel(), *(getattr(st, name) for name in states),
+                     u.delta, u.Fxf, u.tau, kappa])
+    assert len(columns) == len(rows[0]) == 35
+    csvio._write(gains_file, columns, rows, "gains")
+    with pytest.raises(ConfigError) as info:
+        csvio.load_gains(gains_file)
+    message = str(info.value)
+    assert message.startswith(f"{gains_file}:2: unexpected header "
+                              "('s', 'K00', ")
+    assert "'ref_Vx'" in message
 
 
 def test_wrong_kind_rejected(tmp_path, small_sweep):

@@ -24,7 +24,7 @@ from thermaldrift.sim import (
 )
 
 import loop_oracle
-from conftest import ARC, RADIUS, THETA0
+from conftest import ARC, RADIUS, THETA0, figure8_scenario
 from model_oracle import heat_generation, tire_forces
 
 
@@ -151,7 +151,7 @@ def test_run_matches_loop_oracle(params, steady_plans, steady_schedules,
 def test_figure8_run_matches_loop_oracle(params, figure8_plan):
     """The figure-8 plan's own scenario (the plan as its own path, the
     transition's schedule) equals the loop oracle too."""
-    sc = figure8_plan.scenario(params, THETA0, default_limits())
+    sc = figure8_scenario(figure8_plan, params, THETA0, default_limits())
     got, want = run(sc), loop_oracle.run(sc)
     assert len(got.series) > 1000
     assert got.series.tobytes() == want.series.tobytes()
@@ -175,7 +175,8 @@ def test_run_reference_is_the_plan(params, steady_plans, steady_schedules,
     runs = [(steady_plans[name], steady_schedules[name], steady_results[name])
             for name in steady_plans]
     runs.append((figure8_plan, figure8_plan.schedule,
-                 run(figure8_plan.scenario(params, THETA0, default_limits()))))
+                 run(figure8_scenario(figure8_plan, params, THETA0,
+                                      default_limits()))))
     ref_columns = [i for i, name in enumerate(SIM_COLUMNS)
                    if name.startswith("ref_")]
     for plan, schedule, res in runs:
@@ -411,6 +412,6 @@ def test_figure8_closed_loop_tracks(params):
     ``thermaldrift simulate`` tracks a plan-figure8 directory, reaches the
     end of the course."""
     plan = plan_figure8(params, theta0=THETA0)
-    res = run(plan.scenario(params, THETA0, default_limits()))
+    res = run(figure8_scenario(plan, params, THETA0, default_limits()))
     assert res.status == "finished", res.detail
     assert res.max_abs_e < 0.05
