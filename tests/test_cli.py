@@ -13,6 +13,7 @@ import thermaldrift
 from thermaldrift import cli, csvio, figure8, sim
 from thermaldrift.cli import main
 from thermaldrift.control import build_schedule, linearize_stack
+from thermaldrift.errors import ConfigError
 from thermaldrift.figure8 import Figure8Plan
 from thermaldrift.limits import default_limits
 from thermaldrift.params import default_params, save_params
@@ -342,6 +343,19 @@ def test_transition_shorter_than_two_steps_is_config_error(
         f"error: {out / 'trajectory_transition.csv'}: the planner writes at "
         f"least 3 data rows, this file holds {rows}\n")
     assert not list(out.glob("sim_*.csv"))
+
+
+def test_gains_without_rows_is_config_error(tmp_path):
+    """The gains_matched.csv that simulate writes, cut after its header
+    (head -2), is a configuration error naming the file when read back, not
+    a traceback."""
+    out = tmp_path / "out"
+    assert main(["plan-steady", "--out", str(out), "--arc", "5"]) == 0
+    assert main(["simulate", "--out", str(out)]) == 0
+    gains = out / "gains_matched.csv"
+    gains.write_text("".join(gains.read_text().splitlines(True)[:2]))
+    with pytest.raises(ConfigError, match="gains_matched.csv: no data rows"):
+        csvio.load_gains(gains)
 
 
 @pytest.mark.parametrize("other", [["--arc", "10"],
