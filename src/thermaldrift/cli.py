@@ -32,6 +32,7 @@ from .trajopt import IX, PlannerConfig, load_planner_config
 __all__ = ["main"]
 
 _THETA0 = 30.0  # degC, the plan commands' initial tread temperature
+_COMPARE_MU = (0.73, 0.8)  # simulate --scenario steady-compare's plans
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,17 +110,18 @@ def _check_geometry(args) -> None:
             raise ConfigError(f"{option} {value:g}: {exc}") from None
 
 
-def _check_mu_const(mu: float, thermal: ThermalParams) -> None:
-    """--mu-const must be a friction coefficient the map gives over its
-    declared temperature range."""
+def _check_mu_const(mu: float, thermal: ThermalParams,
+                    name: str = "--mu-const") -> None:
+    """A constant friction coefficient to plan at, ``name`` in the message,
+    must be one the map gives over its declared temperature range."""
     if mu <= 0.0:
-        raise ConfigError(f"--mu-const {mu:g}: the friction coefficient "
+        raise ConfigError(f"{name} {mu:g}: the friction coefficient "
                           "must be positive")
     lo, hi = sorted(friction_coefficient(thermal, theta)
                     for theta in thermal.THETA_RANGE)
     if not lo <= mu <= hi:
         t_lo, t_hi = thermal.THETA_RANGE
-        raise ConfigError(f"--mu-const {mu:g}: outside the friction map's "
+        raise ConfigError(f"{name} {mu:g}: outside the friction map's "
                           f"range {lo:.3f} to {hi:.3f} over {t_lo:g} to "
                           f"{t_hi:g} degC")
 
@@ -252,9 +254,12 @@ def cmd_simulate(args) -> int:
         s_final = float(ref.s[-1])
         plans = [("matched", ref)]
         if args.scenario == "steady-compare":
+            for mu in _COMPARE_MU:
+                _check_mu_const(mu, params.thermal,
+                                "steady-compare's constant mu")
             plans += [(f"mu{mu:g}", quasi_steady_sweep(
                 params, ref.radius, ref.beta_target, theta0, s_final,
-                mu_const=mu, limits=planner.limits)) for mu in (0.73, 0.8)]
+                mu_const=mu, limits=planner.limits)) for mu in _COMPARE_MU]
     else:
         s_final = ref.total_arc - 0.5
         plans = [("figure8", ref)]

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import ScheduleError, SolverError
 from .integrate import central_differences
@@ -129,29 +128,25 @@ def spectral_abscissa(M: np.ndarray) -> float:
 def lqr_gain(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
              R: np.ndarray) -> np.ndarray:
     """Continuous-time infinite-horizon LQR gain via the algebraic Riccati
-    equation; the returned K strictly stabilizes (A, B)."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
+    equation: :func:`lqr_gains` on a stack of one.  A solution that fails
+    the Riccati residual or the stability check raises ``SolverError``
+    naming the check and its value, so the returned K strictly stabilizes
+    (A, B)."""
+    A, B, Q, R = (np.atleast_2d(np.asarray(M, dtype=float))
+                  for M in (A, B, Q, R))
     try:
-        P = scipy.linalg.solve_continuous_are(A, B, Q, R)
-    except (np.linalg.LinAlgError, ValueError) as exc:
+        sol = lqr_gains(A[None], B[None], Q, R)
+    except np.linalg.LinAlgError as exc:
         raise SolverError(f"Riccati solve failed: {exc}") from exc
-    K = np.linalg.solve(R, B.T @ P)
-    residual = A.T @ P + P @ A - P @ B @ K + Q
-    scale = max(1.0, float(np.linalg.norm(P)))
-    if np.linalg.norm(residual) / scale > _RESIDUAL_TOL:
-        raise SolverError(
-            f"Riccati residual {np.linalg.norm(residual):.2e} above tolerance")
-    if spectral_abscissa(A - B @ K) >= 0.0:
-        raise SolverError("LQR gain does not stabilize the linearization")
-    return K
+    if not sol.ok[0]:
+        raise SolverError(_failed_check(sol, 0))
+    return sol.K[0]
 
 
 @dataclass(frozen=True)
 class LqrStack:
-    """LQR solutions for a stack of linearizations, with lqr_gain's checks."""
+    """LQR solutions for a stack of linearizations, with the Riccati
+    residual and closed-loop stability checks of each."""
 
     K: np.ndarray         # (n, m, nx)
     P: np.ndarray         # (n, nx, nx) Riccati solutions
@@ -167,9 +162,10 @@ def lqr_gains(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
     Each knot's Riccati solution spans the stable invariant subspace of its
     Hamiltonian [[A, -B R^-1 B^T], [-Q, -A^T]] (Laub 1979): with [U1; U2] the
     eigenvectors of its nx stable eigenvalues, P = Re(U2 U1^-1).  One
-    ``eig`` call covers the whole stack.  Nothing is raised for a bad knot;
-    ``ok`` is False where lqr_gain's residual or stability check fails, and
-    those knots need the scalar solver.
+    ``eig`` call covers the whole stack.  Nothing is raised for a bad knot:
+    ``ok`` is False where its Riccati residual exceeds the tolerance or
+    A - B K is not stable, and :func:`lqr_gain` and :func:`build_schedule`
+    raise for it.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -183,7 +179,7 @@ def lqr_gains(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
     stable = np.argsort(w.real, axis=1)[:, None, :nx]
     U = np.take_along_axis(V, stable, axis=2)
     U1, U2 = U[:, :nx], U[:, nx:]
-    # the scalar solver's singularity test on U1 (scipy's 1/cond < eps)
+    # scipy's singularity test on U1 (1/cond < eps)
     bad = ~(np.linalg.cond(U1) < 1.0 / np.finfo(float).eps)
     U1[bad] = np.eye(nx)
     # P = U2 U1^-1, solved as U1^T P^T = U2^T
@@ -198,6 +194,15 @@ def lqr_gains(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
     abscissa = np.max(np.linalg.eigvals(A - B @ K).real, axis=1)
     ok = (residual <= _RESIDUAL_TOL) & (abscissa < 0.0)
     return LqrStack(K=K, P=P, residual=residual, abscissa=abscissa, ok=ok)
+
+
+def _failed_check(sol: LqrStack, j: int) -> str:
+    """The check that point ``j`` of ``sol`` fails, with its value."""
+    if not sol.residual[j] <= _RESIDUAL_TOL:
+        return (f"Riccati residual {sol.residual[j]:.2e} above tolerance "
+                f"{_RESIDUAL_TOL:.0e}")
+    return (f"closed-loop spectral abscissa {sol.abscissa[j]:+.3e}: the LQR "
+            "gain does not stabilize the linearization")
 
 
 @dataclass(frozen=True)
@@ -252,11 +257,11 @@ def build_schedule(params: ParamSet, traj) -> GainSchedule:
 
     ``traj`` must provide ``s_span()`` and ``sample(s)`` (the three
     reference types ``QuasiSteadyTrajectory``, ``DynamicTrajectory`` and
-    ``Figure8Plan`` do).  Knots at the same operating point share one
-    linearization and one gain (a constant-friction circle has a single
-    point).  All distinct points are solved in one :func:`lqr_gains` call;
-    a point that fails its checks there is solved again by
-    :func:`lqr_gain`.
+    ``Figure8Plan`` do).  Knots whose linearization keys have the same bits
+    share one linearization and one gain (a constant-friction circle has a
+    single point).  All distinct points are solved in one :func:`lqr_gains`
+    call; if a point fails its checks there, ``ScheduleError`` names the s
+    of the first knot at it and the failed check.
     """
     knots = schedule_knots(*traj.s_span())
     n = len(knots)
@@ -271,21 +276,11 @@ def build_schedule(params: ParamSet, traj) -> GainSchedule:
         which[i] = j
     A, B = linearize_stack(params, [points[i] for i in first])
     sol = lqr_gains(A, B, LQR_Q, LQR_R)
-    K = sol.K
-    fallback = np.flatnonzero(~sol.ok)
-    for j in fallback:
-        try:
-            K[j] = lqr_gain(A[j], B[j], LQR_Q, LQR_R)
-        except SolverError as exc:
-            raise ScheduleError(
-                f"gain design failed at s={knots[first[j]]:.2f} m: {exc}"
-            ) from exc
-    # maxima over the batch-solved points; the fallback points passed the
-    # same checks inside lqr_gain
     _log.debug("gain schedule: %d knots at %d distinct points, max Riccati "
-               "residual %.3e, max closed-loop spectral abscissa %.4f, "
-               "%d scipy fallbacks",
-               n, len(first), np.max(sol.residual, where=sol.ok, initial=0.0),
-               np.max(sol.abscissa, where=sol.ok, initial=-np.inf),
-               len(fallback))
-    return GainSchedule(s_knots=knots, K=K[which])
+               "residual %.3e, max closed-loop spectral abscissa %.4f",
+               n, len(first), np.max(sol.residual), np.max(sol.abscissa))
+    failed = np.flatnonzero(~sol.ok[which])
+    if failed.size:
+        raise ScheduleError(f"gain design failed at s={knots[failed[0]]:.2f} "
+                            f"m: {_failed_check(sol, which[failed[0]])}")
+    return GainSchedule(s_knots=knots, K=sol.K[which])

@@ -272,15 +272,22 @@ def quasi_steady_sweep(params: ParamSet, radius: float, beta_target: float,
 
     With ``mu_const`` set, planning runs at a frozen friction coefficient:
     the temperature is pinned to the map's equivalent temperature so every
-    node carries a consistent (theta, mu) pair.  ``thermal=False`` freezes
-    the temperature at ``theta0`` instead.  With a frozen temperature every
-    node shares node 0's equilibrium, which is solved once.
+    node carries a consistent (theta, mu) pair.  A flat map (``mu_r1`` 0)
+    gives ``mu_r0`` at every temperature, so it keeps ``theta0`` for that
+    ``mu_const`` and raises ``ValueError`` for any other.  ``thermal=False``
+    freezes the temperature at ``theta0`` instead.  With a frozen
+    temperature every node shares node 0's equilibrium, which is solved
+    once.
     """
     check_arc(total_arc)
     ds = _DS
     thp = params.thermal
     if mu_const is not None:
-        theta0 = (mu_const - thp.mu_r0) / thp.mu_r1
+        if thp.mu_r1 != 0.0:
+            theta0 = (mu_const - thp.mu_r0) / thp.mu_r1
+        elif mu_const != thp.mu_r0:
+            raise ValueError(f"mu_const {mu_const:g}: the flat friction map "
+                             f"gives mu {thp.mu_r0:g} at every temperature")
         thermal = False
 
     n = int(round(total_arc / ds)) + 1

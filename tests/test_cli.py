@@ -551,10 +551,54 @@ def test_mu_const_range_follows_params(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def save_flat_map(path, mu):
+    """A parameter file whose friction map gives ``mu`` at every
+    temperature (mu_r1 0)."""
+    params = default_params()
+    save_params(replace(params, thermal=replace(params.thermal, mu_r0=mu,
+                                                mu_r1=0.0)), path)
+
+
+def test_mu_const_on_flat_map_plans(tmp_path):
+    """On a flat map, --mu-const at the map's one value plans at --theta0,
+    frozen."""
+    pfile = tmp_path / "params.txt"
+    save_flat_map(pfile, 0.8)
+    out = tmp_path / "out"
+    rc = main(["plan-steady", "--out", str(out), "--arc", "1",
+               "--params", str(pfile), "--mu-const", "0.8"])
+    assert rc == 0
+    traj = csvio.load_quasi_steady(out / "trajectory.csv")
+    assert traj.thermal is False
+    assert np.all(traj.theta == 30.0)
+    assert all(eq.mu_r == 0.8 for eq in traj.equilibria)
+
+
+def test_steady_compare_mu_outside_params_map_is_config_error(tmp_path,
+                                                              capsys):
+    """simulate --scenario steady-compare checks its constant-mu plans
+    against the --params map before any solve; a flat map at 0.8 lacks
+    0.73."""
+    pfile = tmp_path / "params.txt"
+    save_flat_map(pfile, 0.8)
+    out = tmp_path / "out"
+    assert main(["plan-steady", "--out", str(out), "--arc", "1",
+                 "--params", str(pfile)]) == 0
+    capsys.readouterr()
+    rc = main(["simulate", "--out", str(out), "--params", str(pfile),
+               "--scenario", "steady-compare"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert ("constant mu 0.73: outside the friction map's range 0.800 to "
+            "0.800" in err)
+    assert "--mu-const" not in err
+    assert not list(out.glob("sim_*.csv"))
+
+
 def test_steady_commands_never_load_scipy_linalg(tmp_path):
     """plan-steady and simulate --scenario steady-compare run without
-    importing scipy.linalg, which only the LQR fallback and the transition's
-    banded KKT solve call.  A fresh interpreter, since the test modules
+    importing scipy.linalg, which only the transition's banded KKT solve
+    calls.  A fresh interpreter, since the test modules
     import it themselves."""
     out = str(tmp_path / "out")
     script = f"""

@@ -76,7 +76,7 @@ def test_batched_gains_match_scipy(params, steady_plans, steady_schedules,
                            [plan.sample(float(s)) for s in sched.s_knots])
     sol = lqr_gains(A, B, LQR_Q, LQR_R)
     assert sol.ok.all()
-    np.testing.assert_array_equal(sched.K, sol.K)  # no scipy fallback
+    np.testing.assert_array_equal(sched.K, sol.K)  # the schedule's solve
     K_err = np.empty(len(sched))
     resid = np.empty(len(sched))
     for i in range(len(sched)):
@@ -92,7 +92,7 @@ def test_batched_gains_match_scipy(params, steady_plans, steady_schedules,
 
 def test_schedule_failure_names_knot(params, monkeypatch):
     """A knot with no actuation (B = 0) on the open-loop unstable drift
-    equilibrium fails the batched solve and the scipy fallback."""
+    equilibrium fails the batched solve."""
     from thermaldrift import control
     from thermaldrift.equilibrium import quasi_steady_sweep
     traj = quasi_steady_sweep(params, RADIUS, BETA, THETA0, 5.0)
@@ -113,44 +113,54 @@ def test_schedule_failure_names_knot(params, monkeypatch):
 
 
 def test_schedule_logs_diagnostics(params, caplog):
+    """One DEBUG line: knots, distinct points, and the largest Riccati
+    residual and closed-loop abscissa over all points."""
     from thermaldrift.equilibrium import quasi_steady_sweep
     traj = quasi_steady_sweep(params, RADIUS, BETA, THETA0, 5.0)
     with caplog.at_level(logging.DEBUG, logger="thermaldrift.control"):
-        build_schedule(params, traj)
+        sched = build_schedule(params, traj)
     lines = [r.getMessage() for r in caplog.records
              if r.name == "thermaldrift.control"]
-    assert len(lines) == 1
-    assert "21 knots" in lines[0] and "0 scipy fallbacks" in lines[0]
+    A, B = linearize_stack(params,
+                           [traj.sample(float(s)) for s in sched.s_knots])
+    sol = lqr_gains(A, B, LQR_Q, LQR_R)
+    assert lines == [
+        f"gain schedule: 21 knots at 21 distinct points, max Riccati "
+        f"residual {sol.residual.max():.3e}, max closed-loop spectral "
+        f"abscissa {sol.abscissa.max():.4f}"]
 
 
-def test_schedule_falls_back_to_scipy(params, monkeypatch, caplog):
-    """A knot the batched solve rejects gets lqr_gain's K, and is counted."""
+def test_schedule_rejected_knot_is_schedule_error(params, monkeypatch):
+    """A point the batched solve rejects raises ScheduleError naming its
+    knot's s and the failed check; no second solver gives it a gain."""
     from thermaldrift import control
     from thermaldrift.equilibrium import quasi_steady_sweep
     traj = quasi_steady_sweep(params, RADIUS, BETA, THETA0, 5.0)
+    bad_A, _ = linearize(params, *traj.sample(1.75))  # knot 7
     real = control.lqr_gains
-    bad = 7
 
-    def lqr_gains_rejecting_one(A, B, Q, R):
+    def lqr_gains_rejecting_knot_7(A, B, Q, R):
         sol = real(A, B, Q, R)
-        ok = sol.ok.copy()
-        ok[bad] = False
-        K = sol.K.copy()
-        K[bad] = np.nan
-        return control.LqrStack(K=K, P=sol.P, residual=sol.residual,
+        bad = [j for j in range(len(A)) if np.array_equal(A[j], bad_A)]
+        assert len(bad) == 1
+        ok, residual = sol.ok.copy(), sol.residual.copy()
+        ok[bad], residual[bad] = False, 3.5e-7
+        return control.LqrStack(K=sol.K, P=sol.P, residual=residual,
                                 abscissa=sol.abscissa, ok=ok)
 
-    monkeypatch.setattr(control, "lqr_gains", lqr_gains_rejecting_one)
-    with caplog.at_level(logging.DEBUG, logger="thermaldrift.control"):
-        sched = build_schedule(params, traj)
-    A, B = linearize_stack(params,
-                           [traj.sample(float(s)) for s in sched.s_knots])
-    np.testing.assert_array_equal(sched.K[bad],
-                                  lqr_gain(A[bad], B[bad], LQR_Q, LQR_R))
-    assert np.isfinite(sched.K).all()
-    lines = [r.getMessage() for r in caplog.records
-             if r.name == "thermaldrift.control"]
-    assert len(lines) == 1 and "1 scipy fallbacks" in lines[0]
+    monkeypatch.setattr(control, "lqr_gains", lqr_gains_rejecting_knot_7)
+    with pytest.raises(ScheduleError,
+                       match=r"gain design failed at s=1\.75 m: Riccati "
+                             r"residual 3\.50e-07 above tolerance"):
+        build_schedule(params, traj)
+
+
+def test_lqr_gain_is_the_batched_solve_of_one(params, eq_nominal):
+    """lqr_gain is lqr_gains on a stack of one, bit for bit."""
+    A, B = linearize(params, *nominal_point(eq_nominal))
+    K = lqr_gain(A, B, LQR_Q, LQR_R)
+    K_batch = lqr_gains(A[None], B[None], LQR_Q, LQR_R).K[0]
+    np.testing.assert_array_equal(K.view(np.uint64), K_batch.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +299,25 @@ def test_single_knot_schedule(params, eq_nominal):
     sched = build_schedule(params, OneNode())
     assert len(sched) == 1
     assert nearest_knot(sched.s_knots, 1234.5) == 0
+
+
+def test_schedule_points_compare_bits(params, eq_nominal, caplog):
+    """Knots share a point only when every key value has the same bits:
+    a heading error of -0.0 is a point of its own beside 0.0."""
+    class SignedZeroHeading:
+        def s_span(self):
+            return 0.0, 0.75
+
+        def sample(self, s):
+            dpsi = -0.0 if s in (0.25, 0.75) else 0.0
+            return (eq_nominal.state(s=s).replace(dpsi=dpsi),
+                    eq_nominal.input(), 1.0 / RADIUS)
+
+    with caplog.at_level(logging.DEBUG, logger="thermaldrift.control"):
+        sched = build_schedule(params, SignedZeroHeading())
+    assert "4 knots at 2 distinct points" in caplog.records[-1].getMessage()
+    assert sched.K[0].tobytes() == sched.K[2].tobytes()
+    assert sched.K[1].tobytes() == sched.K[3].tobytes()
 
 
 def test_lookup_rules(params, steady_schedules):

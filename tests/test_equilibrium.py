@@ -255,6 +255,19 @@ def test_mu_const_maps_to_equivalent_temperature(params):
     assert traj.equilibria[0].mu_r == pytest.approx(0.8, abs=1e-12)
 
 
+def test_mu_const_on_flat_map(params):
+    """A flat friction map plans mu_r0 at theta0, frozen, and refuses any
+    other mu_const by name."""
+    flat = replace(params, thermal=replace(params.thermal, mu_r0=0.8,
+                                           mu_r1=0.0))
+    traj = quasi_steady_sweep(flat, RADIUS, BETA, THETA0, 1.0, mu_const=0.8)
+    assert traj.thermal is False
+    assert np.all(traj.theta == THETA0)
+    with pytest.raises(ValueError, match=r"mu_const 0\.73: the flat friction "
+                                         r"map gives mu 0\.8"):
+        quasi_steady_sweep(flat, RADIUS, BETA, THETA0, 1.0, mu_const=0.73)
+
+
 def test_sweep_error_names_node(params):
     # an infeasible sideslip fails at the first node with its index
     with pytest.raises(SolverError, match="node 0"):

@@ -1,6 +1,7 @@
 import math
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -404,6 +405,26 @@ def test_pole_trace_rejects_wrong_stack(steady_schedules, params, eq_nominal):
         eq_nominal.state(), eq_nominal.input(), 1.0 / RADIUS)])
     with pytest.raises(ValueError, match="1 plant A and 1 B matrices"):
         pole_trace(sched, A, B)
+
+
+def test_readme_headline_is_the_printed_poles(params, steady_plans,
+                                             steady_schedules):
+    """The README's headline block is the three ``poles`` lines that
+    ``simulate --scenario steady-compare`` prints on the 300 m plan: each
+    schedule against the plant linearized along the thermal plan."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## The headline result\n", 1)[1]
+    block = section.split("```\n", 2)[1].splitlines()
+    knots = steady_schedules["thermal"].s_knots
+    plant = linearize_stack(params, [steady_plans["thermal"].sample(float(s))
+                                     for s in knots])
+    lines = []
+    for name, label in (("thermal", "matched"), ("mu0.73", "mu0.73"),
+                        ("mu0.8", "mu0.8")):
+        cloud = pole_trace(steady_schedules[name], *plant)
+        lines.append(f"poles {label:<8} diameter {cloud.cloud_diameter:8.3f}"
+                     f"  spectral abscissa {cloud.spectral_abscissa:+.3f}")
+    assert block == lines
 
 
 @pytest.mark.slow
